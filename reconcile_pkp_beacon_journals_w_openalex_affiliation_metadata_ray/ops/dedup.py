@@ -307,7 +307,7 @@ def _ckpt_stage(checkpoint_dir, stage: str, fp: str, factory,
                          partition_key=partition_key)
 
 
-def _ckpt_done(checkpoint_dir, stage: str, fp: str, out_fields):
+def _ckpt_done(checkpoint_dir, stage: str, fp: str):
     """Fast path: if the FINAL pair checkpoint for (stage, fp) is
     complete, return a reader over it (None otherwise). A full resume
     never touches the corpus at all — mid-run kills of the 400 s-class
@@ -318,10 +318,6 @@ def _ckpt_done(checkpoint_dir, stage: str, fp: str, out_fields):
 
     if not mf.is_complete(checkpoint_dir, stage, fp):
         return None
-    man = mf.read_manifest(checkpoint_dir, stage)
-    if man and man.get("total_rows", 0) == 0:
-        # empty checkpoints have no parquet files to read
-        return pa.table({n: pa.array([], t) for n, t in out_fields}).to_pandas()
     ds, _ = mf.checkpoint(lambda: None, checkpoint_dir, stage, fp)
     return ds
 
@@ -382,10 +378,9 @@ def minhash_lsh_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
             "minhash_lsh_pairs/v1", fingerprint, id_col, text_col,
             num_perm, num_bands, thr, max_band_width, verify,
             bitset_max_grams)
-        done = _ckpt_done(checkpoint_dir, "minhash_pairs", ckfp, out_fields)
+        done = _ckpt_done(checkpoint_dir, "minhash_pairs", ckfp)
         if done is not None:
-            return done if isinstance(done, pd.DataFrame) \
-                else _typed_or_empty(done, out_fields)
+            return _typed_or_empty(done, out_fields)
 
     if verify == "broadcast" and bitset_max_grams:
         vocab = _gram_vocab_probe(docs_ds, text_col, bitset_max_grams)
@@ -750,10 +745,9 @@ def embedding_near_dup_pairs(emb_ds, id_col: str = "vec_id", vec_col: str = "emb
             "embedding_near_dup_pairs/v1", fingerprint, id_col, vec_col,
             float(cosine_threshold), num_bands, planes_per_band, seed,
             max_band_width, verify)
-        done = _ckpt_done(checkpoint_dir, "embdup_pairs", ckfp, emb_fields)
+        done = _ckpt_done(checkpoint_dir, "embdup_pairs", ckfp)
         if done is not None:
-            return done if isinstance(done, pd.DataFrame) \
-                else _typed_or_empty(done, emb_fields)
+            return _typed_or_empty(done, emb_fields)
 
     cand, _ = _ckpt_stage(
         checkpoint_dir, "embdup_candidates", ckfp,

@@ -1,39 +1,35 @@
 """The flagship record-linkage pipeline (SURVEY.md §7.1):
 
-pages.parquet ──read_parquet──► EXTRACT (stateless map_batches, Arrow)
-──► records (page ∪ work sides) ──► BLOCK (key emit + hot-key refine +
-groupby pair-gen) ──► SCORE (actor pool, broadcast attrs) ──► CLUSTER
-(iterative min-label CC) ──► STATS.
+pages.parquet ──row-group read + EXTRACT (one fused task per row-group
+chunk, html never in plasma)──┐
+reference_works.parquet ──row-group read + work records (fused)──┴──►
+records ──► BLOCK (key emit + hot-key refine + groupby pair-gen) ──►
+SCORE (broadcast attrs, or a bucketed join past the object-store
+budget) ──► CLUSTER (iterative min-label CC) ──► STATS.
 
+Every Parquet read here, checkpoints included, goes through
+``sources.io.read_parquet_rowgroups`` (footers read in the calling
+process, row groups grouped into tasks, per-table transforms fused into
+the read).
 ``run_reconcile`` returns the intermediate Datasets so callers (driver
-queries, tests, bench) can consume any stage; nothing here calls
-``ray.init``.
+queries, tests, bench) can consume any stage;
+``run_reconcile_checkpointed`` runs the same stages through
+``state.manifest.checkpoint``. Nothing here calls ``ray.init``.
 """
 
 from __future__ import annotations
 
 import os
 
-import pyarrow as pa
-
 from ..sources.fixtures import ensure_fixtures
-from ..stages import block, cluster, records, score
-from ..stages.extract import (
-    extract_pages,
-    mentions_from_extracted,
-    read_extract_pages,
+from ..sources.io import (
+    SCAN_TASK_ROWS,
+    cluster_cpus,
+    read_parquet_rowgroups,
+    scan_tasks,
 )
-
-
-def _read_parallelism() -> int:
-    """Target block count for the heavy pages scan: enough blocks that
-    every CPU stays busy through the extraction stage."""
-    try:
-        import ray
-
-        return max(8, int(ray.cluster_resources().get("CPU", 8)) * 4)
-    except Exception:
-        return 32
+from ..stages import block, cluster, records, score
+from ..stages.extract import mentions_from_extracted, read_extract_pages
 
 
 # The only page columns the extract stage consumes. The input contract
@@ -53,14 +49,19 @@ def load_tables(sf_dir: str, page_columns=None):
     current caller feeds the extract stage, which needs exactly those;
     pass ``page_columns=[]``-like explicit list (or None via
     ``page_columns=()``) only when a caller needs more."""
-    import ray.data as rd
-
     fdir = ensure_fixtures(sf_dir)
-    pages = rd.read_parquet(os.path.join(fdir, "pages.parquet"),
-                            columns=list(page_columns or EXTRACT_COLUMNS),
-                            override_num_blocks=_read_parallelism())
-    works = rd.read_parquet(os.path.join(fdir, "reference_works.parquet"))
+    pages = read_parquet_rowgroups(os.path.join(fdir, "pages.parquet"),
+                                   columns=list(page_columns or EXTRACT_COLUMNS),
+                                   target_rows=SCAN_TASK_ROWS, min_tasks=scan_tasks())
+    works = read_works(os.path.join(fdir, "reference_works.parquet"))
     return fdir, pages, works
+
+
+def read_works(path: str):
+    """The authority works table, spread over up to one read task per
+    CPU: the work-record map of ``records.build_records`` fuses into
+    these tasks."""
+    return read_parquet_rowgroups(path, min_tasks=cluster_cpus())
 
 
 # broadcast the record-attribute table only while it stays under this
@@ -89,6 +90,26 @@ def choose_scoring_path(records_ds) -> bool:
     return False
 
 
+def score_stage(pairs, recs, shuffle_scoring: bool | None = None,
+                concurrency=None):
+    """Stage 3 of both the streaming and the checkpointed run:
+    ``shuffle_scoring`` None picks the path with
+    :func:`choose_scoring_path` from ``recs`` (materialized)."""
+    if shuffle_scoring is None:
+        shuffle_scoring = choose_scoring_path(recs)
+    if shuffle_scoring:
+        return score.score_pairs_shuffle(pairs, recs)
+    rec_ref = score.broadcast_records(recs)
+    return score.score_pairs(pairs, rec_ref, concurrency=concurrency)
+
+
+def match_edges(scored):
+    """Scored pairs -> the (left_id, right_id) edges clustering joins."""
+    return scored.map_batches(
+        lambda t: t.filter(t["is_match"]).select(["left_id", "right_id"]),
+        batch_format="pyarrow")
+
+
 def run_reconcile(sf_dir: str, hot_threshold: int = block.DEFAULT_HOT_THRESHOLD,
                   scorer_concurrency=None, shuffle_scoring: bool | None = None,
                   materialize_extracted: bool = False,
@@ -112,13 +133,13 @@ def run_reconcile(sf_dir: str, hot_threshold: int = block.DEFAULT_HOT_THRESHOLD,
     path fully streaming (extracted text never parked in plasma)."""
     import ray
 
-    import ray.data as rd
-
     fdir = ensure_fixtures(sf_dir)
-    works = rd.read_parquet(os.path.join(fdir, "reference_works.parquet"))
     # read fused into the extract task (html never enters the object
-    # store — Ray 2.49 won't fuse a Read with a downstream map)
+    # store — Ray 2.49 won't fuse a Read with a downstream map). Built
+    # first: a session's first Dataset starts Ray Data's stats actor
+    # (~1-2 s on one CPU), a cost that belongs to the first stage.
     extracted = read_extract_pages(os.path.join(fdir, "pages.parquet"))
+    works = read_works(os.path.join(fdir, "reference_works.parquet"))
     if materialize_extracted:
         extracted = extracted.materialize()
     recs = records.build_records(extracted, works).materialize()  # reused 3x, small (no html)
@@ -132,13 +153,7 @@ def run_reconcile(sf_dir: str, hot_threshold: int = block.DEFAULT_HOT_THRESHOLD,
         # dedup (no plasma round trip, no stage barrier), and
         # out["pairs"] stays lazy for callers that ignore it.
         pairs = pairs.materialize()
-    if shuffle_scoring is None:
-        shuffle_scoring = choose_scoring_path(recs)
-    if shuffle_scoring:
-        scored = score.score_pairs_shuffle(pairs, recs)
-    else:
-        rec_ref = score.broadcast_records(recs)
-        scored = score.score_pairs(pairs, rec_ref, concurrency=scorer_concurrency)
+    scored = score_stage(pairs, recs, shuffle_scoring, scorer_concurrency)
     if materialize_scored:
         # consumed twice in the driver sweep (edges + stats/eval).
         # materialize_scored=False is the e2e configuration: clustering
@@ -147,11 +162,7 @@ def run_reconcile(sf_dir: str, hot_threshold: int = block.DEFAULT_HOT_THRESHOLD,
         # parking the full scored table is a pure barrier + plasma
         # write there; out["scored"] stays lazy for callers that skip it
         scored = scored.materialize()
-    edges = scored.map_batches(
-        lambda t: t.filter(t["is_match"]).select(["left_id", "right_id"]),
-        batch_format="pyarrow",
-    )
-    clusters = cluster.connected_components_auto(edges, nodes_ds=recs)
+    clusters = cluster.connected_components_auto(match_edges(scored), nodes_ds=recs)
     return {
         "fixture_dir": fdir,
         "extracted": extracted,
@@ -167,7 +178,12 @@ def run_reconcile_checkpointed(sf_dir: str, workdir: str):
     """Checkpointed variant: every stage lands in per-partition Parquet
     with a lineage manifest under ``workdir`` (state.manifest). A rerun
     with unchanged inputs resumes: completed stages are READ, their
-    upstream compute never re-executes (ds_factory laziness). Returns
+    upstream compute never re-executes (ds_factory laziness). The
+    stages and the scoring-path choice are the streaming run's.
+
+    The record table is materialized on its first use by a factory
+    (three of them read it), so a full resume runs no factory and
+    executes nothing until the caller consumes ``clusters``. Returns
     (outputs dict, resumed dict: stage -> bool)."""
     import ray
 
@@ -180,41 +196,38 @@ def run_reconcile_checkpointed(sf_dir: str, workdir: str):
     resumed = {}
 
     def records_factory():
-        import ray.data as rd
-
-        works = rd.read_parquet(works_path)
-        return records.build_records(read_extract_pages(pages_path), works)
+        return records.build_records(read_extract_pages(pages_path),
+                                     read_works(works_path))
 
     recs, resumed["records"] = mf.checkpoint(
         records_factory, workdir, "records", fp, partition_key="record_id")
-    recs = recs.materialize()
+    parked = []
+
+    def recs_once():
+        if not parked:
+            parked.append(recs.materialize())
+        return parked[0]
 
     def pairs_factory():
-        hot = block.find_hot_keys(recs)
-        return block.candidate_pairs(recs, hot_keys_ref=ray.put(hot))
+        hot = block.find_hot_keys(recs_once())
+        return block.candidate_pairs(recs_once(), hot_keys_ref=ray.put(hot))
 
     pairs, resumed["pairs"] = mf.checkpoint(
         pairs_factory, workdir, "pairs", fp, partition_key="left_id")
 
-    def scored_factory():
-        rec_ref = score.broadcast_records(recs)
-        return score.score_pairs(pairs, rec_ref)
-
     scored, resumed["scored"] = mf.checkpoint(
-        scored_factory, workdir, "scored", fp, partition_key="left_id",
-        histogram_col="combined_score")
+        lambda: score_stage(pairs, recs_once()), workdir, "scored", fp,
+        partition_key="left_id", histogram_col="combined_score")
 
     def clusters_factory():
-        edges = scored.map_batches(
-            lambda t: t.filter(t["is_match"]).select(["left_id", "right_id"]),
-            batch_format="pyarrow")
-        return cluster.connected_components_auto(edges, nodes_ds=recs)
+        return cluster.connected_components_auto(match_edges(scored),
+                                                 nodes_ds=recs_once())
 
     clusters, resumed["clusters"] = mf.checkpoint(
         clusters_factory, workdir, "clusters", fp, partition_key="record_id")
 
-    return {"fixture_dir": fdir, "records": recs, "pairs": pairs,
-            "scored": scored, "clusters": clusters}, resumed
+    return {"fixture_dir": fdir, "records": parked[0] if parked else recs,
+            "pairs": pairs, "scored": scored, "clusters": clusters}, resumed
 
 
 def pipeline_report(out: dict) -> dict:
@@ -265,11 +278,10 @@ def pairwise_f1_join(clusters_ds, labeled_path: str, num_buckets: int = 32) -> d
     the cluster map no longer fits the driver; equivalence with the
     driver-side :func:`pairwise_f1` is asserted in tests."""
     import pandas as pd
-    import ray.data as rd
 
     from ..ops.relational import bucket_join
 
-    lp = rd.read_parquet(labeled_path)
+    lp = read_parquet_rowgroups(labeled_path)
 
     def _side(col, out):
         def fn(b: pd.DataFrame) -> pd.DataFrame:
@@ -342,10 +354,8 @@ def run_mention_scoring(sf_dir: str, concurrency=None):
     """The reference-parity chain: extract -> flat mentions -> 8-column
     comparison vs authority works (per-DOI lookup) — the Ray-native
     equivalent of scripts 6 -> 7 (`SURVEY.md §3.2`)."""
-    import ray.data as rd
-
     fdir = ensure_fixtures(sf_dir)
-    works = rd.read_parquet(os.path.join(fdir, "reference_works.parquet"))
+    works = read_works(os.path.join(fdir, "reference_works.parquet"))
     extracted = read_extract_pages(os.path.join(fdir, "pages.parquet"))
     mentions = mentions_from_extracted(extracted)
     works_ref = score.broadcast_works_by_doi(works)

@@ -875,8 +875,8 @@ def generate_sharded(tier: str, out_dir: str,
     """Parallel sharded generation for big tiers (sf1): shards run in
     a process pool (each bounded at ~1/n_shards of the corpus in
     memory), pages/reference_works/labeled_pairs land as per-shard
-    files inside parquet DIRECTORIES (readers — ray.data.read_parquet
-    and pq.read_table — both accept directories). Journal/host tables
+    files inside parquet DIRECTORIES (readers — sources.io.
+    read_parquet_rowgroups and pq.read_table — both accept directories). Journal/host tables
     are deterministic and shared (see :func:`_journal_tables`)."""
     from concurrent.futures import ProcessPoolExecutor
 

@@ -1,4 +1,7 @@
-"""Source readers beyond Parquet (SURVEY.md §2.1 S1-S4).
+"""Source readers (SURVEY.md §2.1 S1-S4).
+
+Parquet: :func:`read_parquet_rowgroups` is the one Parquet reader of the
+pipeline layer (inputs, shard directories and stage checkpoints alike).
 
 The reference reads CSV with DictReader + required-column validation
 (`get_journal...py:42-46`, `check...openalex.py:51-82`) and streams
@@ -11,6 +14,126 @@ schema-on-read surprises downstream.
 from __future__ import annotations
 
 import os
+
+# rows per read task when the caller asks for no more tasks: a whole
+# small table (or a checkpoint of many tiny files) is one task
+DEFAULT_TASK_ROWS = 1 << 17
+# rows per task of a heavy scan (pages html): bounds a task's
+# decompressed payload at any corpus size
+SCAN_TASK_ROWS = 16384
+
+
+def parquet_files(path) -> list[str]:
+    """The Parquet files a read of ``path`` covers, in read order.
+
+    ``path`` is one file, a list of paths (kept in the given order), or
+    a directory searched recursively with its files sorted by full path
+    -- a flat shard directory and a Hive ``part=N/`` checkpoint
+    directory alike, in ``ray.data.read_parquet``'s order. Entries
+    starting with ``.`` or ``_`` (``_SUCCESS``, ``.crc``) are skipped."""
+    if isinstance(path, (list, tuple)):
+        return [f for p in path for f in parquet_files(p)]
+    if not os.path.isdir(path):
+        return [path]
+    out = []
+    for root, dirs, files in os.walk(path):
+        dirs[:] = [d for d in dirs if not d.startswith((".", "_"))]
+        out.extend(os.path.join(root, f) for f in files
+                   if f.endswith(".parquet") and not f.startswith((".", "_")))
+    return sorted(out)
+
+
+def cluster_cpus() -> int:
+    """CPUs of the running Ray cluster (8 outside a session)."""
+    try:
+        import ray
+
+        return max(1, int(ray.cluster_resources().get("CPU", 8)))
+    except Exception:
+        return 8
+
+
+def scan_tasks() -> int:
+    """Minimum task count of a heavy scan: ~4 per CPU, at least 8, so
+    every CPU stays busy through a per-row parse fused into the read."""
+    return max(8, 4 * cluster_cpus())
+
+
+def _rowgroup_tasks(files: list[str], target_rows: int, min_tasks: int) -> list[dict]:
+    """Group the files' row groups, in order, into read tasks of about
+    ``min(target_rows, total / min_tasks)`` rows. A task may span files,
+    so a directory of many tiny files is read by one task. Each task is
+    ``{"paths": [file, ...], "rgs": [[row group, ...], ...]}``."""
+    import pyarrow.parquet as pq
+
+    pieces = []
+    for f in files:
+        md = pq.read_metadata(f)
+        pieces.extend((f, i, md.row_group(i).num_rows) for i in range(md.num_row_groups))
+    total = sum(n for _, _, n in pieces)
+    target = max(1, min(target_rows, -(-total // max(1, min_tasks))))
+    tasks, cur, cur_rows = [], {"paths": [], "rgs": []}, 0
+    for f, i, n in pieces:
+        if cur["paths"] and cur["paths"][-1] == f:
+            cur["rgs"][-1].append(i)
+        else:
+            cur["paths"].append(f)
+            cur["rgs"].append([i])
+        cur_rows += n
+        if cur_rows >= target:
+            tasks.append(cur)
+            cur, cur_rows = {"paths": [], "rgs": []}, 0
+    if cur["paths"]:
+        tasks.append(cur)
+    return tasks
+
+
+def read_parquet_rowgroups(path, columns=None, fn=None,
+                           target_rows: int = DEFAULT_TASK_ROWS,
+                           min_tasks: int = 1, schema=None):
+    """Parquet file(s) -> Dataset, each read task opening its own row
+    groups.
+
+    ``path`` is anything :func:`parquet_files` accepts. The footers are
+    read in the calling process and the row groups grouped into tasks
+    by row count (:func:`_rowgroup_tasks`); the Dataset is
+    ``from_items(tasks).map_batches(read)``, so no metadata or sampling
+    tasks run and a downstream map fuses into the read task (Ray 2.49
+    never fuses a Read operator with a map). ``fn`` is a per-table
+    transform run inside the read task on each file's slice, so a heavy
+    column it consumes never enters the object store. Rows come in file
+    and row-group order, as ``ray.data.read_parquet`` yields them, with
+    no Hive partition column. With no row groups at all the result is a
+    typed empty Dataset: ``schema`` (an Arrow schema), else the first
+    file's, projected to ``columns`` and passed through ``fn``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    cols = list(columns) if columns is not None else None
+    files = parquet_files(path)
+    tasks = _rowgroup_tasks(files, target_rows, min_tasks)
+    if not tasks:
+        if schema is None and files:
+            schema = pq.read_schema(files[0])
+        if schema is None:
+            return rd.from_items([])
+        empty = schema.empty_table()
+        if cols is not None:
+            empty = empty.select(cols)
+        return rd.from_arrow(fn(empty) if fn is not None else empty)
+
+    def read(batch: pa.Table) -> pa.Table:
+        out = []
+        for paths, rgs in zip(batch["paths"].to_pylist(), batch["rgs"].to_pylist()):
+            for f, groups in zip(paths, rgs):
+                with pq.ParquetFile(f) as pf:
+                    tbl = pf.read_row_groups(groups, columns=cols)
+                out.append(fn(tbl) if fn is not None else tbl)
+        return pa.concat_tables(out, promote_options="default")
+
+    return rd.from_items(tasks, override_num_blocks=len(tasks)).map_batches(
+        read, batch_size=1, batch_format="pyarrow")
 
 
 class MissingColumnsError(ValueError):

@@ -17,11 +17,10 @@ status columns (pattern from `parse_record_data_from_files.py:421-433`).
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
 
 from ..functions.htmlextract import extract_page
+from ..sources.io import SCAN_TASK_ROWS, read_parquet_rowgroups, scan_tasks
 
 EXTRACTED_SCHEMA = pa.schema(
     [
@@ -83,59 +82,7 @@ def extract_pages(pages_ds, batch_size: int = 256):
     )
 
 
-def _rowgroup_items(pages_path: str, target_rows: int, min_tasks: int):
-    """Balanced (file, row-group-list) task descriptors for a parquet
-    file or a per-shard directory. Chunks never span files; each chunk
-    carries ~target_rows rows so per-task decompressed HTML stays
-    bounded at any corpus size."""
-    import glob
-
-    import pyarrow.parquet as pq
-
-    if os.path.isdir(pages_path):
-        files = sorted(glob.glob(os.path.join(pages_path, "*.parquet")))
-    else:
-        files = [pages_path]
-    total_rows = 0
-    per_file = []
-    for f in files:
-        md = pq.ParquetFile(f).metadata
-        rows = [md.row_group(i).num_rows for i in range(md.num_row_groups)]
-        per_file.append((f, rows))
-        total_rows += sum(rows)
-    # enough tasks to keep every CPU busy, small enough rows per task
-    # that batch x concurrency fits in worker heap
-    target = max(1, min(target_rows, -(-total_rows // max(1, min_tasks))))
-    items = []
-    for f, rows in per_file:
-        cur: list[int] = []
-        cur_rows = 0
-        for i, r in enumerate(rows):
-            cur.append(i)
-            cur_rows += r
-            if cur_rows >= target:
-                items.append({"path": f, "rgs": cur})
-                cur, cur_rows = [], 0
-        if cur:
-            items.append({"path": f, "rgs": cur})
-    return items
-
-
-def _read_extract_task(batch: pa.Table) -> pa.Table:
-    import pyarrow.parquet as pq
-
-    out = []
-    for path, rgs in zip(batch["path"].to_pylist(), batch["rgs"].to_pylist()):
-        tbl = pq.ParquetFile(path).read_row_groups(
-            rgs, columns=["url", "lang", "html"])
-        out.append(extract_batch(tbl))
-    return pa.concat_tables(out) if out else extract_batch(
-        pa.table({"url": pa.array([], pa.string()),
-                  "lang": pa.array([], pa.string()),
-                  "html": pa.array([], pa.binary())}))
-
-
-def read_extract_pages(pages_path: str, target_rows: int = 16384):
+def read_extract_pages(pages_path: str, target_rows: int = SCAN_TASK_ROWS):
     """pages parquet (file or shard directory) -> extracted Dataset,
     with the read FUSED into the extract task.
 
@@ -144,22 +91,18 @@ def read_extract_pages(pages_path: str, target_rows: int = 16384):
     through the object store (serialize + plasma write + read) just to
     parse it once and drop it — measured 9.5-10.6 s for the sf0.1
     extract-only leg vs 2.7-4.0 s fused (the html column is ~3x the
-    extracted output). Here each task reads its own row groups
-    (columns pruned to the EXTRACT_COLUMNS contract) and emits
-    extracted rows directly; the html bytes never leave the task. Row
-    order equals read_parquet order (row-group order), and the
-    per-row extraction is the same `extract_batch`, so output is
-    byte-identical to the unfused path (equivalence-tested)."""
-    import ray
-    import ray.data as rd
-
-    try:
-        min_tasks = max(8, int(ray.cluster_resources().get("CPU", 8)) * 4)
-    except Exception:
-        min_tasks = 32
-    items = _rowgroup_items(pages_path, target_rows, min_tasks)
-    return rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        _read_extract_task, batch_size=1, batch_format="pyarrow")
+    extracted output). This is the repo's one row-group reader
+    (``sources.io.read_parquet_rowgroups``) with ``fn=extract_batch``:
+    each task reads its own row groups (columns pruned to
+    ``url, lang, html``), at most ``target_rows`` rows and at least
+    ~4 tasks per CPU, and emits extracted rows directly; the html bytes
+    never leave the task. Row order equals read_parquet order
+    (file, then row-group order), and the per-row extraction is the
+    same ``extract_batch``, so output is byte-identical to the unfused
+    path (equivalence-tested)."""
+    return read_parquet_rowgroups(
+        pages_path, columns=["url", "lang", "html"], fn=extract_batch,
+        target_rows=target_rows, min_tasks=scan_tasks())
 
 
 def explode_mentions(batch: pa.Table) -> pa.Table:

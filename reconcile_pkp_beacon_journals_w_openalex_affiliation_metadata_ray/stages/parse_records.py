@@ -103,6 +103,7 @@ def parse_record_files_checkpointed(input_dir: str, source_type: str,
     import pandas as pd
     import ray.data as rd
 
+    from ..sources.io import read_parquet_rowgroups
     from ..state.manifest import fingerprint_inputs
 
     out_dir = os.path.join(workdir, f"parse_records_{source_type}")
@@ -159,8 +160,7 @@ def parse_record_files_checkpointed(input_dir: str, source_type: str,
             json.dump(manifest, f, indent=1, sort_keys=True)
         os.replace(tmp, mpath)
 
-    ds = (rd.read_parquet(sorted(done)) if done
-          else rd.from_arrow(ROW_SCHEMA.empty_table()))
+    ds = read_parquet_rowgroups(sorted(done), schema=ROW_SCHEMA)
     return ds, len(todo), len(rels) - len(todo)
 
 

@@ -12,8 +12,9 @@ exists completely (manifest written last) or not at all.
 
 Layout:
     {root}/{stage}/part=N/*.parquet     hash-partitioned rows
-    {root}/{stage}/MANIFEST.json        stage fingerprint + per-partition
-                                        {rows, files, (optional) histogram}
+    {root}/{stage}/MANIFEST.json        stage fingerprint, Arrow schema +
+                                        per-partition {rows, files,
+                                        (optional) histogram}
 
 Resume contract: ``checkpoint(...)`` recomputes iff no manifest exists
 OR the stored fingerprint differs from the caller's input fingerprint
@@ -21,10 +22,20 @@ OR the stored fingerprint differs from the caller's input fingerprint
 existing Parquet without touching the pipeline — stage-level
 idempotence. Partitions are hash(key)%P so a future partial-resume can
 recompute a single partition from the same input slice.
+
+Reader: a checkpoint is read with the pipeline's one Parquet reader,
+``sources.io.read_parquet_rowgroups``: the footers are read in the
+calling process and the row groups of every ``part=N/`` file grouped
+into tasks by row count, so a stage of dozens of tiny files is one read
+task with no metadata or sampling tasks. Building the reader executes nothing;
+the ``part`` directory name never surfaces as a column. A zero-row
+stage writes no files and resumes as a typed empty Dataset from the
+manifest's schema.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
@@ -32,15 +43,22 @@ import shutil
 
 import pandas as pd
 
+from ..sources.io import parquet_files, read_parquet_rowgroups
+
 
 def fingerprint_inputs(*parts) -> str:
-    """Stable fingerprint of input paths (+mtime+size) and parameter
-    strings."""
+    """Stable fingerprint of input paths and parameter strings. An
+    existing path contributes every file the Parquet reader would read
+    under it (:func:`sources.io.parquet_files`), each by path, size and
+    mtime, so replacing one shard of a directory changes the
+    fingerprint."""
     h = hashlib.blake2b(digest_size=16)
     for part in parts:
         if isinstance(part, str) and os.path.exists(part):
-            st = os.stat(part)
-            h.update(f"{part}:{st.st_size}:{int(st.st_mtime)}".encode())
+            h.update(part.encode())
+            for f in parquet_files(part):
+                st = os.stat(f)
+                h.update(f"\x00{f}:{st.st_size}:{st.st_mtime_ns}".encode())
         else:
             h.update(repr(part).encode())
         h.update(b"\x00")
@@ -51,23 +69,54 @@ def _manifest_path(stage_dir: str) -> str:
     return os.path.join(stage_dir, "MANIFEST.json")
 
 
-def is_complete(root: str, stage: str, fingerprint: str) -> bool:
-    mpath = _manifest_path(os.path.join(root, stage))
-    if not os.path.exists(mpath):
-        return False
+def _complete_manifest(stage_dir: str, fingerprint: str) -> dict | None:
+    """The stage's manifest if it matches ``fingerprint`` and every
+    partition it lists is present, else None."""
     try:
-        with open(mpath) as f:
+        with open(_manifest_path(stage_dir)) as f:
             man = json.load(f)
     except (OSError, json.JSONDecodeError):
-        return False
+        return None
     if man.get("fingerprint") != fingerprint:
-        return False
-    stage_dir = os.path.join(root, stage)
-    for part, info in man.get("partitions", {}).items():
-        pdir = os.path.join(stage_dir, f"part={part}")
-        if not os.path.isdir(pdir):
-            return False
-    return True
+        return None
+    for part in man.get("partitions", {}):
+        if not os.path.isdir(os.path.join(stage_dir, f"part={part}")):
+            return None
+    return man
+
+
+def is_complete(root: str, stage: str, fingerprint: str) -> bool:
+    return _complete_manifest(os.path.join(root, stage), fingerprint) is not None
+
+
+def _reader(stage_dir: str, man: dict):
+    """Reader over a published stage; the manifest's schema (base64
+    Arrow IPC) types it when the stage has no rows."""
+    import pyarrow as pa
+
+    schema = man.get("schema")
+    if schema is not None:
+        schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(schema)))
+    return read_parquet_rowgroups(stage_dir, schema=schema)
+
+
+def _arrow_schema(ds):
+    """Arrow schema of a stage that wrote no rows (this executes it
+    again), or None (pandas-typed blocks). A row filter that kept
+    nothing emits column-less blocks, so the schema its plan knows for
+    its input stands in: a filter keeps its input's columns."""
+    import pyarrow as pa
+
+    schema = ds.schema()
+    if schema is None:
+        from ray.data._internal.logical.operators.map_operator import Filter
+
+        op = ds._logical_plan.dag
+        while schema is None and isinstance(op, Filter):
+            op = op.input_dependencies[0]
+            schema = op.infer_schema()
+    base = getattr(schema, "base_schema", schema)
+    return base if isinstance(base, pa.Schema) else None
 
 
 def checkpoint(ds_factory, root: str, stage: str, fingerprint: str,
@@ -81,17 +130,10 @@ def checkpoint(ds_factory, root: str, stage: str, fingerprint: str,
     Returns (dataset, resumed: bool); dataset is a fresh read over the
     checkpoint files (lineage-free, bounded memory).
     """
-    import ray.data as rd
-
-    def _reader(path):
-        out = rd.read_parquet(path, file_extensions=["parquet"])
-        return out.map_batches(
-            lambda t: t.drop_columns([c for c in ("part",) if c in t.column_names]),
-            batch_format="pyarrow")
-
     stage_dir = os.path.join(root, stage)
-    if is_complete(root, stage, fingerprint):
-        return _reader(stage_dir), True
+    man = _complete_manifest(stage_dir, fingerprint)
+    if man is not None:
+        return _reader(stage_dir, man), True
 
     ds = ds_factory()
     tmp_dir = stage_dir + ".tmp"
@@ -118,14 +160,14 @@ def checkpoint(ds_factory, root: str, stage: str, fingerprint: str,
     tagged = ds.map_batches(_assign, batch_format="pyarrow")
     tagged.write_parquet(tmp_dir, partition_cols=["part"])
 
+    import pyarrow.parquet as pq
+
     # build lineage: per-partition row counts (+ optional histogram)
     partitions = {}
     for entry in sorted(os.listdir(tmp_dir)):
         if not entry.startswith("part="):
             continue
         pdir = os.path.join(tmp_dir, entry)
-        import pyarrow.parquet as pq
-
         rows = 0
         files = []
         hist = None
@@ -147,6 +189,10 @@ def checkpoint(ds_factory, root: str, stage: str, fingerprint: str,
             info["score_histogram"] = hist
         partitions[entry.split("=", 1)[1]] = info
 
+    # the files carry the schema; a zero-row stage writes none, and
+    # only then is the (empty) stage executed again to learn it
+    written = parquet_files(tmp_dir)
+    schema = pq.read_schema(written[0]) if written else _arrow_schema(ds)
     manifest = {
         "stage": stage,
         "fingerprint": fingerprint,
@@ -154,11 +200,13 @@ def checkpoint(ds_factory, root: str, stage: str, fingerprint: str,
         "partition_key": partition_key,
         "partitions": partitions,
         "total_rows": sum(p["rows"] for p in partitions.values()),
+        "schema": None if schema is None else base64.b64encode(
+            schema.serialize().to_pybytes()).decode("ascii"),
     }
     with open(_manifest_path(tmp_dir), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
     os.rename(tmp_dir, stage_dir)  # atomic publish: manifest travels with data
-    return _reader(stage_dir), False
+    return _reader(stage_dir, manifest), False
 
 
 def read_manifest(root: str, stage: str) -> dict | None:

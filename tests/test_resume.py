@@ -187,3 +187,119 @@ def test_embedding_dedup_checkpoint_resume(ray_session, tmp_path):
     assert (d1.sort_values(key).reset_index(drop=True)
             .equals(d2.sort_values(key).reset_index(drop=True)))
     assert len(d1) >= 20
+
+
+def test_fingerprint_sees_every_shard(tmp_path):
+    """A sharded input directory is fingerprinted file by file: replacing
+    one shard changes the fingerprint, an untouched directory keeps it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.state import (
+        manifest as mf,
+    )
+
+    shards = tmp_path / "pages.parquet"
+    shards.mkdir()
+    for i in range(3):
+        pq.write_table(pa.table({"url": [f"u{i}-{j}" for j in range(10)]}),
+                       shards / f"shard-{i:05d}.parquet")
+    fp = mf.fingerprint_inputs(str(shards), "v1")
+    assert mf.fingerprint_inputs(str(shards), "v1") == fp
+    tmp = shards / "shard-00001.parquet.tmp"
+    pq.write_table(pa.table({"url": ["replaced"] * 10}), tmp)
+    os.replace(tmp, shards / "shard-00001.parquet")
+    replaced = mf.fingerprint_inputs(str(shards), "v1")
+    assert replaced != fp
+    assert mf.fingerprint_inputs(str(shards), "v1") == replaced
+
+
+def test_zero_row_stage_resumes_typed(ray_session, workdir):
+    """A stage with no rows writes no files; its resume is a typed empty
+    Dataset built from the schema recorded in MANIFEST.json."""
+    import ray.data as rd
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.state import (
+        manifest as mf,
+    )
+
+    def factory():
+        return rd.range(10).filter(lambda r: r["id"] < 0)
+
+    ds, resumed = mf.checkpoint(factory, workdir, "empty", "fp")
+    assert not resumed and ds.count() == 0
+    assert mf.read_manifest(workdir, "empty")["schema"]
+    ds, resumed = mf.checkpoint(factory, workdir, "empty", "fp")
+    assert resumed and ds.count() == 0
+    assert ds.schema() is not None and ds.schema().names == ["id"]
+
+
+def test_full_resume_runs_no_factory_and_no_materialize(ray_session, workdir, monkeypatch):
+    """A full resume invokes no stage factory and materializes nothing:
+    the only execution is the caller's read of ``clusters``."""
+    import ray.data as rd
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.state import (
+        manifest as mf,
+    )
+
+    sf = "sf0.001"  # fixture tier, synthesized by ensure_fixtures
+    fresh = _cluster_map(reconcile.run_reconcile_checkpointed(sf, workdir)[0]["clusters"])
+
+    calls = {"factory": 0, "materialize": 0}
+    orig_checkpoint, orig_materialize = mf.checkpoint, rd.Dataset.materialize
+
+    def counting_checkpoint(ds_factory, *args, **kwargs):
+        def factory():
+            calls["factory"] += 1
+            return ds_factory()
+        return orig_checkpoint(factory, *args, **kwargs)
+
+    def counting_materialize(self):
+        calls["materialize"] += 1
+        return orig_materialize(self)
+
+    monkeypatch.setattr(mf, "checkpoint", counting_checkpoint)
+    monkeypatch.setattr(rd.Dataset, "materialize", counting_materialize)
+    out, resumed = reconcile.run_reconcile_checkpointed(sf, workdir)
+    assert all(resumed.values()), resumed
+    assert calls == {"factory": 0, "materialize": 0}
+    assert _cluster_map(out["clusters"]) == fresh
+
+
+def test_checkpointed_scoring_follows_choose_scoring_path(ray_session, workdir, monkeypatch):
+    """The checkpointed scored stage takes the same broadcast-vs-shuffle
+    decision as run_reconcile: past the object-store budget it runs the
+    bucketed-join scorer, and its rows equal the streaming run's."""
+    import pandas as pd
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import (
+        score,
+    )
+
+    monkeypatch.setattr(reconcile, "BROADCAST_OBJECT_STORE_FRACTION", 0.0)
+    shuffled = []
+    orig = score.score_pairs_shuffle
+
+    def spy(*args, **kwargs):
+        shuffled.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(score, "score_pairs_shuffle", spy)
+    sf = "sf0.001"  # fixture tier, synthesized by ensure_fixtures
+    flagship = reconcile.run_reconcile(sf)["scored"].to_pandas()
+    assert len(shuffled) == 1
+    checkpointed = reconcile.run_reconcile_checkpointed(sf, workdir)[0]["scored"].to_pandas()
+    assert len(shuffled) == 2
+
+    key = ["left_id", "right_id"]
+    a = flagship.sort_values(key, kind="mergesort").reset_index(drop=True)
+    b = checkpointed.sort_values(key, kind="mergesort").reset_index(drop=True)
+    assert len(a) > 0
+    pd.testing.assert_frame_equal(a, b[a.columns])
