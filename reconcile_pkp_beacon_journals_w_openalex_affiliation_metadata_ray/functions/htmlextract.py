@@ -111,8 +111,6 @@ class Node:
 
 
 class _TreeBuilder(HTMLParser):
-    text_precomputed = None  # fast-path trees carry the text spec inline
-
     def __init__(self):
         super().__init__(convert_charrefs=True)
         self.root = Node("[document]")
@@ -170,15 +168,14 @@ class _TreeBuilder(HTMLParser):
 # single biggest stage of the flagship e2e). Well-formed lowercase HTML
 # without charrefs/comments/declarations — i.e. every page the fixture
 # generator and typical OJS landing pages emit — needs none of that
-# tolerance machinery. `_fast_parse` tokenizes with ONE strict regex per
-# tag and builds the exact same Node tree `_TreeBuilder` would;
-# anything the strict shapes don't cover (a `&` anywhere, `<!`/`<?`,
-# uppercase or exotic tag/attr names, attrs on end tags, stray `<`)
-# aborts to the stdlib path for the WHOLE document, so the fast path can
-# never be subtly wrong — it either reproduces `_TreeBuilder` exactly
-# (equivalence-tested DOM-deep-equal on the full fixture corpus +
-# hypothesis fuzz) or it isn't used. It also accumulates the frozen
-# text-extraction spec inline (one pass instead of a post-hoc DOM walk).
+# tolerance machinery. `_fast_extract` tokenizes with ONE strict regex
+# split and computes `extract_page`'s result directly; anything the
+# strict shapes don't cover (a `&` anywhere, `<!`/`<?`, uppercase or
+# exotic tag/attr names, attrs on end tags, stray `<`, markup inside
+# script/style) aborts to the stdlib path for the WHOLE document, so
+# the fast path can never be subtly wrong — it either reproduces the
+# `_TreeBuilder` extraction exactly (equivalence-tested on the full
+# fixture corpus + hypothesis fuzz) or it isn't used.
 
 # any charref (stdlib would unescape; we must not see one on the fast path)
 _HAZARD_RE = re.compile(r"&")
@@ -191,39 +188,20 @@ _TAG_RE = re.compile(
 _ATTR_RE = re.compile(
     r"([a-z][a-z0-9_:.-]*)(?:\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s>'\"=`]+)))?"
 )
-# CDATA content end, exactly stdlib set_cdata_mode's pattern + the
-# strict end-tag consume (stdlib: r'</\s*script\s*>' re.I)
-_CDATA_END = {
-    "script": re.compile(r"</\s*script\s*>", re.I),
-    "style": re.compile(r"</\s*style\s*>", re.I),
-}
-
-
-class _FastTree:
-    """Duck-typed stand-in for `_TreeBuilder`: same `.root` /
-    `.meta_tags`, plus the text-spec string accumulated during the one
-    tokenizer pass (`extract_text` uses it when present)."""
-
-    __slots__ = ("root", "meta_tags", "text_precomputed")
-
-    def __init__(self):
-        self.root = Node("[document]")
-        self.meta_tags = []
-        self.text_precomputed = None
 
 
 def _fast_extract(html: str):
-    """Tier-1 extractor: ONE `_TAG_RE.split` pass that computes
+    """Fast-path extractor: ONE `_TAG_RE.split` pass that computes
     :func:`extract_page`'s result directly — no DOM, no Node
     allocations, attrs parsed only for the three tags whose attributes
     the extractors read (``meta`` always, ``ul``/``span`` only while
     the ul.authors state machine needs them). Returns the page dict or
-    None when any token falls outside the proven strict shapes — the
-    same gate as `_fast_parse` plus one extra: a raw-text element
-    (script/style) whose content contains markup, which only the
-    CDATA-aware tiers below can tokenize. Aborted documents fall to
-    `_fast_parse` (tier 2) and then stdlib (tier 3); all three are
-    equivalence-gated, so the answer is identical on every tier.
+    None when any token falls outside the proven strict shapes,
+    including a raw-text element (script/style) whose content contains
+    markup, which only the CDATA-aware stdlib parser can tokenize.
+    Aborted documents go straight to the stdlib `_TreeBuilder` path,
+    the reference this one is equivalence-tested against, so the answer
+    is identical either way.
 
     Parity argument (each point mirrors a `_TreeBuilder` invariant):
     pre-order of the final tree = start-tag token order, so "first
@@ -307,7 +285,7 @@ def _fast_extract(html: str):
             if cdata_close is not None:
                 # stdlib CDATA mode: the only token shape the split
                 # stream can represent is an immediate plain close tag;
-                # markup inside script/style needs tier 2
+                # markup inside script/style needs the stdlib parser
                 if tag != cdata_close or attrtext or selfclose:
                     return None
                 cdata_close = None
@@ -377,7 +355,7 @@ def _fast_extract(html: str):
                         # raw-text content inside an ACTIVE span
                         # collector: stdlib drops unterminated CDATA,
                         # which the split stream can't always see —
-                        # tier 2 resolves it exactly
+                        # the stdlib parser resolves it exactly
                         return None
                     cdata_close = tag
         if data:
@@ -438,136 +416,11 @@ def _fast_extract(html: str):
     }
 
 
-def _fast_parse(html: str):
-    """Strict-shape tokenizer; returns a `_FastTree` or None when any
-    token falls outside the shapes stdlib parity is proven for."""
-    if _HAZARD_RE.search(html) is not None:
-        return None
-    tree = _FastTree()
-    root = tree.root
-    metas = tree.meta_tags
-    stack = [root]
-    skipflags = [False]  # aligned with stack: tag in _TEXT_SKIP
-    skip_depth = 0
-    text_parts = []
-    tag_match = _TAG_RE.match
-    find = html.find
-    n = len(html)
-    i = 0
-    # attr-dict memo: class-carrying tags repeat the same attrtext
-    # constantly (` class="name"`, ` class="authors"` ...). Values are
-    # shared dicts — Node attrs are treated as immutable everywhere.
-    attr_memo: dict = {}
-    while i < n:
-        lt = find("<", i)
-        if lt < 0:
-            data = html[i:]
-            if data:
-                stack[-1].children.append(data)
-                if not skip_depth:
-                    s = " ".join(data.split())
-                    if s:
-                        text_parts.append(s)
-            break
-        if lt > i:
-            data = html[i:lt]
-            stack[-1].children.append(data)
-            if not skip_depth:
-                s = " ".join(data.split())
-                if s:
-                    text_parts.append(s)
-        m = tag_match(html, lt)
-        if m is None:
-            return None  # comment/decl/charref-ish/malformed: stdlib path
-        close, tag, attrtext, selfclose = m.groups()
-        i = m.end()
-        if close:
-            if attrtext or selfclose:
-                return None  # attrs on an end tag: tolerance territory
-            for j in range(len(stack) - 1, 0, -1):
-                if stack[j].tag == tag:
-                    for f in skipflags[j:]:
-                        if f:
-                            skip_depth -= 1
-                    del stack[j:]
-                    del skipflags[j:]
-                    break
-            continue
-        if attrtext:
-            attr_dict = attr_memo.get(attrtext)
-            if attr_dict is None:
-                attr_dict = {}
-                for am in _ATTR_RE.finditer(attrtext):
-                    k = am.group(1)
-                    if k not in attr_dict:
-                        v = am.group(2)
-                        if v is None:
-                            v = am.group(3)
-                            if v is None:
-                                v = am.group(4) or ""
-                        attr_dict[k] = v
-                attr_memo[attrtext] = attr_dict
-        else:
-            attr_dict = {}
-        if tag in VOID_ELEMENTS:
-            node = Node(tag, attr_dict, stack[-1])
-            stack[-1].children.append(node)
-            if tag == "meta":
-                metas.append(node)
-            continue
-        closes = _IMPLIED_CLOSE.get(tag)
-        if closes:
-            for j in range(len(stack) - 1, 0, -1):
-                t = stack[j].tag
-                if t in _CLOSE_BOUNDARY:
-                    break
-                if t in closes:
-                    for f in skipflags[j:]:
-                        if f:
-                            skip_depth -= 1
-                    del stack[j:]
-                    del skipflags[j:]
-                    break
-        node = Node(tag, attr_dict, stack[-1])
-        stack[-1].children.append(node)
-        if selfclose:
-            continue  # startendtag: appended, never pushed
-        cdata_end = _CDATA_END.get(tag)
-        if cdata_end is not None:
-            # stdlib CDATA mode: raw data until a full `</script\s*>`
-            m2 = cdata_end.search(html, i)
-            if m2 is None:
-                # stdlib parity: unterminated CDATA content is dropped
-                # (goahead breaks waiting for more data; close() discards)
-                break
-            data = html[i : m2.start()]
-            if data:
-                node.children.append(data)
-            i = m2.end()
-            continue  # node closed by its end tag; never pushed
-        stack.append(node)
-        flag = tag in _TEXT_SKIP
-        skipflags.append(flag)
-        if flag:
-            skip_depth += 1
-    tree.text_precomputed = "\n".join(text_parts)
-    return tree
-
-
 def parse_html(html):
-    """Parse HTML (str or utf-8/replace-decoded bytes) into a DOM tree;
-    never raises on malformed input. Uses the strict fast tokenizer when
-    the document fits its shapes, the tolerant stdlib parser otherwise —
-    identical trees either way (equivalence-tested)."""
+    """Parse HTML (str or utf-8/replace-decoded bytes) into a DOM tree
+    with the tolerant stdlib parser; never raises on malformed input."""
     if isinstance(html, (bytes, bytearray, memoryview)):
         html = bytes(html).decode("utf-8", errors="ignore")
-    if isinstance(html, str):
-        try:
-            tree = _fast_parse(html)
-        except Exception:
-            tree = None
-        if tree is not None:
-            return tree
     builder = _TreeBuilder()
     try:
         builder.feed(html)
@@ -665,11 +518,7 @@ def merge_mentions(meta_pairs, ul_pairs):
 def extract_text(builder) -> str:
     """Frozen text-extraction spec (the byte-identical invariant): each
     text node outside script/style/noscript/template/head/title is
-    whitespace-collapsed; non-empty results joined with '\\n'. Fast-path
-    trees accumulated this during tokenizing (same spec, one pass —
-    equivalence-tested against this walk)."""
-    if builder.text_precomputed is not None:
-        return builder.text_precomputed
+    whitespace-collapsed; non-empty results joined with '\\n'."""
     parts = []
 
     def walk(node):

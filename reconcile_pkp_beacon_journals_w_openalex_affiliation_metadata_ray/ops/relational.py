@@ -10,6 +10,12 @@ into B buckets on the key, co-grouped with one shuffle, merged
 per-bucket with pandas (an explicit partitioned hash join; salt count
 B is the documented partitioning assumption).
 
+Every keyed shuffle is ONE groupby over hash buckets
+(:func:`_shuffle_buckets`): :func:`bucketed_map_groups` is its
+one-sided entry, :func:`cogroup` the two-sided one behind
+:func:`bucket_join`, :func:`asof_join`, :func:`range_join` and
+:func:`set_op`.
+
 Aggregation helpers pre-aggregate inside ``map_batches`` before the
 keyed shuffle (combiner pattern) so the all-to-all exchange moves one
 row per (key, batch), not one per input row.
@@ -169,76 +175,110 @@ def _dtype_map(ds) -> dict:
     return out
 
 
+def _typed(dtypes: dict) -> pd.DataFrame:
+    """Zero-row frame with exactly these columns and dtypes."""
+    return pd.DataFrame({c: pd.Series(dtype=d) for c, d in dtypes.items()})
+
+
+def _merged_dtypes(ldt: dict, rdt: dict, keys, suffixes) -> dict:
+    """Output column -> dtype of a two-sided merge: every left column,
+    then every right column not in ``keys``; names both sides carry
+    (``keys`` excepted) take ``suffixes``."""
+    overlap = (set(ldt) & set(rdt)) - set(keys)
+    out = {(c + suffixes[0] if c in overlap else c): d for c, d in ldt.items()}
+    out.update({(c + suffixes[1] if c in overlap else c): d
+                for c, d in rdt.items() if c not in keys})
+    return out
+
+
+def _shuffle_buckets(tagged, per_bucket, max_in_blocks, ray_remote_args):
+    """The one keyed shuffle behind every bucketed operator: ``tagged``
+    carries a ``__bucket`` column, and ``per_bucket`` runs once per
+    non-empty bucket on all of its rows.
+
+    ``max_in_blocks`` bounds the block count entering the groupby's
+    Sort: Ray's sort emits one range partition PER INPUT BLOCK, so an
+    iterative caller whose round output feeds the next round's input
+    sees block counts COMPOUND round over round (889 -> 1776 -> 2000+
+    at sf1), and a union's block count is the SUM of its sides' —
+    thousands of sort partitions mean quadratically many tiny
+    inter-block exchanges and thousands of near-empty bucket tasks. A
+    shuffle=False repartition is a cheap coalesce (split/concat, no key
+    exchange) that caps the sort fan-out; bounded-depth callers don't
+    need it. ``ray_remote_args`` (e.g. num_cpus from
+    context.shuffle_task_cpus) applies to the per-bucket reduce tasks —
+    the bandwidth-heavy leg."""
+    if max_in_blocks is not None:
+        tagged = tagged.repartition(max_in_blocks, shuffle=False)
+    return tagged.groupby("__bucket").map_groups(per_bucket, batch_format="pandas",
+                                                 **(ray_remote_args or {}))
+
+
+def cogroup(left_ds, right_ds, on, fn, num_buckets: int,
+            max_in_blocks: int | None = None,
+            ray_remote_args: dict | None = None):
+    """Co-partition two Datasets on ``on`` and call ``fn(left_df,
+    right_df)`` once per non-empty bucket. Each side is hashed into
+    num_buckets buckets and side-tagged per batch BEFORE the union, so
+    no batch ever hashes keys the union NaN-padded; one groupby over
+    the buckets follows (:func:`_shuffle_buckets`).
+
+    ``fn`` gets each side in its own columns, cast back to the dtypes
+    its Dataset declares (the union NaN-pads every row with the other
+    side's columns, promoting ints to float), and a side with no rows
+    in the bucket as a TYPED empty frame. ``ray_remote_args`` applies
+    to the tagging maps (they copy and row-hash every payload batch)
+    and to the per-bucket tasks."""
+    on = [on] if isinstance(on, str) else list(on)
+    ldt, rdt = _dtype_map(left_ds), _dtype_map(right_ds)
+    remote = ray_remote_args or {}
+
+    def _tagger(side):
+        def tag(b: pd.DataFrame) -> pd.DataFrame:
+            b = b.copy()
+            b["__bucket"] = _bucket_of(b, on, num_buckets)
+            b["__side"] = side
+            return b
+        return tag
+
+    def _side(g: pd.DataFrame, side: str, dtypes: dict) -> pd.DataFrame:
+        rows = g.loc[g["__side"] == side]
+        # within its own side an int column is integral, so the cast
+        # back from the union's float padding is lossless
+        return rows[list(dtypes)].astype(dtypes) if len(rows) else _typed(dtypes)
+
+    def _per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        return fn(_side(g, "l", ldt), _side(g, "r", rdt))
+
+    both = (left_ds.map_batches(_tagger("l"), batch_format="pandas", **remote)
+            .union(right_ds.map_batches(_tagger("r"), batch_format="pandas",
+                                        **remote)))
+    return _shuffle_buckets(both, _per_bucket, max_in_blocks, ray_remote_args)
+
+
 def bucket_join(left_ds, right_ds, on, num_buckets: int = 64, how: str = "inner",
                 suffixes=("_l", "_r"), ray_remote_args: dict | None = None,
                 max_in_blocks: int | None = None):
     """Partitioned hash join for two large Datasets: one shuffle keyed
-    on hash(key) % num_buckets, pandas merge per bucket.
+    on hash(key) % num_buckets (:func:`cogroup`), pandas merge per
+    bucket.
 
-    Empty or absent sides in a bucket are replaced by TYPED empty
-    frames: a reindex-style NaN fill would upcast int key columns to
-    float in empty blocks, and when Ray later concatenates such blocks
-    into a batch the promoted float keys hash differently ("1.0" vs
-    "1") and silently break any downstream bucket_join on them."""
+    A bucket that cannot produce rows returns a TYPED empty frame: a
+    reindex-style NaN fill would upcast int key columns to float in
+    empty blocks, and when Ray later concatenates such blocks into a
+    batch the promoted float keys hash differently ("1.0" vs "1") and
+    silently break any downstream bucket_join on them."""
     on = [on] if isinstance(on, str) else list(on)
+    out_dtypes = _merged_dtypes(_dtype_map(left_ds), _dtype_map(right_ds), on,
+                                suffixes)
 
-    # deterministic bucket hash (python hash() is salted -> use pandas'
-    # stable row hashing)
-    def _tagger(side_name):
-        def fn(batch: pd.DataFrame) -> pd.DataFrame:
-            b = batch.copy()
-            b["__bucket"] = _bucket_of(b, on, num_buckets)
-            b["__side"] = side_name
-            return b
-        return fn
-
-    # taggers inherit the caller's CPU reservation: they copy and row-
-    # hash every payload batch — bandwidth work like the merge itself
-    left_t = left_ds.map_batches(_tagger("l"), batch_format="pandas",
-                                 **(ray_remote_args or {}))
-    right_t = right_ds.map_batches(_tagger("r"), batch_format="pandas",
-                                   **(ray_remote_args or {}))
-    lcols = list(left_ds.schema().names)
-    rcols = list(right_ds.schema().names)
-    dtypes = {**_dtype_map(right_ds), **_dtype_map(left_ds)}
-    overlap = (set(lcols) & set(rcols)) - set(on)
-    out_cols = ([c + suffixes[0] if c in overlap else c for c in lcols]
-                + [c + suffixes[1] if c in overlap else c
-                   for c in rcols if c not in on])
-    out_dtypes = {}
-    for c in lcols:
-        out_dtypes[c + suffixes[0] if c in overlap else c] = dtypes[c]
-    for c in rcols:
-        if c not in on:
-            out_dtypes[c + suffixes[1] if c in overlap else c] = _dtype_map(right_ds)[c]
-
-    def _typed(cols, dmap):
-        return pd.DataFrame({c: pd.Series(dtype=dmap.get(c, object)) for c in cols})
-
-    rdtypes = _dtype_map(right_ds)
-
-    def _merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        left = g.loc[g["__side"] == "l"]
-        right = g.loc[g["__side"] == "r"]
+    def _merge_bucket(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if (left.empty or right.empty) and how == "inner":
-            return _typed(out_cols, out_dtypes)
-        # the shuffle NaN-pads each side with the other side's columns,
-        # promoting int columns to float — cast back to declared dtypes
-        # (values are integral within their own side, so it's lossless)
-        left = (left[lcols].astype({c: dtypes[c] for c in lcols})
-                if not left.empty else _typed(lcols, dtypes))
-        right = (right[rcols].astype({c: rdtypes[c] for c in rcols})
-                 if not right.empty else _typed(rcols, rdtypes))
+            return _typed(out_dtypes)
         return left.merge(right, on=on, how=how, suffixes=suffixes)
 
-    both = left_t.union(right_t)
-    if max_in_blocks is not None:
-        # bound the sort fan-out: the union's block count is the SUM of
-        # both sides' (reads emit ~4 blocks/CPU each), and Ray's sort
-        # exchanges ~P^2 inter-block objects
-        both = both.repartition(max_in_blocks, shuffle=False)
-    return both.groupby("__bucket").map_groups(_merge_bucket, batch_format="pandas",
-                                               **(ray_remote_args or {}))
+    return cogroup(left_ds, right_ds, on, _merge_bucket, num_buckets,
+                   max_in_blocks=max_in_blocks, ray_remote_args=ray_remote_args)
 
 
 def asof_join(left_ds, right_ds, by, on, num_buckets: int = 32,
@@ -252,60 +292,27 @@ def asof_join(left_ds, right_ds, by, on, num_buckets: int = 32,
 
     Partitioning assumption (documented per the custom-operator rule):
     all rows of a ``by`` key co-locate in one hash bucket — ONE keyed
-    shuffle of both sides, then a vectorized ``pandas.merge_asof`` per
-    bucket (sorted by ``on``; C-level, no per-key Python). Right-side
-    (by, on) pairs should be unique for engine-independent results —
-    with duplicates, which of the tied rows wins is engine-defined."""
+    shuffle of both sides (:func:`cogroup`), then a vectorized
+    ``pandas.merge_asof`` per bucket (sorted by ``on``; C-level, no
+    per-key Python). Right-side (by, on) pairs should be unique for
+    engine-independent results — with duplicates, which of the tied
+    rows wins is engine-defined."""
     by = [by] if isinstance(by, str) else list(by)
-    lcols = list(left_ds.schema().names)
-    rcols = list(right_ds.schema().names)
-    overlap = (set(lcols) & set(rcols)) - set(by) - {on}
-    ldt = _dtype_map(left_ds)
-    rdt = _dtype_map(right_ds)
-    out_cols, out_dtypes = [], {}
-    for c in lcols:
-        name = c + suffixes[0] if c in overlap else c
-        out_cols.append(name)
-        out_dtypes[name] = ldt[c]
-    for c in rcols:
-        if c in by or c == on:
-            continue
-        name = c + suffixes[1] if c in overlap else c
-        out_cols.append(name)
-        out_dtypes[name] = rdt[c]
+    # the right-side event time is consumed by the match; it is dropped
+    out_dtypes = _merged_dtypes(_dtype_map(left_ds), _dtype_map(right_ds),
+                                by + [on], suffixes)
+    out_cols = list(out_dtypes)
 
-    def _tagger(side):
-        def fn(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["__bucket"] = _bucket_of(b, by, num_buckets)
-            b["__side"] = side
-            return b
-        return fn
-
-    left_t = left_ds.map_batches(_tagger("l"), batch_format="pandas")
-    right_t = right_ds.map_batches(_tagger("r"), batch_format="pandas")
-
-    def _typed(cols, dmap):
-        return pd.DataFrame({c: pd.Series(dtype=dmap.get(c, object)) for c in cols})
-
-    def _merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        left = g.loc[g["__side"] == "l"]
+    def _merge_bucket(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if left.empty:
-            return _typed(out_cols, out_dtypes)
-        right = g.loc[g["__side"] == "r"]
-        left = (left[lcols].astype({c: ldt[c] for c in lcols})
-                .sort_values(on, kind="mergesort"))
-        right = (right[rcols].astype({c: rdt[c] for c in rcols})
-                 if not right.empty else _typed(rcols, rdt)
-                 ).sort_values(on, kind="mergesort")
-        merged = pd.merge_asof(left, right, on=on, by=by,
-                               direction="backward", suffixes=suffixes)
-        # the right-side event time is consumed by the match; drop it
-        merged = merged[[c for c in merged.columns if c in out_cols]]
+            return _typed(out_dtypes)
+        merged = pd.merge_asof(left.sort_values(on, kind="mergesort"),
+                               right.sort_values(on, kind="mergesort"),
+                               on=on, by=by, direction="backward",
+                               suffixes=suffixes)
         return merged[out_cols]
 
-    return (left_t.union(right_t).groupby("__bucket")
-            .map_groups(_merge_bucket, batch_format="pandas"))
+    return cogroup(left_ds, right_ds, by, _merge_bucket, num_buckets)
 
 
 def range_join(left_ds, right_ds, by, left_on, right_start, right_end,
@@ -316,59 +323,30 @@ def range_join(left_ds, right_ds, by, left_on, right_start, right_end,
     (inclusive both ends).
 
     Partitioning assumption: all rows of a ``by`` key co-locate in one
-    hash bucket (one keyed shuffle of both sides). Per bucket the match
-    is vectorized: with NON-OVERLAPPING right intervals per key (the
-    common sessions/validity-windows case — asserted nowhere, simply
-    the candidate-selection rule) the containing interval is found by a
-    ``merge_asof`` on the interval start, then filtered by the interval
-    end; ``how="left"`` keeps unmatched left rows with NULL right
-    columns, ``how="inner"`` drops them."""
+    hash bucket (one keyed shuffle of both sides, :func:`cogroup`). Per
+    bucket the match is vectorized: with NON-OVERLAPPING right
+    intervals per key (the common sessions/validity-windows case —
+    asserted nowhere, simply the candidate-selection rule) the
+    containing interval is found by a ``merge_asof`` on the interval
+    start, then filtered by the interval end; ``how="left"`` keeps
+    unmatched left rows with NULL right columns, ``how="inner"`` drops
+    them."""
     by = [by] if isinstance(by, str) else list(by)
-    lcols = list(left_ds.schema().names)
-    rcols = list(right_ds.schema().names)
-    overlap = (set(lcols) & set(rcols)) - set(by)
-    ldt = _dtype_map(left_ds)
-    rdt = _dtype_map(right_ds)
-    out_cols, out_dtypes = [], {}
-    for c in lcols:
-        name = c + suffixes[0] if c in overlap else c
-        out_cols.append(name)
-        out_dtypes[name] = ldt[c]
-    for c in rcols:
-        if c in by:
-            continue
-        name = c + suffixes[1] if c in overlap else c
-        out_cols.append(name)
-        out_dtypes[name] = rdt[c]
-
-    def _tagger(side):
-        def fn(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["__bucket"] = _bucket_of(b, by, num_buckets)
-            b["__side"] = side
-            return b
-        return fn
-
-    def _typed(cols, dmap):
-        return pd.DataFrame({c: pd.Series(dtype=dmap.get(c, object)) for c in cols})
-
+    ldt, rdt = _dtype_map(left_ds), _dtype_map(right_ds)
+    out_dtypes = _merged_dtypes(ldt, rdt, by, suffixes)
+    out_cols = list(out_dtypes)
+    overlap = (set(ldt) & set(rdt)) - set(by)
+    lon = left_on + suffixes[0] if left_on in overlap else left_on
     rstart = right_start + suffixes[1] if right_start in overlap else right_start
     rend = right_end + suffixes[1] if right_end in overlap else right_end
 
-    def _merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        left = g.loc[g["__side"] == "l"]
+    def _merge_bucket(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         if left.empty:
-            return _typed(out_cols, out_dtypes)
-        right = g.loc[g["__side"] == "r"]
-        left = (left[lcols].astype({c: ldt[c] for c in lcols})
-                .rename(columns={c: c + suffixes[0] for c in overlap})
-                .sort_values(left_on if left_on not in overlap
-                             else left_on + suffixes[0], kind="mergesort"))
-        right = (right[rcols].astype({c: rdt[c] for c in rcols})
-                 if not right.empty else _typed(rcols, rdt)
-                 ).rename(columns={c: c + suffixes[1] for c in overlap})
-        right = right.sort_values(rstart, kind="mergesort")
-        lon = left_on + suffixes[0] if left_on in overlap else left_on
+            return _typed(out_dtypes)
+        left = (left.rename(columns={c: c + suffixes[0] for c in overlap})
+                .sort_values(lon, kind="mergesort"))
+        right = (right.rename(columns={c: c + suffixes[1] for c in overlap})
+                 .sort_values(rstart, kind="mergesort"))
         merged = pd.merge_asof(left, right, left_on=lon, right_on=rstart,
                                by=by, direction="backward")
         inside = merged[rend].notna() & (merged[lon] <= merged[rend])
@@ -380,10 +358,7 @@ def range_join(left_ds, right_ds, by, left_on, right_start, right_end,
             merged.loc[~inside, rmask_cols] = pd.NA
         return merged[out_cols]
 
-    left_t = left_ds.map_batches(_tagger("l"), batch_format="pandas")
-    right_t = right_ds.map_batches(_tagger("r"), batch_format="pandas")
-    return (left_t.union(right_t).groupby("__bucket")
-            .map_groups(_merge_bucket, batch_format="pandas"))
+    return cogroup(left_ds, right_ds, by, _merge_bucket, num_buckets)
 
 
 def bucketed_map_groups(ds, key_cols, fn, num_buckets: int = 64,
@@ -395,17 +370,9 @@ def bucketed_map_groups(ds, key_cols, fn, num_buckets: int = 64,
     and ``fn`` receives each bucket as a DataFrame to process per-key
     with vectorized pandas internally. All rows of a key land in one
     bucket. This is the antidote to per-tiny-group map_groups overhead
-    at high key cardinality.
-
-    ``max_in_blocks`` bounds the block count entering the groupby's
-    Sort: Ray's sort emits one range partition PER INPUT BLOCK, so an
-    iterative caller (connected_components) whose round output feeds
-    the next round's input sees block counts COMPOUND round over round
-    (889 -> 1776 -> 2000+ at sf1) — thousands of sort partitions mean
-    quadratically many tiny inter-block exchanges and thousands of
-    near-empty _per_bucket tasks. A shuffle=False repartition is a
-    cheap coalesce (split/concat, no key exchange) that caps the sort
-    fan-out; bounded-depth callers don't need it."""
+    at high key cardinality. ``max_in_blocks`` and ``ray_remote_args``
+    are those of :func:`_shuffle_buckets` (an iterative caller such as
+    connected_components needs the coalesce)."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
 
     def _tag(b: pd.DataFrame) -> pd.DataFrame:
@@ -416,14 +383,8 @@ def bucketed_map_groups(ds, key_cols, fn, num_buckets: int = 64,
     def _per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return fn(g.drop(columns="__bucket"))
 
-    if max_in_blocks is not None:
-        ds = ds.repartition(max_in_blocks, shuffle=False)
-
-    # ray_remote_args (e.g. num_cpus from context.shuffle_task_cpus)
-    # applies to the per-bucket reduce tasks — the bandwidth-heavy leg
-    return (ds.map_batches(_tag, batch_format="pandas")
-            .groupby("__bucket").map_groups(_per_bucket, batch_format="pandas",
-                                            **(ray_remote_args or {})))
+    return _shuffle_buckets(ds.map_batches(_tag, batch_format="pandas"),
+                            _per_bucket, max_in_blocks, ray_remote_args)
 
 
 def pre_aggregated(ds, keys, sums=(), counts=True, num_buckets: int = 64):
@@ -750,32 +711,25 @@ def set_op(left_ds, right_ds, cols, op: str = "except", num_buckets: int = 64):
     ANSI operators): distinct rows of ``left`` minus / intersected with
     the distinct rows of ``right`` over ``cols``.
 
-    Both sides are deduped per batch (combiner), tagged, and
-    co-partitioned in ONE shuffle keyed on the row hash — each bucket
+    Both sides are deduped per batch (combiner) and co-partitioned in
+    ONE shuffle keyed on the row hash (:func:`cogroup`) — each bucket
     then resolves membership vectorized with an isin-style merge, so
     no side is ever broadcast or materialized whole."""
     cols = [cols] if isinstance(cols, str) else list(cols)
     if op not in ("except", "intersect"):
         raise ValueError(f"op must be 'except' or 'intersect', got {op!r}")
 
-    def _tag(side):
-        def fn(b: pd.DataFrame) -> pd.DataFrame:
-            out = b[cols].drop_duplicates().copy()
-            out["__side"] = side
-            return out
-        return fn
+    def _distinct(b: pd.DataFrame) -> pd.DataFrame:
+        return b[cols].drop_duplicates()
 
-    def _resolve(g: pd.DataFrame) -> pd.DataFrame:
-        left = g.loc[g["__side"] == "l", cols].drop_duplicates()
-        right = g.loc[g["__side"] == "r", cols]
-        mask = pd.MultiIndex.from_frame(left[cols]).isin(
-            pd.MultiIndex.from_frame(right[cols]))
-        keep = ~mask if op == "except" else mask
-        return left[keep]
+    def _resolve(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
+        left = left.drop_duplicates()
+        mask = pd.MultiIndex.from_frame(left).isin(pd.MultiIndex.from_frame(right))
+        return left[~mask if op == "except" else mask]
 
-    both = (left_ds.map_batches(_tag("l"), batch_format="pandas")
-            .union(right_ds.map_batches(_tag("r"), batch_format="pandas")))
-    return bucketed_map_groups(both, cols, _resolve, num_buckets=num_buckets)
+    return cogroup(left_ds.map_batches(_distinct, batch_format="pandas"),
+                   right_ds.map_batches(_distinct, batch_format="pandas"),
+                   cols, _resolve, num_buckets)
 
 
 def correlation_exact(ds, x_col: str, y_col: str, x_scale: int = 100,

@@ -42,16 +42,13 @@ from ..stages.extract import mentions_from_extracted, read_extract_pages
 EXTRACT_COLUMNS = ["url", "lang", "html"]
 
 
-def load_tables(sf_dir: str, page_columns=None):
-    """Materialize fixture paths for a testdata tier dir.
-
-    ``page_columns`` defaults to :data:`EXTRACT_COLUMNS` — every
-    current caller feeds the extract stage, which needs exactly those;
-    pass ``page_columns=[]``-like explicit list (or None via
-    ``page_columns=()``) only when a caller needs more."""
+def load_tables(sf_dir: str):
+    """Materialize fixture paths for a testdata tier dir: the pages
+    table projected to :data:`EXTRACT_COLUMNS` (every caller feeds the
+    extract stage, which needs exactly those) and the works table."""
     fdir = ensure_fixtures(sf_dir)
     pages = read_parquet_rowgroups(os.path.join(fdir, "pages.parquet"),
-                                   columns=list(page_columns or EXTRACT_COLUMNS),
+                                   columns=EXTRACT_COLUMNS,
                                    target_rows=SCAN_TASK_ROWS, min_tasks=scan_tasks())
     works = read_works(os.path.join(fdir, "reference_works.parquet"))
     return fdir, pages, works

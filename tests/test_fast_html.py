@@ -1,12 +1,12 @@
-"""Equivalence gate for the strict fast HTML tokenizer
-(functions/htmlextract._fast_parse).
+"""Equivalence gate for the strict fast HTML extractor
+(functions/htmlextract._fast_extract).
 
-The fast path must either produce the EXACT tree `_TreeBuilder`
-(stdlib html.parser) would — attrs, child order, text nodes, meta
-list, text spec — or return None and let the stdlib path run. These
-tests pin both halves: deep DOM equality on the whole sf0.001 fixture
-corpus plus structured fuzz, and explicit fallback triggers for every
-tolerance feature the strict shapes exclude.
+The fast path must either produce the EXACT page dict the stdlib
+`_TreeBuilder` DOM path would — mentions, doi, flags, text spec — or
+return None and let the stdlib path run. These tests pin both halves:
+equality on the whole sf0.001 fixture corpus plus structured fuzz, and
+explicit fallback triggers for every tolerance feature the strict
+shapes exclude.
 """
 
 from __future__ import annotations
@@ -32,49 +32,28 @@ def stdlib_tree(html: str) -> hx._TreeBuilder:
     return b
 
 
-def dom_eq(a, b, path="root"):
-    if isinstance(a, str) or isinstance(b, str):
-        assert a == b, (path, repr(a)[:80], repr(b)[:80])
-        return
-    assert a.tag == b.tag, (path, a.tag, b.tag)
-    assert a.attrs == b.attrs, (path, a.tag, a.attrs, b.attrs)
-    assert len(a.children) == len(b.children), (
-        path, a.tag, len(a.children), len(b.children))
-    for i, (ca, cb) in enumerate(zip(a.children, b.children)):
-        dom_eq(ca, cb, f"{path}/{a.tag}[{i}]")
+def dom_extract(html: str) -> dict:
+    b = stdlib_tree(html)
+    meta_pairs, has_author, has_inst, doi = hx.extract_meta_pairs(b)
+    ul_pairs = hx.extract_ul_pairs(b)
+    return {
+        "mentions": hx.merge_mentions(meta_pairs, ul_pairs),
+        "doi": doi,
+        "text": hx.extract_text(b),
+        "has_author_tag": has_author,
+        "has_inst_tag": has_inst,
+        "has_ul_authors": bool(ul_pairs),
+    }
 
 
-def assert_fast_equivalent(html: str):
-    """If the fast path accepts the document, its tree and text spec
-    must equal the stdlib build exactly."""
-    ft = hx._fast_parse(html)
-    if ft is None:
+def assert_extract_equivalent(html: str):
+    """If the fast path accepts the document, its page dict must equal
+    the DOM-path extraction exactly."""
+    fe = hx._fast_extract(html)
+    if fe is None:
         return False
-    st_ = stdlib_tree(html)
-    dom_eq(ft.root, st_.root)
-    assert [m.attrs for m in ft.meta_tags] == [m.attrs for m in st_.meta_tags]
-    walk_only = hx._FastTree()
-    walk_only.root = ft.root
-    assert ft.text_precomputed == hx.extract_text(walk_only) == hx.extract_text(st_)
+    assert fe == dom_extract(html), html[:200]
     return True
-
-
-def test_fixture_corpus_all_fast_and_identical():
-    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.sources.fixtures import (
-        ensure_fixtures,
-    )
-    import os
-    import pyarrow.parquet as pq
-
-    fdir = ensure_fixtures(SF)
-    t = pq.read_table(os.path.join(fdir, "pages.parquet"), columns=["html"])
-    n_fast = 0
-    for h in t["html"].to_pylist():
-        if isinstance(h, bytes):
-            h = h.decode()
-        n_fast += assert_fast_equivalent(h)
-    # the generator emits strict-shape HTML: the fast path must cover it
-    assert n_fast == t.num_rows
 
 
 FALLBACK_DOCS = [
@@ -92,7 +71,7 @@ FALLBACK_DOCS = [
 
 @pytest.mark.parametrize("doc", FALLBACK_DOCS)
 def test_tolerance_features_fall_back(doc):
-    assert hx._fast_parse(doc) is None
+    assert hx._fast_extract(doc) is None
     # and the public entry still parses them (stdlib path)
     page = hx.extract_page(doc)
     assert isinstance(page["text"], str)
@@ -128,7 +107,8 @@ STRICT_OK_DOCS = [
 def test_strict_docs_equivalent(doc):
     # equivalence required whenever the fast path accepts; acceptance
     # itself isn't asserted (the gate may legitimately refuse)
-    assert_fast_equivalent(doc)
+    assert_extract_equivalent(doc)
+    assert hx.extract_page(doc) == dom_extract(doc)
 
 
 _tag_names = st.sampled_from(["p", "li", "ul", "div", "span", "meta", "script",
@@ -163,57 +143,12 @@ def _html_docs(draw):
     return "".join(parts)
 
 
-@given(_html_docs())
-@settings(max_examples=300, deadline=None)
-def test_fuzz_fast_matches_stdlib(doc):
-    assert_fast_equivalent(doc)
-
-
 @given(st.text(max_size=80))
 @settings(max_examples=300, deadline=None)
 def test_fuzz_arbitrary_text_public_api_consistent(doc):
     """extract_page through the public entry (fast-or-fallback) must
     equal a forced-stdlib extraction for ANY input."""
-    fast = hx.extract_page(doc)
-    b = stdlib_tree(doc)
-    meta_pairs, has_author, has_inst, doi = hx.extract_meta_pairs(b)
-    ul_pairs = hx.extract_ul_pairs(b)
-    slow = {
-        "mentions": hx.merge_mentions(meta_pairs, ul_pairs),
-        "doi": doi,
-        "text": hx.extract_text(b),
-        "has_author_tag": has_author,
-        "has_inst_tag": has_inst,
-        "has_ul_authors": bool(ul_pairs),
-    }
-    assert fast == slow
-
-
-# ---------------------------------------------------------------------------
-# Tier-1 `_fast_extract` (no-DOM one-pass extractor): whenever it accepts
-# a document, its page dict must equal the DOM-path extraction exactly.
-
-
-def dom_extract(html: str) -> dict:
-    b = stdlib_tree(html)
-    meta_pairs, has_author, has_inst, doi = hx.extract_meta_pairs(b)
-    ul_pairs = hx.extract_ul_pairs(b)
-    return {
-        "mentions": hx.merge_mentions(meta_pairs, ul_pairs),
-        "doi": doi,
-        "text": hx.extract_text(b),
-        "has_author_tag": has_author,
-        "has_inst_tag": has_inst,
-        "has_ul_authors": bool(ul_pairs),
-    }
-
-
-def assert_extract_equivalent(html: str):
-    fe = hx._fast_extract(html)
-    if fe is None:
-        return False
-    assert fe == dom_extract(html), html[:200]
-    return True
+    assert hx.extract_page(doc) == dom_extract(doc)
 
 
 def test_fast_extract_fixture_corpus_all_fast_and_identical():
@@ -258,7 +193,7 @@ EXTRACT_EDGE_DOCS = [
     "<style>.a{color:red}</style><p>s</p>",
     "<p><script>hidden</script>shown</p>",
     "<ul class='authors'><li><span class='name'>n<script>js</script>m"
-    "</span></ul>",  # CDATA inside an active collector -> tier 2
+    "</span></ul>",  # CDATA inside an active collector -> stdlib
     "<script>unterminated",
     "<script></script>",
     "<title>skipped title</title><p>kept</p>",

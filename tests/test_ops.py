@@ -67,6 +67,84 @@ def test_bucketed_map_groups_covers_all_keys(rds):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
+def test_cogroup_sides_keep_declared_dtypes(rds):
+    """cogroup hands fn each side in its own columns and declared dtypes
+    — the union NaN-pads the left's int64 payload with the right's
+    extra columns and vice versa — and a TYPED empty frame for a side
+    with no rows in the bucket. Keys 0-19 / 10-29 over 64 buckets leave
+    buckets holding only one side."""
+    left = pd.DataFrame({"k": np.arange(40) % 20, "a": np.arange(40)})
+    right = pd.DataFrame({"k": np.arange(10, 30), "b": [f"s{i}" for i in range(20)],
+                          "c": np.linspace(0.0, 1.0, 20)})
+
+    def _sig(df):
+        return ",".join(f"{c}:{t}" for c, t in df.dtypes.items())
+
+    def fn(lf, rf):
+        return pd.DataFrame({"n_l": [len(lf)], "n_r": [len(rf)],
+                             "l_sig": [_sig(lf)], "r_sig": [_sig(rf)],
+                             "l_sum": [int(lf["a"].sum())]})
+
+    got = relational.cogroup(rds.from_pandas(left, override_num_blocks=3),
+                             rds.from_pandas(right, override_num_blocks=2),
+                             "k", fn, num_buckets=64).to_pandas()
+    assert set(got["l_sig"]) == {"k:int64,a:int64"}
+    assert set(got["r_sig"]) == {"k:int64,b:object,c:float64"}
+    assert ((got["n_l"] > 0) & (got["n_r"] == 0)).any()
+    assert ((got["n_l"] == 0) & (got["n_r"] > 0)).any()
+    assert got["n_l"].sum() == len(left) and got["n_r"].sum() == len(right)
+    assert got["l_sum"].sum() == left["a"].sum()
+
+
+def test_chained_left_bucket_join_matches_pandas(rds):
+    """A how="left" bucket_join's output (NULL right columns on
+    unmatched rows) feeding a second bucket_join on an int key: the key
+    must stay int64 through the first shuffle, or the second join
+    hashes "1.0" vs "1" and silently matches nothing."""
+    rng = np.random.RandomState(7)
+    a = pd.DataFrame({"k": rng.randint(0, 40, 300), "k2": rng.randint(0, 25, 300),
+                      "x": np.arange(300)})
+    b = pd.DataFrame({"k": np.arange(0, 40, 2), "y": rng.rand(20)})
+    c = pd.DataFrame({"k2": np.arange(25), "z": np.arange(25) * 10})
+    first = relational.bucket_join(rds.from_pandas(a, override_num_blocks=4),
+                                   rds.from_pandas(b), on="k", how="left",
+                                   num_buckets=8)
+    got = _sorted(relational.bucket_join(first, rds.from_pandas(c), on="k2",
+                                         num_buckets=8).to_pandas(), ["x"])
+    want = _sorted(a.merge(b, on="k", how="left").merge(c, on="k2"), ["x"])
+    assert got["y"].isna().any()
+    pd.testing.assert_frame_equal(got, want[got.columns], check_dtype=False)
+
+
+def test_relational_has_one_shuffle_and_one_side_tag():
+    """Every keyed shuffle in the package is the one groupby in
+    ops.relational._shuffle_buckets, and only cogroup tags sides."""
+    import ast
+    import os
+
+    pkg = os.path.dirname(os.path.dirname(relational.__file__))
+    shuffles, side_tags = [], []
+    for root, _, files in os.walk(pkg):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                src = fh.read()
+            shuffles.extend([path] * src.count('groupby("__bucket")'))
+            tree = ast.parse(src)
+            allowed = set()
+            if path == relational.__file__:
+                (cg,) = [n for n in tree.body
+                         if isinstance(n, ast.FunctionDef) and n.name == "cogroup"]
+                allowed = set(range(cg.lineno, cg.end_lineno + 1))
+            side_tags.extend(f"{path}:{node.lineno}" for node in ast.walk(tree)
+                             if isinstance(node, ast.Constant) and node.value == "__side"
+                             and node.lineno not in allowed)
+    assert shuffles == [relational.__file__], shuffles
+    assert not side_tags, side_tags
+
+
 def test_topk_per_group(rds):
     df = pd.DataFrame({"g": [1, 1, 1, 2, 2], "x": [5, 9, 9, 1, 2], "id": [3, 1, 2, 9, 8]})
     got = relational.topk_per_group(rds.from_pandas(df), "g", "x", k=1,

@@ -439,7 +439,9 @@ def test_read_extract_pages_equals_unfused_path(ray_session, fdir):
 def test_read_extract_pages_shard_directory(ray_session, fdir, tmp_path):
     """Big tiers (sf1) write pages.parquet as a per-shard DIRECTORY of
     parquet files; the fused source must read it identically to a
-    read_parquet over the same directory (chunks never span files)."""
+    read_parquet over the same directory at any task size (a read task
+    may span files; the scan's minimum task count still splits this
+    90-row input into one task per shard)."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -458,6 +460,7 @@ def test_read_extract_pages_shard_directory(ray_session, fdir, tmp_path):
                        row_group_size=64)
     base = extract_pages(rd.read_parquet(str(shard_dir))).to_pandas()
     base = base.sort_values("url").reset_index(drop=True)
-    got = read_extract_pages(str(shard_dir), target_rows=100).to_pandas()
-    got = got.sort_values("url").reset_index(drop=True)
-    assert got.equals(base)
+    for target_rows in (100, 10**9):
+        got = read_extract_pages(str(shard_dir), target_rows=target_rows).to_pandas()
+        got = got.sort_values("url").reset_index(drop=True)
+        assert got.equals(base)
