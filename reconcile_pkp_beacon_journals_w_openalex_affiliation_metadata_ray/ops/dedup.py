@@ -86,12 +86,8 @@ def _shuffle_blocks() -> int | None:
     cap alone (500k docs: 66 s capped-32 vs 50 s at 16). Returns None
     (leave block counts alone) at/below the knee so small sessions and
     tests never pay a repartition."""
-    import os
-
     from ..context import effective_cores, shuffle_task_cpus
 
-    if os.environ.get("GRAFT_NO_COALESCE") == "1":  # A/B debug knob
-        return None
     if shuffle_task_cpus() <= 1.0:
         return None
     return 4 * effective_cores()

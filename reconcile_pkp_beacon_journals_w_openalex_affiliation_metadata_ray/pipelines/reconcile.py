@@ -22,36 +22,9 @@ from __future__ import annotations
 import os
 
 from ..sources.fixtures import ensure_fixtures
-from ..sources.io import (
-    SCAN_TASK_ROWS,
-    cluster_cpus,
-    read_parquet_rowgroups,
-    scan_tasks,
-)
+from ..sources.io import cluster_cpus, read_parquet_rowgroups
 from ..stages import block, cluster, records, score
 from ..stages.extract import mentions_from_extracted, read_extract_pages
-
-
-# The only page columns the extract stage consumes. The input contract
-# (BASELINE.json input_hint) also carries `text` (a second full-text
-# copy) and `warc_ts`; NOT reading them halves read amplification on a
-# real Common-Crawl-style table (reference analog: the Rust filter
-# deserializes only 3 fields, main.rs:69-84). Paths that need
-# `warc_ts` (canonical keep-latest) read pages.parquet directly with
-# their own projection.
-EXTRACT_COLUMNS = ["url", "lang", "html"]
-
-
-def load_tables(sf_dir: str):
-    """Materialize fixture paths for a testdata tier dir: the pages
-    table projected to :data:`EXTRACT_COLUMNS` (every caller feeds the
-    extract stage, which needs exactly those) and the works table."""
-    fdir = ensure_fixtures(sf_dir)
-    pages = read_parquet_rowgroups(os.path.join(fdir, "pages.parquet"),
-                                   columns=EXTRACT_COLUMNS,
-                                   target_rows=SCAN_TASK_ROWS, min_tasks=scan_tasks())
-    works = read_works(os.path.join(fdir, "reference_works.parquet"))
-    return fdir, pages, works
 
 
 def read_works(path: str):
@@ -87,17 +60,13 @@ def choose_scoring_path(records_ds) -> bool:
     return False
 
 
-def score_stage(pairs, recs, shuffle_scoring: bool | None = None,
-                concurrency=None):
-    """Stage 3 of both the streaming and the checkpointed run:
-    ``shuffle_scoring`` None picks the path with
-    :func:`choose_scoring_path` from ``recs`` (materialized)."""
-    if shuffle_scoring is None:
-        shuffle_scoring = choose_scoring_path(recs)
-    if shuffle_scoring:
+def score_stage(pairs, recs):
+    """Stage 3 of both the streaming and the checkpointed run, on the
+    path :func:`choose_scoring_path` picks from ``recs``
+    (materialized)."""
+    if choose_scoring_path(recs):
         return score.score_pairs_shuffle(pairs, recs)
-    rec_ref = score.broadcast_records(recs)
-    return score.score_pairs(pairs, rec_ref, concurrency=concurrency)
+    return score.score_pairs(pairs, score.broadcast_records(recs))
 
 
 def match_edges(scored):
@@ -107,21 +76,17 @@ def match_edges(scored):
         batch_format="pyarrow")
 
 
-def run_reconcile(sf_dir: str, hot_threshold: int = block.DEFAULT_HOT_THRESHOLD,
-                  scorer_concurrency=None, shuffle_scoring: bool | None = None,
-                  materialize_extracted: bool = False,
+def run_reconcile(sf_dir: str, materialize_extracted: bool = False,
                   materialize_pairs: bool = True,
                   materialize_scored: bool = True):
     """Full pipeline over the tier's synthesized pages. Returns a dict
     of stage outputs (lazy Datasets unless noted).
 
-    shuffle_scoring=True switches stage 3 to the big-big bucketed-join
-    path (score_pairs_shuffle) — the configuration for corpora whose
-    record table cannot be broadcast to every node; False forces the
-    broadcast path; None (default) picks automatically from the
-    materialized record table's size vs the object-store budget
-    (:func:`choose_scoring_path`). Both paths emit identical scored
-    output (equivalence-tested in tests/test_pipeline.py).
+    Stage 3 scores by broadcast, or, when the materialized record
+    table outgrows its share of the object store, by the bucketed-join
+    path (:func:`choose_scoring_path`); both share one packer and one
+    scoring body and emit identical scored rows (equivalence-tested in
+    tests/test_pipeline.py).
 
     materialize_extracted=True checkpoints the extraction output in
     the object store so DOWNSTREAM CONSUMERS of out["extracted"] don't
@@ -140,7 +105,7 @@ def run_reconcile(sf_dir: str, hot_threshold: int = block.DEFAULT_HOT_THRESHOLD,
     if materialize_extracted:
         extracted = extracted.materialize()
     recs = records.build_records(extracted, works).materialize()  # reused 3x, small (no html)
-    hot = block.find_hot_keys(recs, threshold=hot_threshold)
+    hot = block.find_hot_keys(recs)
     hot_ref = ray.put(hot)
     pairs = block.candidate_pairs(recs, hot_keys_ref=hot_ref)
     if materialize_pairs:
@@ -150,7 +115,7 @@ def run_reconcile(sf_dir: str, hot_threshold: int = block.DEFAULT_HOT_THRESHOLD,
         # dedup (no plasma round trip, no stage barrier), and
         # out["pairs"] stays lazy for callers that ignore it.
         pairs = pairs.materialize()
-    scored = score_stage(pairs, recs, shuffle_scoring, scorer_concurrency)
+    scored = score_stage(pairs, recs)
     if materialize_scored:
         # consumed twice in the driver sweep (edges + stats/eval).
         # materialize_scored=False is the e2e configuration: clustering
@@ -347,7 +312,7 @@ def pairwise_f1(clusters_ds, labeled_path: str) -> dict:
             "precision": precision, "recall": recall, "f1": f1}
 
 
-def run_mention_scoring(sf_dir: str, concurrency=None):
+def run_mention_scoring(sf_dir: str):
     """The reference-parity chain: extract -> flat mentions -> 8-column
     comparison vs authority works (per-DOI lookup) — the Ray-native
     equivalent of scripts 6 -> 7 (`SURVEY.md §3.2`)."""
@@ -356,4 +321,4 @@ def run_mention_scoring(sf_dir: str, concurrency=None):
     extracted = read_extract_pages(os.path.join(fdir, "pages.parquet"))
     mentions = mentions_from_extracted(extracted)
     works_ref = score.broadcast_works_by_doi(works)
-    return fdir, score.score_mentions(mentions, works_ref, concurrency=concurrency)
+    return fdir, score.score_mentions(mentions, works_ref)

@@ -146,7 +146,7 @@ def emit_keys_batch(batch: pa.Table, hot_keys_ref=None, num_perm=DEFAULT_NUM_PER
     # the record id for author-less records (so they spread uniformly
     # instead of piling into one "" dedup bucket). Rides every key row
     # so pair generation can form the pair-symmetric name-locality
-    # dedup key without a join (see candidate_pairs dedup_by="name").
+    # dedup key without a join (see candidate_pairs).
     ftoks = [a[0].split()[0] if a and a[0] else r
              for a, r in zip(authors_norm, rids)]
     ft_map = dict(zip(rids, ftoks))
@@ -416,21 +416,20 @@ def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
     return pd.concat(outs, ignore_index=True)
 
 
-def _dedup_bucket(df: pd.DataFrame,
-                  cluster_by_dkey: bool = False) -> pd.DataFrame:
+def _dedup_bucket(df: pd.DataFrame) -> pd.DataFrame:
     """Per-pair dedup inside a bucket: min block_key, max dropped,
     OR of the key-family bits (the pair's evidence provenance).
 
-    cluster_by_dkey=True additionally orders the OUTPUT rows so equal
-    name-locality keys (dkey) are adjacent: when Ray's dynamic block
-    splitting shards a large bucket block downstream (≈2M-pair buckets
-    at sf1 exceed the target block size), each contiguous shard then
-    keeps whole same-name runs, preserving the scoring stage's memo
-    locality. Row ORDER is not part of the pair contract (the driver
-    compare and every consumer sort or aggregate), only determinism is
-    — a stable argsort of first-occurrence codes is deterministic, and
-    pd.factorize's NUL-truncation can only merge two dkeys' adjacency
-    groups, never alter the rows.
+    The OUTPUT rows are ordered so equal name-locality keys (dkey) are
+    adjacent: when Ray's dynamic block splitting shards a large bucket
+    block downstream (≈2M-pair buckets at sf1 exceed the target block
+    size), each contiguous shard then keeps whole same-name runs,
+    preserving the scoring stage's memo locality. Row ORDER is not part
+    of the pair contract (the driver compare and every consumer sort or
+    aggregate), only determinism is — a stable argsort of
+    first-occurrence codes is deterministic, and pd.factorize's
+    NUL-truncation can only merge two dkeys' adjacency groups, never
+    alter the rows.
 
     Everything runs on integer codes: ids are factorized, block keys go
     through a Categorical (whose categories are LEXICOGRAPHICALLY
@@ -480,16 +479,14 @@ def _dedup_bucket(df: pd.DataFrame,
         "__b1": (fam & 1) != 0, "__b2": (fam & 2) != 0,
         "__b4": (fam & 4) != 0, "__b8": (fam & 8) != 0,
     }
+    # every duplicate of a pair shares its dkey, so "first" is
+    # canonical; integer codes because only EQUALITY adjacency matters,
+    # not lexicographic order
+    cols["dkc"], _ = pd.factorize(df["dkey"], sort=False)
     aggs = dict(
         bkc=("bkc", "min"), dropped_pairs=("dropped_pairs", "max"),
         __b1=("__b1", "max"), __b2=("__b2", "max"),
-        __b4=("__b4", "max"), __b8=("__b8", "max"))
-    if cluster_by_dkey:
-        # every duplicate of a pair shares its dkey, so "first" is
-        # canonical; integer codes because only EQUALITY adjacency
-        # matters, not lexicographic order
-        cols["dkc"], _ = pd.factorize(df["dkey"], sort=False)
-        aggs["dkc"] = ("dkc", "first")
+        __b4=("__b4", "max"), __b8=("__b8", "max"), dkc=("dkc", "first"))
     g = pd.DataFrame(cols).groupby("pair", as_index=False,
                                    sort=False).agg(**aggs)
     pairs = g["pair"].to_numpy()
@@ -502,21 +499,18 @@ def _dedup_bucket(df: pd.DataFrame,
                      + 4 * g["__b4"].astype("int64")
                      + 8 * g["__b8"].astype("int64")),
     })
-    if cluster_by_dkey:
-        order = np.argsort(g["dkc"].to_numpy(), kind="stable")
-        out = out.take(order).reset_index(drop=True)
-    return out
+    order = np.argsort(g["dkc"].to_numpy(), kind="stable")
+    return out.take(order).reset_index(drop=True)
 
 
 def candidate_pairs(records_ds, hot_keys_ref=None,
                     max_pairs_per_block=DEFAULT_MAX_PAIRS_PER_BLOCK,
-                    dedup: bool = True, num_buckets: int | None = None,
-                    dedup_by: str = "name"):
-    """records -> candidate pairs (left_id < right_id). With dedup=True
-    a pair produced by several block keys keeps the lexicographically
-    smallest key and ORs its family bits. Both shuffles use coarse hash
-    buckets (ops.relational.bucketed_map_groups) so Python-per-group
-    overhead is O(num_buckets), not O(num_keys).
+                    num_buckets: int | None = None):
+    """records -> candidate pairs (left_id < right_id). A pair produced
+    by several block keys keeps the lexicographically smallest key and
+    ORs its family bits. Both shuffles use coarse hash buckets
+    (ops.relational.bucketed_map_groups) so Python-per-group overhead
+    is O(num_buckets), not O(num_keys).
 
     ONE stream: pair-gen pipes straight into the dedup shuffle. A
     previous version split the doi family around the dedup (doi pairs
@@ -539,28 +533,20 @@ def candidate_pairs(records_ds, hot_keys_ref=None,
     pairs = bucketed_map_groups(
         keys, "block_key", lambda df: _pairs_for_bucket(df, max_pairs_per_block),
         num_buckets=num_buckets)
-    if not dedup:
-        return pairs
     # The dedup bucket key only needs to be a PURE FUNCTION OF THE PAIR
     # (so every duplicate of (l, r) lands in one bucket); beyond that it
-    # is a free knob, and it decides which pairs share a downstream
+    # is a free choice, and it decides which pairs share a downstream
     # scoring task's intern/memo state. Measured on the sf0.1 pair
     # stream (32 buckets, sum over buckets of distinct scoring-kernel
     # comparisons vs the 6.01M global floor):
-    #   dedup_by="pair"  (left,right) hash — no locality:   ~2.3x left's
-    #   dedup_by="left"  left_id — a record's pairs co-locate: 13.84M
-    #   dedup_by="name"  min(first author token of either side): 6.77M
-    # "name" co-locates same-name pairs, which is also attr-pair-memo
+    #   (left,right) hash — no locality:                 ~2.3x left_id's
+    #   left_id — a record's pairs co-locate:            13.84M
+    #   dkey, min(first author token of either side):    6.77M
+    # dkey co-locates same-name pairs, which is also attr-pair-memo
     # locality: the quadratically-growing fuzzy same-name blocks at
     # bigger tiers repeat identical author-list pairs, and grouping them
     # into one task turns those into memo hits before any cache-cap
     # clear. Author-less records fall back to their record_id (uniform
-    # spread, no "" mega-bucket). Identical output rows for every mode.
-    key = {"name": "dkey", "left": "left_id"}.get(
-        dedup_by, ["left_id", "right_id"])
-    if dedup_by == "name":
-        def fn(d):
-            return _dedup_bucket(d, cluster_by_dkey=True)
-    else:
-        fn = _dedup_bucket
-    return bucketed_map_groups(pairs, key, fn, num_buckets=num_buckets)
+    # spread, no "" mega-bucket).
+    return bucketed_map_groups(pairs, "dkey", _dedup_bucket,
+                               num_buckets=num_buckets)

@@ -70,7 +70,9 @@ def extract_batch(batch: pa.Table) -> pa.Table:
 
 
 def extract_pages(pages_ds, batch_size: int = 256):
-    """pages Dataset -> extracted Dataset (one row per page).
+    """pages Dataset -> extracted Dataset (one row per page): the
+    unfused reference that tests compare :func:`read_extract_pages`
+    (the pipeline's one extract entry point) against.
 
     batch_size is modest because html payloads are large (keep
     batch x concurrency within worker heap; SURVEY.md §4 memory row)."""
@@ -100,6 +102,13 @@ def read_extract_pages(pages_path: str, target_rows: int = SCAN_TASK_ROWS):
     (file, then row-group order), and the per-row extraction is the
     same ``extract_batch``, so output is byte-identical to the unfused
     path (equivalence-tested)."""
+    # The only page columns extract_batch consumes. The input contract
+    # (BASELINE.json input_hint) also carries `text` (a second full-text
+    # copy) and `warc_ts`; NOT reading them halves read amplification on
+    # a real Common-Crawl-style table (reference analog: the Rust filter
+    # deserializes only 3 fields, main.rs:69-84). Paths that need
+    # `warc_ts` (canonical keep-latest) read pages.parquet directly with
+    # their own projection.
     return read_parquet_rowgroups(
         pages_path, columns=["url", "lang", "html"], fn=extract_batch,
         target_rows=target_rows, min_tasks=scan_tasks())

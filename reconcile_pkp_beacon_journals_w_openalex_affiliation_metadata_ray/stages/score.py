@@ -1,28 +1,28 @@
 """Stage 3 — SCORE: candidate pairs -> scored pairs; plus the
 reference-parity mention scorer.
 
-Two scorers:
-
-1. :class:`PairScorer` — record-vs-record scoring for the linkage
-   pipeline. Actor-pool ``map_batches`` stage (T5 pattern): actor state
-   holds the broadcast record-attribute lookup (``ray.put`` once on the
-   driver, ``ray.get`` once per actor in ``__init__`` — never
-   re-shipped per batch). Semantics generalize the reference's
-   per-mention comparison (J2 argmax-with-early-exit,
+1. Record-pair scoring for the linkage pipeline. Semantics generalize
+   the reference's per-mention comparison (J2 argmax-with-early-exit,
    `check...openalex.py:153-170`; J3 institution membership,
    `:203-237`) to record pairs:
    - equal non-empty DOIs  -> match (score 100);
    - different non-empty DOIs -> non-match (score 0);
-   - else fuzzy: per-author best InDel ratio (both directions,
-     averaged over the smaller side), institution max-ratio with the
-     reference's empty-semantics, combined = 0.75*author + 0.25*inst
-     when either side has institutions. Match iff combined >= 90.
+   - else fuzzy: per-author best InDel ratio (averaged over the
+     smaller side), institution max-ratio with the reference's
+     empty-semantics, combined = 0.75*author + 0.25*inst when both
+     sides have institutions. Match iff combined >= 90 (name-only
+     evidence also needs matching institutions).
 
-   NOTE ON SCALE: the broadcast lookup is the small-side path (same
-   trade the reference's Rust filter makes with its Arc'd base-URL
-   list, `main.rs:597-603`). When the record table itself is huge the
-   pipeline instead co-partitions pairs and records by bucketed id
-   (ops.relational.bucket_join) — same scoring kernel either way.
+   Two ways to bring each pair's two attribute rows together, one
+   packer (:func:`pack_attrs`) and one scoring body
+   (:func:`_scored_table` over :func:`score_vectors`) behind both:
+   - :func:`score_pairs` — the packed table is ``ray.put`` once
+     (:func:`broadcast_records`) and stateless tasks gather both sides
+     with ``take`` (the small-side trade the reference's Rust filter
+     makes with its Arc'd base-URL list, `main.rs:597-603`);
+   - :func:`score_pairs_shuffle` — past the object-store budget the
+     pairs are joined to the packed table twice by bucketed hash joins
+     (ops.relational.bucket_join), nothing broadcast.
 
 2. :func:`score_mentions` — byte-level parity with the reference's
    comparison stage output columns (`check...openalex.py:285-289`):
@@ -34,32 +34,26 @@ Two scorers:
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..functions.similarity import (
-    BoundedCache,
-    indel_ratio,
-    indel_ratio_cached,
-    jaro_winkler,
-    set_jaccard,
-)
+from ..functions.similarity import BoundedCache, indel_ratio, indel_ratio_cached
 from ..functions.textnorm import normalize_text
+from . import block
 
 MATCH_THRESHOLD = 90.0
 INST_MATCH_THRESHOLD = 90.0  # name-only tier: institutions must MATCH
 AUTHOR_WEIGHT = 0.75
 INST_WEIGHT = 0.25
 
-# Default scored-pair contract. DOI-decided pairs carry decision-implied
-# scores (100/0) rather than fuzzy-kernel outputs: their is_match is
+# Scored-pair contract. DOI-decided pairs carry decision-implied scores
+# (100/0) rather than fuzzy-kernel outputs: their is_match is
 # determined by the DOI alone, so running the O(n^2) author/institution
 # kernels on them spends the scoring stage's dominant share of CPU on
 # columns that cannot change any decision. This also makes every column
 # of a DOI-decided row SQL-derivable (the q_scored_pairs oracle exploits
-# that). Pass aux_metrics=True for the diagnostic variant that runs the
-# fuzzy kernels on every pair and adds jw/jaccard columns.
+# that).
 SCORED_PAIR_SCHEMA = pa.schema(
     [
         ("left_id", pa.string()),
@@ -73,26 +67,14 @@ SCORED_PAIR_SCHEMA = pa.schema(
         ("is_match", pa.bool_()),
     ]
 )
-
-SCORED_PAIR_SCHEMA_AUX = pa.schema(
-    [
-        ("left_id", pa.string()),
-        ("right_id", pa.string()),
-        ("block_key", pa.string()),
-        ("author_score", pa.float64()),
-        ("inst_score", pa.float64()),
-        ("jw_score", pa.float64()),
-        ("jaccard_score", pa.float64()),
-        ("combined_score", pa.float64()),
-        ("doi_equal", pa.bool_()),
-        ("doi_conflict", pa.bool_()),
-        ("is_match", pa.bool_()),
-    ]
-)
-
-
-def pair_schema(aux_metrics: bool) -> pa.Schema:
-    return SCORED_PAIR_SCHEMA_AUX if aux_metrics else SCORED_PAIR_SCHEMA
+_ID_COLS = ["left_id", "right_id", "block_key"]
+_ATTR_COLS = ["doi_norm", "authors_packed", "insts_packed"]
+# author / institution lists travel packed into one flat string per
+# record: a flat string column gathers (take + to_pylist) ~3x cheaper
+# per row than list<string>, and survives the pandas<->arrow round
+# trips inside a shuffle, which list columns do not
+_SEP = "\x1e"
+_BATCH_ROWS = 8192
 
 
 def _round2(x: float) -> float:
@@ -141,9 +123,6 @@ def _inst_score(a_norm: list, b_norm: list) -> float:
     return best
 
 
-# per-worker blob -> token set (blobs recur ~20x); byte-aware cap
-_TOK_CACHE = BoundedCache(max_items=500_000, max_cost=256 << 20)
-
 # per-worker ATTR-PAIR score memos: 40% of candidate pairs at sf0.1
 # share their (authors_packed_l, authors_packed_r) combination with an
 # earlier pair (measured: 178k distinct / 300k pairs), so the whole
@@ -155,17 +134,12 @@ _AUTH_PAIR_CACHE = BoundedCache(max_items=500_000, max_cost=192 << 20)
 _INST_PAIR_CACHE = BoundedCache(max_items=500_000, max_cost=192 << 20)
 
 
-def _blob_tokens(s: str) -> frozenset:
-    return _TOK_CACHE.get_or_build(s, lambda: frozenset(s.split()),
-                                   cost=len(s) * 3)
-
-
-def _score_tuple(doi_l, authors_l, insts_l, blob_l,
-                 doi_r, authors_r, insts_r, blob_r,
-                 structural: bool = True, aux_metrics: bool = False) -> tuple:
-    """Scoring kernel over positional record attributes; returns the
-    scored-pair value tuple in pair_schema(aux_metrics) column order
-    (after the three id columns).
+def _score_tuple(doi_l, authors_l, insts_l, doi_r, authors_r, insts_r,
+                 structural: bool = True) -> tuple:
+    """Per-row reference for :func:`score_vectors` over positional
+    record attributes (author / institution lists unpacked); returns
+    the scored-pair values in SCORED_PAIR_SCHEMA column order after the
+    three id columns.
 
     DOI-decided pairs (equal or conflicting DOIs) short-circuit: every
     score is decision-implied (100/0) and NO fuzzy kernel runs — the
@@ -176,8 +150,6 @@ def _score_tuple(doi_l, authors_l, insts_l, blob_l,
     doi_conflict = bool(doi_l) and bool(doi_r) and doi_l != doi_r
     if doi_equal or doi_conflict:
         v = 100.0 if doi_equal else 0.0
-        if aux_metrics:
-            return (v, v, v, v, v, doi_equal, doi_conflict, doi_equal)
         return (v, v, v, doi_equal, doi_conflict, doi_equal)
     # scores are rounded half-AWAY-from-zero (SQL round semantics, not
     # Python's half-even) BEFORE combining, so every derived column
@@ -207,16 +179,6 @@ def _score_tuple(doi_l, authors_l, insts_l, blob_l,
         is_match = (bool(insts_l) and bool(insts_r)
                     and author >= MATCH_THRESHOLD
                     and inst >= INST_MATCH_THRESHOLD)
-    if aux_metrics:
-        # JW over the primary author names (bounded-length strings);
-        # token Jaccard over the full name blobs (linear set op).
-        # Diagnostic-only: neither feeds is_match.
-        a0 = authors_l[0] if authors_l else ""
-        b0 = authors_r[0] if authors_r else ""
-        jw = jaro_winkler(a0, b0) * 100.0
-        jac = set_jaccard(_blob_tokens(blob_l), _blob_tokens(blob_r)) * 100.0
-        return (author, inst, _round2(jw), _round2(jac),
-                combined, doi_equal, doi_conflict, is_match)
     return (author, inst, combined, doi_equal, doi_conflict, is_match)
 
 
@@ -230,8 +192,6 @@ def _ratios_for_combos(xs: list, ys: list) -> "np.ndarray":
     the bulk numpy kernel, whose results scatter back via one fancy
     assignment. Replaces both the per-batch pre-warm scan AND the
     per-pair cached-lookup loop of the old row kernel."""
-    import numpy as np
-
     from ..functions.similarity import _RATIO_CACHE, indel_ratios_bulk
 
     if not xs:
@@ -278,17 +238,15 @@ def _ratios_for_combos(xs: list, ys: list) -> "np.ndarray":
     return np.take(dist, codes)
 
 
-def score_vectors(ldoi, rdoi, lauth, rauth, linst, rinst, fams, sep: str):
+def score_vectors(ldoi, rdoi, lauth, rauth, linst, rinst, fams):
     """Vectorized scoring core over PACKED attribute columns (lists
-    joined with ``sep``): returns (author, inst, combined, doi_equal,
+    joined with ``_SEP``): returns (author, inst, combined, doi_equal,
     doi_conflict, is_match) numpy arrays, bit-identical to a per-row
     :func:`_score_tuple` loop (equivalence-tested). The old row loop
     measured ~90-119 us/pair of UDF time at sf0.1 — dominated by
     per-pair Python (function frames, list appends, cached-ratio dict
     scans), not the ratio kernel; here the per-pair Python is one
     combo-emission pass and everything else is reduceat/gather."""
-    import numpy as np
-
     n = len(ldoi)
     ld = np.asarray(ldoi, dtype=object)
     rd_ = np.asarray(rdoi, dtype=object)
@@ -334,8 +292,8 @@ def score_vectors(ldoi, rdoi, lauth, rauth, linst, rinst, fams, sep: str):
                     a_cached[k] = hit
                 else:
                     a_keys[k] = akey
-                    la = la_s.split(sep)
-                    ra = ra_s.split(sep)
+                    la = la_s.split(_SEP)
+                    ra = ra_s.split(_SEP)
                     small, large = (la, ra) if len(la) <= len(ra) \
                         else (ra, la)
                     a_names_per_pair[k] = len(small)
@@ -369,8 +327,8 @@ def score_vectors(ldoi, rdoi, lauth, rauth, linst, rinst, fams, sep: str):
                     i_cached[k] = hit
                 else:
                     i_keys[k] = ikey
-                    li = li_s.split(sep)
-                    ri = ri_s.split(sep)
+                    li = li_s.split(_SEP)
+                    ri = ri_s.split(_SEP)
                     common = set(li) & set(ri)
                     if common:
                         # any shared institution string -> max is 100
@@ -438,15 +396,57 @@ def score_vectors(ldoi, rdoi, lauth, rauth, linst, rinst, fams, sep: str):
     return author, inst, combined, eq, conflict, is_match
 
 
-def score_pair(left: dict, right: dict, structural: bool = True,
-               aux_metrics: bool = False) -> dict:
-    """Dict-interface wrapper over the kernel (used by tests/callers)."""
-    vals = _score_tuple(left["doi_norm"], left["authors_norm"], left["insts_norm"],
-                        left["name_blob"], right["doi_norm"], right["authors_norm"],
-                        right["insts_norm"], right["name_blob"],
-                        structural=structural, aux_metrics=aux_metrics)
-    names = list(pair_schema(aux_metrics).names)[3:]
-    return dict(zip(names, vals))
+def pack_attrs(records_ds):
+    """records -> (record_id, doi_norm, authors_packed, insts_packed),
+    the attribute table both scoring paths bring to their pairs: the
+    author / institution lists are ``_SEP``-joined. Packed DISTRIBUTED
+    (the to_pylist + join loop is linear in records — at sf1's 3.2M
+    records it pinned the driver single-threaded for minutes when run
+    driver-side)."""
+    def _pack(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "record_id": t["record_id"],
+            "doi_norm": t["doi_norm"],
+            "authors_packed": pa.array(
+                [_SEP.join(x or []) for x in t["authors_norm"].to_pylist()],
+                pa.string()),
+            "insts_packed": pa.array(
+                [_SEP.join(x or []) for x in t["insts_norm"].to_pylist()],
+                pa.string()),
+        })
+
+    return records_ds.map_batches(_pack, batch_format="pyarrow",
+                                  zero_copy_batch=True)
+
+
+def _families(t: pa.Table) -> np.ndarray:
+    """Per-pair key-family bits; pairs of unknown provenance score as
+    structural evidence (3)."""
+    if "families" in t.column_names:
+        return t["families"].to_numpy(zero_copy_only=False)
+    return np.full(t.num_rows, 3, dtype=np.int64)
+
+
+def _scored_table(ids: pa.Table, lt: pa.Table, rt: pa.Table, fams) -> pa.Table:
+    """The one scoring body of both paths: ``ids`` carries the pairs'
+    ``_ID_COLS``, ``lt`` / ``rt`` each side's ``_ATTR_COLS`` row-aligned
+    with it, ``fams`` the family bits."""
+    author, inst, combined, eq, conflict, m = score_vectors(
+        lt["doi_norm"].to_pylist(), rt["doi_norm"].to_pylist(),
+        lt["authors_packed"].to_pylist(), rt["authors_packed"].to_pylist(),
+        lt["insts_packed"].to_pylist(), rt["insts_packed"].to_pylist(),
+        fams)
+    return pa.Table.from_pydict({
+        "left_id": ids["left_id"],
+        "right_id": ids["right_id"],
+        "block_key": ids["block_key"],
+        "author_score": author,
+        "inst_score": inst,
+        "combined_score": combined,
+        "doi_equal": eq,
+        "doi_conflict": conflict,
+        "is_match": m,
+    }, schema=SCORED_PAIR_SCHEMA)
 
 
 _RECORDS_CACHE: dict = {}
@@ -471,266 +471,88 @@ def _get_records(records_ref):
         _RECORDS_CACHE.clear()
         tbl = ray.get(records_ref)
         ids_index = pd.Index(tbl["record_id"].to_pandas())
-        attrs = tbl.select(["doi_norm", "authors_packed", "insts_packed",
-                            "name_blob"]).combine_chunks()
-        _RECORDS_CACHE[key] = (attrs, ids_index)
+        _RECORDS_CACHE[key] = (tbl.select(_ATTR_COLS).combine_chunks(), ids_index)
     return _RECORDS_CACHE[key]
 
 
-def score_batch(batch: pa.Table, records_ref=None,
-                aux_metrics: bool = False) -> pa.Table:
-    """Stateless scoring task. Attribute rows for the batch's ids are
-    gathered with one vectorized ``take`` per side and scored through
-    :func:`score_vectors` (the aux-metrics variant keeps the per-row
-    kernel — it is diagnostic-only and off the pipeline hot path)."""
-    schema = pair_schema(aux_metrics)
+def score_batch(batch: pa.Table, records_ref=None) -> pa.Table:
+    """Stateless broadcast-scoring task: attribute rows for the batch's
+    ids are gathered with one vectorized ``take`` per side (pairs with
+    an id missing from the broadcast are dropped) and scored by
+    :func:`_scored_table`."""
     attrs, ids_index = _get_records(records_ref)
-
-    import numpy as np
-
     # vectorized C-hash id lookup (see _get_records for the measured
-    # dict / index_in / pd.Index trade-off), then one vectorized take
-    # per side, decoded COLUMN-wise
+    # dict / index_in / pd.Index trade-off)
     li_np = ids_index.get_indexer(batch["left_id"].to_pandas())
     ri_np = ids_index.get_indexer(batch["right_id"].to_pandas())
     keep = np.flatnonzero((li_np >= 0) & (ri_np >= 0))
     lt = attrs.take(pa.array(li_np[keep], pa.int64()))
     rt = attrs.take(pa.array(ri_np[keep], pa.int64()))
-    if "families" in batch.column_names:
-        fams = batch["families"].to_numpy(zero_copy_only=False)
-    else:
-        fams = np.full(batch.num_rows, 3)  # unknown provenance -> structural
-
-    if aux_metrics:
-        return _score_batch_rows(batch, lt, rt, keep.tolist(), fams, schema)
-
-    author, inst, combined, eq, conflict, m = score_vectors(
-        lt["doi_norm"].to_pylist(), rt["doi_norm"].to_pylist(),
-        lt["authors_packed"].to_pylist(), rt["authors_packed"].to_pylist(),
-        lt["insts_packed"].to_pylist(), rt["insts_packed"].to_pylist(),
-        fams[keep], _SEP2)
-    keep_pa = pa.array(keep, pa.int64())
-    return pa.Table.from_pydict({
-        "left_id": batch["left_id"].take(keep_pa),
-        "right_id": batch["right_id"].take(keep_pa),
-        "block_key": batch["block_key"].take(keep_pa),
-        "author_score": author,
-        "inst_score": inst,
-        "combined_score": combined,
-        "doi_equal": eq,
-        "doi_conflict": conflict,
-        "is_match": m,
-    }, schema=schema)
-
-
-def _score_batch_rows(batch: pa.Table, lt: pa.Table, rt: pa.Table,
-                      keep: list, fams, schema: pa.Schema) -> pa.Table:
-    """Per-row scoring path (aux_metrics diagnostics)."""
-    lefts = batch["left_id"].to_pylist()
-    rights = batch["right_id"].to_pylist()
-    blocks = batch["block_key"].to_pylist()
-
-    def _unpack(col):
-        return [s.split(_SEP2) if s else [] for s in col.to_pylist()]
-
-    ldois, lblobs = lt["doi_norm"].to_pylist(), lt["name_blob"].to_pylist()
-    rdois, rblobs = rt["doi_norm"].to_pylist(), rt["name_blob"].to_pylist()
-    lauths, linsts = _unpack(lt["authors_packed"]), _unpack(lt["insts_packed"])
-    rauths, rinsts = _unpack(rt["authors_packed"]), _unpack(rt["insts_packed"])
-
-    n_val = len(schema.names) - 3
-    cols = [[] for _ in range(len(schema.names))]
-    for j, k in enumerate(keep):
-        vals = _score_tuple(ldois[j], lauths[j], linsts[j], lblobs[j],
-                            rdois[j], rauths[j], rinsts[j], rblobs[j],
-                            structural=bool(fams[k] & 3), aux_metrics=True)
-        cols[0].append(lefts[k])
-        cols[1].append(rights[k])
-        cols[2].append(blocks[k])
-        for v in range(n_val):
-            cols[3 + v].append(vals[v])
-    return pa.Table.from_pydict(dict(zip(schema.names, cols)), schema=schema)
-
-
-class PairScorer:
-    """Actor-pool variant of the batch scorer; state = broadcast record
-    lookup fetched once in __init__ (T5 pattern). The pipeline default
-    uses the stateless-task path (score_batch) because its per-worker
-    cache amortizes identically while reusing already-warm workers."""
-
-    def __init__(self, records_ref, aux_metrics: bool = False):
-        self.records_ref = records_ref
-        self.aux_metrics = aux_metrics
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return score_batch(batch, records_ref=self.records_ref,
-                           aux_metrics=self.aux_metrics)
+    ids = batch.select(_ID_COLS).take(pa.array(keep, pa.int64()))
+    return _scored_table(ids, lt, rt, _families(batch)[keep])
 
 
 def broadcast_records(records_ds):
-    """Broadcast the record-attribute table as ONE Arrow table in the
-    object store: workers map it zero-copy (no per-worker unpickle of a
-    Python dict — that was measured to serialize the scoring stage) and
-    build only a small record_id -> row-index dict each. The author /
-    institution LISTS are packed into \\x1e-joined flat strings:
-    gathering a flat string column (one take + to_pylist) measured ~3x
-    cheaper per row than a list<string> column, and the per-row split
-    is a fraction of that."""
+    """Broadcast the packed attribute table (:func:`pack_attrs`) as ONE
+    Arrow table in the object store: workers map it zero-copy (no
+    per-worker unpickle of a Python dict — that was measured to
+    serialize the scoring stage) and build only a small id index each.
+    The driver only concatenates the already-packed Arrow blocks
+    (memcpy, no per-row Python)."""
     import ray
 
-    def _pack_batch(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "record_id": t["record_id"],
-            "doi_norm": t["doi_norm"],
-            "authors_packed": pa.array(
-                [_SEP2.join(x or []) for x in t["authors_norm"].to_pylist()],
-                pa.string()),
-            "insts_packed": pa.array(
-                [_SEP2.join(x or []) for x in t["insts_norm"].to_pylist()],
-                pa.string()),
-            "name_blob": t["name_blob"],
-        })
-
-    # pack DISTRIBUTED (the to_pylist + join loop is linear in records
-    # — at sf1's 3.2M records it pinned the driver single-threaded for
-    # minutes when run driver-side); the driver only concatenates the
-    # already-packed Arrow blocks (memcpy, no per-row Python)
-    packed = records_ds.map_batches(_pack_batch, batch_format="pyarrow",
-                                    zero_copy_batch=True)
     tbl = pa.concat_tables(
-        [b for b in packed.iter_batches(batch_size=65536,
-                                        batch_format="pyarrow")]
+        list(pack_attrs(records_ds).iter_batches(batch_size=65536,
+                                                 batch_format="pyarrow"))
     ).combine_chunks()
     return ray.put(tbl)
 
 
-def _auto_pool():
-    """Autoscaling pool bounds sized to the session: min=1 guarantees
-    progress under contention (no starvation deadlock), max leaves a
-    few CPUs for the surrounding read/shuffle stages."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    # scale the pool with the cluster: each actor pays one zero-copy
-    # plasma map of the broadcast table (cheap), so on a real multi-node
-    # cluster a small fixed cap would leave scoring CPUs idle; leave a
-    # couple of CPUs for the surrounding read/shuffle stages
-    return (1, max(4, cpus - 2))
-
-
-def score_pairs(pairs_ds, records_ref, concurrency=None, batch_size=8192,
-                use_actors: bool = False, aux_metrics: bool = False):
-    if use_actors:
-        return pairs_ds.map_batches(
-            PairScorer,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            fn_constructor_kwargs={"records_ref": records_ref,
-                                   "aux_metrics": aux_metrics},
-            concurrency=concurrency or _auto_pool(),
-        )
+def score_pairs(pairs_ds, records_ref):
+    """Broadcast scoring: ``records_ref`` from :func:`broadcast_records`."""
     return pairs_ds.map_batches(
         score_batch,
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
-        fn_kwargs={"records_ref": records_ref, "aux_metrics": aux_metrics},
+        batch_size=_BATCH_ROWS,
+        fn_kwargs={"records_ref": records_ref},
     )
 
 
-_SEP = "\x1f"
-_SEP2 = "\x1e"  # list packing inside the broadcast attrs table
-
-
-def _pack_records(records_ds, id_name: str):
-    """records -> compact string-packed attr rows keyed as id_name.
-    List columns are joined with an unlikely separator so every column
-    survives pandas<->arrow round trips inside the shuffle."""
-    def _pack(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            id_name: batch["record_id"],
-            f"{id_name}_doi": batch["doi_norm"],
-            f"{id_name}_auth": pa.array(
-                [_SEP.join(x or []) for x in batch["authors_norm"].to_pylist()]),
-            f"{id_name}_inst": pa.array(
-                [_SEP.join(x or []) for x in batch["insts_norm"].to_pylist()]),
-            f"{id_name}_blob": batch["name_blob"],
-        })
-
-    return records_ds.map_batches(_pack, batch_format="pyarrow", zero_copy_batch=True)
-
-
-def score_pairs_shuffle(pairs_ds, records_ds, num_buckets: int = 32,
-                        batch_size: int = 8192, aux_metrics: bool = False):
+def score_pairs_shuffle(pairs_ds, records_ds):
     """The 10^12-row-corpus scoring path: when the record-attribute
     table is too large to broadcast to every node, pairs are joined to
-    their two sides' attributes with two bucketed hash joins
+    their two sides' packed attributes with two bucketed hash joins
     (ops.relational.bucket_join — each side ships only its OWN columns
-    into the exchange; the old homogenized-union attach pre-padded four
-    empty attr columns onto every pair row, doubling the shuffle width)
-    and scored statelessly. Produces EXACTLY the same scored rows as
-    the broadcast path (asserted in tests)."""
+    into the exchange) and scored statelessly. Produces EXACTLY the
+    same scored rows as the broadcast path (asserted in tests).
+
+    The bucket count scales with the record count
+    (``block.adaptive_num_buckets``): this path runs only for the
+    largest record tables, where a fixed count serializes the joins
+    into a few tasks. ``records_ds`` is materialized by every caller,
+    so its count is metadata."""
     from ..ops.relational import bucket_join
 
-    def _ensure_families(b: pd.DataFrame) -> pd.DataFrame:
-        if "families" not in b.columns:
-            b = b.assign(families=3)
-        return b
-
-    pairs_ds = pairs_ds.map_batches(_ensure_families, batch_format="pandas")
-    keep = ["left_id", "right_id", "block_key", "families"]
-    pairs_ds = pairs_ds.map_batches(lambda b: b[keep], batch_format="pandas")
-    left = bucket_join(pairs_ds, _pack_records(records_ds, "left_id"),
+    num_buckets = block.adaptive_num_buckets(records_ds.count())
+    attrs = pack_attrs(records_ds)
+    pairs_ds = pairs_ds.map_batches(
+        lambda t: t.select(_ID_COLS).append_column(
+            "families", pa.array(_families(t), pa.int64())),
+        batch_format="pyarrow", zero_copy_batch=True)
+    left = bucket_join(pairs_ds, attrs.rename_columns({"record_id": "left_id"}),
                        on="left_id", num_buckets=num_buckets).materialize()
-    both = bucket_join(left, _pack_records(records_ds, "right_id"),
-                       on="right_id", num_buckets=num_buckets)
+    both = bucket_join(left, attrs.rename_columns({"record_id": "right_id"}),
+                       on="right_id", num_buckets=num_buckets,
+                       suffixes=("_l", "_r"))
 
-    schema = pair_schema(aux_metrics)
+    def _score(t: pa.Table) -> pa.Table:
+        lt = t.select([c + "_l" for c in _ATTR_COLS]).rename_columns(_ATTR_COLS)
+        rt = t.select([c + "_r" for c in _ATTR_COLS]).rename_columns(_ATTR_COLS)
+        return _scored_table(t, lt, rt, _families(t))
 
-    def _score(batch: pd.DataFrame) -> pd.DataFrame:
-        import pyarrow as _pa
-
-        if aux_metrics:
-            cols = {name: [] for name in schema.names}
-            for rec in batch.itertuples(index=False):
-                vals = _score_tuple(
-                    rec.left_id_doi,
-                    rec.left_id_auth.split(_SEP) if rec.left_id_auth else [],
-                    rec.left_id_inst.split(_SEP) if rec.left_id_inst else [],
-                    rec.left_id_blob,
-                    rec.right_id_doi,
-                    rec.right_id_auth.split(_SEP) if rec.right_id_auth else [],
-                    rec.right_id_inst.split(_SEP) if rec.right_id_inst else [],
-                    rec.right_id_blob,
-                    structural=bool(int(rec.families) & 3),
-                    aux_metrics=True,
-                )
-                cols["left_id"].append(rec.left_id)
-                cols["right_id"].append(rec.right_id)
-                cols["block_key"].append(rec.block_key)
-                for k, name in enumerate(schema.names[3:]):
-                    cols[name].append(vals[k])
-            return _pa.Table.from_pydict(cols, schema=schema).to_pandas()
-
-        author, inst, combined, eq, conflict, m = score_vectors(
-            batch["left_id_doi"].tolist(), batch["right_id_doi"].tolist(),
-            batch["left_id_auth"].tolist(), batch["right_id_auth"].tolist(),
-            batch["left_id_inst"].tolist(), batch["right_id_inst"].tolist(),
-            batch["families"].to_numpy(), _SEP)
-        return _pa.Table.from_pydict({
-            "left_id": batch["left_id"].to_numpy(),
-            "right_id": batch["right_id"].to_numpy(),
-            "block_key": batch["block_key"].to_numpy(),
-            "author_score": author, "inst_score": inst,
-            "combined_score": combined, "doi_equal": eq,
-            "doi_conflict": conflict, "is_match": m,
-        }, schema=schema).to_pandas()
-
-    return both.map_batches(_score, batch_format="pandas", batch_size=batch_size)
+    return both.map_batches(_score, batch_format="pyarrow",
+                            zero_copy_batch=True, batch_size=_BATCH_ROWS)
 
 
 # ---------------------------------------------------------------------------
@@ -857,11 +679,11 @@ def broadcast_works_by_doi(works_ds):
     return ray.put(tbl)
 
 
-def score_mentions(mentions_ds, works_by_doi_ref, concurrency=None, batch_size=1024):
+def score_mentions(mentions_ds, works_by_doi_ref):
     return mentions_ds.map_batches(
         MentionScorer,
         batch_format="pandas",
-        batch_size=batch_size,
+        batch_size=1024,
         fn_constructor_kwargs={"works_by_doi_ref": works_by_doi_ref},
-        concurrency=concurrency or (1, 8),
+        concurrency=(1, 8),
     )

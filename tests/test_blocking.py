@@ -1,6 +1,8 @@
 """Blocking-stage unit tests: key emission, hot-key refinement,
 pair-generation caps, pair index math."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -127,28 +129,6 @@ def test_find_hot_keys_driver_merge_equals_distributed(ray_session):
     assert "an:wei wang" in hot_driver
 
 
-def test_dedup_by_modes_identical_rows(ray_session):
-    """The dedup bucket key ("name" / "left" / "pair") is a locality
-    knob only — output pair rows (incl. min block_key, OR'd families,
-    max dropped) must be identical across modes."""
-    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import reconcile
-    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import records
-    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages.extract import extract_pages
-
-    _, pages, works = reconcile.load_tables("/root/testdata/sf0.001")
-    recs = records.build_records(extract_pages(pages), works).materialize()
-    key = ["left_id", "right_id"]
-    frames = {}
-    for mode in ("name", "left", "pair"):
-        df = block.candidate_pairs(recs, dedup_by=mode).to_pandas()
-        assert list(df.columns) == ["left_id", "right_id", "block_key",
-                                    "dropped_pairs", "families"]
-        frames[mode] = df.sort_values(key, kind="mergesort").reset_index(drop=True)
-    assert len(frames["name"]) > 0
-    pd.testing.assert_frame_equal(frames["name"], frames["left"])
-    pd.testing.assert_frame_equal(frames["name"], frames["pair"])
-
-
 def test_adaptive_num_buckets():
     """Bucket count scales with records: floor at small tiers (keeps
     historical behavior), ~records/4k in the middle, capped at 4096."""
@@ -168,15 +148,22 @@ def test_candidate_pairs_bucket_count_invariant(ray_session):
     identical whether the shuffles run at 5 buckets or 64 (and via the
     adaptive default)."""
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import reconcile
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.sources import fixtures
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import records
-    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages.extract import extract_pages
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages.extract import (
+        read_extract_pages,
+    )
 
-    _, pages, works = reconcile.load_tables("/root/testdata/sf0.001")
-    recs = records.build_records(extract_pages(pages), works).materialize()
+    fdir = fixtures.ensure_fixtures("sf0.001")
+    recs = records.build_records(
+        read_extract_pages(os.path.join(fdir, "pages.parquet")),
+        reconcile.read_works(os.path.join(fdir, "reference_works.parquet"))).materialize()
     key = ["left_id", "right_id"]
     frames = {}
     for nb in (5, 64, None):
         df = block.candidate_pairs(recs, num_buckets=nb).to_pandas()
+        assert list(df.columns) == ["left_id", "right_id", "block_key",
+                                    "dropped_pairs", "families"]
         frames[nb] = df.sort_values(key, kind="mergesort").reset_index(drop=True)
     assert len(frames[5]) > 0
     pd.testing.assert_frame_equal(frames[5], frames[64])

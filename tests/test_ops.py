@@ -663,6 +663,7 @@ def test_dedup_bucket_nul_ids_stay_distinct():
         "block_key": ["k1", "k2", "doi:9\x00b", "doi:9\x00a"],
         "dropped_pairs": [0, 1, 2, 3],
         "families": [1, 2, 4, 8],
+        "dkey": ["a", "a", "b", "b"],
     })
     out = (_dedup_bucket(df)
            .sort_values(["left_id", "right_id"]).reset_index(drop=True))

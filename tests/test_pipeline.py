@@ -215,11 +215,13 @@ def test_mention_scorer_parity(ray_session, fdir):
                 key, col, grow[col], val)
 
 
-def test_shuffle_scoring_equals_broadcast(ray_session, fdir):
+def test_shuffle_scoring_equals_broadcast(ray_session, fdir, monkeypatch):
     """The big-big (shuffle-join) scoring path must produce exactly the
-    broadcast path's scored rows."""
-    import ray
+    broadcast path's scored rows, at the adaptive bucket count and at a
+    forced one that both of its joins receive."""
+    import pandas as pd
 
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.ops import relational
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
         reconcile,
     )
@@ -227,24 +229,39 @@ def test_shuffle_scoring_equals_broadcast(ray_session, fdir):
         block, records, score,
     )
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages.extract import (
-        extract_pages,
+        read_extract_pages,
     )
 
-    _, pages, works = reconcile.load_tables(SF)
-    recs = records.build_records(extract_pages(pages), works).materialize()
+    recs = records.build_records(
+        read_extract_pages(os.path.join(fdir, "pages.parquet")),
+        reconcile.read_works(os.path.join(fdir, "reference_works.parquet"))).materialize()
     pairs = block.candidate_pairs(recs).materialize()
 
     rec_ref = score.broadcast_records(recs)
-    via_broadcast = score.score_pairs(pairs, rec_ref).to_pandas()
-    via_shuffle = score.score_pairs_shuffle(pairs, recs).to_pandas()
-
     key = ["left_id", "right_id"]
-    a = via_broadcast.sort_values(key, kind="mergesort").reset_index(drop=True)
-    b = via_shuffle.sort_values(key, kind="mergesort").reset_index(drop=True)
-    assert len(a) == len(b) and len(a) > 0
-    import pandas as pd
+    a = (score.score_pairs(pairs, rec_ref).to_pandas()
+         .sort_values(key, kind="mergesort").reset_index(drop=True))
+    assert len(a) > 0
 
-    pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
+    def shuffle_rows():
+        b = (score.score_pairs_shuffle(pairs, recs).to_pandas()
+             .sort_values(key, kind="mergesort").reset_index(drop=True))
+        assert len(a) == len(b)
+        pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
+
+    shuffle_rows()
+
+    join_buckets = []
+    orig_join = relational.bucket_join
+
+    def spy_join(*args, **kwargs):
+        join_buckets.append(kwargs["num_buckets"])
+        return orig_join(*args, **kwargs)
+
+    monkeypatch.setattr(block, "adaptive_num_buckets", lambda n: 5)
+    monkeypatch.setattr(relational, "bucket_join", spy_join)
+    shuffle_rows()
+    assert join_buckets == [5, 5]
 
 
 def test_parsing_stats_vs_serial_oracle(ray_session, fdir):
@@ -320,25 +337,6 @@ def test_distributed_cc_equals_driver_path(ray_session, fdir):
     dist = cluster_mod.connected_components_auto(edges, nodes_ds=out["records"],
                                                  driver_edge_limit=0)
     assert as_partition_sets(auto) == as_partition_sets(dist)
-
-
-def test_actor_pool_scorer_equals_task_path(ray_session, fdir):
-    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
-        reconcile,
-    )
-    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import score
-
-    out = reconcile.run_reconcile(SF)
-    rec_ref = score.broadcast_records(out["records"])
-    via_tasks = score.score_pairs(out["pairs"], rec_ref).to_pandas()
-    via_actors = score.score_pairs(out["pairs"], rec_ref, use_actors=True,
-                                   concurrency=(1, 2)).to_pandas()
-    key = ["left_id", "right_id"]
-    a = via_tasks.sort_values(key, kind="mergesort").reset_index(drop=True)
-    b = via_actors.sort_values(key, kind="mergesort").reset_index(drop=True)
-    import pandas as pd
-
-    pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
 
 
 def test_connected_components_large_batches(ray_session):

@@ -143,8 +143,6 @@ def test_pipeline_entry_points_never_call_read_parquet(ray_session, fdir, monkey
     out = reconcile.run_reconcile(SF)
     clusters = out["clusters"].materialize()
     reconcile.pairwise_f1_join(clusters, os.path.join(fdir, "labeled_pairs.parquet"))
-    _, pages, works = reconcile.load_tables(SF)
-    assert pages.count() > 0 and works.count() > 0
     assert reconcile.run_mention_scoring(SF)[1].count() > 0
     workdir = str(tmp_path / "ckpt")
     for _ in range(2):  # cold run, then a full resume

@@ -1,0 +1,97 @@
+"""Record-pair scoring: the vectorized core against its per-row
+reference, and a guard that both scoring paths share one body."""
+
+import ast
+import os
+import random
+
+import numpy as np
+
+from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import score
+
+PKG_DIR = os.path.dirname(os.path.dirname(os.path.abspath(score.__file__)))
+
+# near-duplicate spellings so fuzzy scores land on both sides of the
+# 90 threshold; small pools so attribute pairs repeat
+_NAMES = ["maria garcia", "maria garcya", "m garcia", "wei wang", "wei wong",
+          "john smith", "jon smith", "john smyth", "ana lopez", "anna lopez",
+          "li na", "lina", "peter muller", "peter mueller"]
+_INSTS = ["university of oslo", "univ of oslo", "university of bergen",
+          "mit", "massachusetts institute of technology", "eth zurich",
+          "eth zuerich"]
+_DOIS = [None, "", "10.1/a", "10.1/b"]
+
+
+def _random_rows(rng: random.Random, n: int) -> list:
+    def names(pool, k_max):
+        return rng.sample(pool, rng.randint(0, k_max))
+
+    return [(rng.choice(_DOIS), names(_NAMES, 4), names(_INSTS, 3),
+             rng.choice(_DOIS), names(_NAMES, 4), names(_INSTS, 3),
+             rng.randrange(16))
+            for _ in range(n)]
+
+
+def _vectors(rows: list) -> list:
+    cols = list(zip(*rows))
+    got = score.score_vectors(
+        list(cols[0]), list(cols[3]),
+        [score._SEP.join(x) for x in cols[1]], [score._SEP.join(x) for x in cols[4]],
+        [score._SEP.join(x) for x in cols[2]], [score._SEP.join(x) for x in cols[5]],
+        np.asarray(cols[6], dtype=np.int64))
+    return [tuple(v.tolist()) for v in got]
+
+
+def _per_row(rows: list) -> list:
+    vals = [score._score_tuple(dl, al, il, dr, ar, ir, structural=bool(fam & 3))
+            for dl, al, il, dr, ar, ir, fam in rows]
+    return [tuple(c) for c in zip(*vals)]
+
+
+def test_score_vectors_equals_per_row_reference():
+    """score_vectors is bit-identical to a _score_tuple loop over equal,
+    conflicting and missing DOIs, empty author / institution lists and
+    every family-bit pattern. The second half repeats the first, so it
+    is scored from the per-worker attribute-pair memos."""
+    rng = random.Random(20261017)
+    first = _random_rows(rng, 1500)
+    second = first[:]
+    rng.shuffle(second)
+    dois = [(r[0], r[3]) for r in first]
+    assert any(dl and dl == dr for dl, dr in dois)
+    assert any(dl and dr and dl != dr for dl, dr in dois)
+    assert {r[6] for r in first} == set(range(16))
+    assert any(not r[1] for r in first) and any(not r[2] for r in first)
+
+    for rows in (first, second):
+        assert _vectors(rows) == _per_row(rows)
+    fuzzy = [r for r in second if not (r[0] and (r[0] == r[3] or r[3]))]
+    assert any(score._SEP.join(r[1]) + "\x01" + score._SEP.join(r[4])
+               in score._AUTH_PAIR_CACHE for r in fuzzy if r[1] and r[4])
+    matches = _per_row(first)[5]
+    assert any(matches) and not all(matches)
+
+
+def test_one_scoring_body():
+    """score_vectors has one call site in the package, inside
+    _scored_table, the body both the broadcast and the shuffle path
+    run; the deleted scorer variants leave no trace."""
+    calls, body = [], None
+    for root, _, files in os.walk(PKG_DIR):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                src = fh.read()
+            assert "aux_metrics" not in src and "use_actors" not in src, path
+            tree = ast.parse(src)
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "score_vectors"):
+                    calls.append((path, node.lineno))
+                if isinstance(node, ast.FunctionDef) and node.name == "_scored_table":
+                    body = (path, node.lineno, node.end_lineno)
+    assert len(calls) == 1, calls
+    (path, line), = calls
+    assert body is not None and path == body[0] and body[1] <= line <= body[2]
