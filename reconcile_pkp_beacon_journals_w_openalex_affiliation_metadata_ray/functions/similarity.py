@@ -405,14 +405,6 @@ def levenshtein_bulk(pairs: list) -> list:
     return out_np.tolist()
 
 
-def levenshtein_ratio(a: str, b: str) -> float:
-    """Normalized Levenshtein similarity x100: 1 - dist/max(len)."""
-    if not a and not b:
-        return 100.0
-    d = levenshtein(a, b)
-    return 100.0 * (1.0 - d / max(len(a), len(b)))
-
-
 def jaro(a: str, b: str) -> float:
     """Jaro similarity in [0, 1]."""
     if a == b:

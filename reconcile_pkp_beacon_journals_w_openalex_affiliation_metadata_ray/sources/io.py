@@ -244,11 +244,6 @@ def stratified_sample(ds, k: int, group_col: str, id_col: str,
     return rd.from_pandas(top)
 
 
-def sample_fraction(ds, frac: float, seed: int = 42):
-    """Bernoulli row sample (approximate size), seeded."""
-    return ds.random_sample(frac, seed=seed)
-
-
 def weighted_sample_aes(ds, k: int, weight_col: str, id_col: str,
                         seed: int = 42):
     """Weighted random sample WITHOUT replacement (Efraimidis-Spirakis

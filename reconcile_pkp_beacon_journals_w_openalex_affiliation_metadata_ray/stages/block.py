@@ -292,6 +292,25 @@ def _triu_unflatten(flat: "np.ndarray", n: int):
     return i, j
 
 
+def _virtual_pairs(m, d):
+    """Size of a block's pair space: its ``m`` pairing records with each
+    other and with its ``d`` DOI-carrying ones (``d`` = 0 in a doi:
+    block, where every record pairs). Ints or numpy arrays."""
+    return m * (m - 1) // 2 + m * d
+
+
+def _pair_sample(total: int, max_pairs: int):
+    """Flat indices of the pairs a block keeps out of its ``total``-pair
+    space: all of them up to the cap, past it a deterministic stride
+    sample of ``max_pairs`` (the full product is never materialized);
+    ``total - len(result)`` pairs are dropped."""
+    import numpy as np
+
+    if total <= max_pairs:
+        return np.arange(total, dtype=np.int64)
+    return np.unique(np.linspace(0, total - 1, max_pairs).astype(np.int64))
+
+
 def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
     """Vectorized pair generation for every block key in a bucket.
 
@@ -335,75 +354,39 @@ def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
 
     for key in big:
         g = df[df["block_key"] == key]
-        n = len(g)
-        if n < 2:
-            continue
+        order = np.argsort(g["record_id"].to_numpy())
+        ids = g["record_id"].to_numpy()[order]
+        fts = g["ftok"].to_numpy()[order]
+        # a doi: block pairs all of its records; elsewhere both-DOI pairs
+        # are decided, so only the DOI-less records pair, with each other
+        # and with the DOI-carrying ones
         if key.startswith("doi:"):
-            order = np.argsort(g["record_id"].to_numpy())
-            ids = g["record_id"].to_numpy()[order]
-            fts = g["ftok"].to_numpy()[order]
-            total = n * (n - 1) // 2
-            if total <= max_pairs:
-                iu, ju = np.triu_indices(n, k=1)
-                dropped = 0
-            else:
-                flat = np.unique(np.linspace(0, total - 1, max_pairs).astype(np.int64))
-                iu, ju = _triu_unflatten(flat, n)
-                dropped = total - len(flat)
-            left, right = ids[iu], ids[ju]
-            ftl, ftr = fts[iu], fts[ju]
+            pairing = np.ones(len(ids), dtype=bool)
         else:
-            order = np.argsort(g["record_id"].to_numpy())
-            ids = g["record_id"].to_numpy()[order]
-            fts = g["ftok"].to_numpy()[order]
-            hd = g["has_doi"].to_numpy()[order]
-            nd_ids = ids[~hd]          # no-doi records
-            d_ids = ids[hd]            # doi-carrying records
-            nd_ft, d_ft = fts[~hd], fts[hd]
-            m, d = len(nd_ids), len(d_ids)
-            if m == 0:
-                continue
-            total1 = m * (m - 1) // 2          # no-doi x no-doi
-            total2 = m * d                     # no-doi x doi
-            grand = total1 + total2
-            if grand > max_pairs:
-                # deterministic stride sample over the VIRTUAL pair index
-                # space (never materialize the full product)
-                flat = np.unique(np.linspace(0, grand - 1, max_pairs).astype(np.int64))
-                f1 = flat[flat < total1]
-                f2 = flat[flat >= total1] - total1
-                iu, ju = (_triu_unflatten(f1, m) if len(f1) else
-                          (np.array([], np.int64), np.array([], np.int64)))
-                l1, r1 = nd_ids[iu], nd_ids[ju]
-                fl1, fr1 = nd_ft[iu], nd_ft[ju]
-                if len(f2):
-                    i2 = (f2 // d).astype(np.int64)
-                    j2 = (f2 % d).astype(np.int64)
-                    l2, r2 = nd_ids[i2], d_ids[j2]
-                    fl2, fr2 = nd_ft[i2], d_ft[j2]
-                else:
-                    l2 = r2 = np.array([], dtype=nd_ids.dtype)
-                    fl2 = fr2 = np.array([], dtype=nd_ft.dtype)
-                dropped = grand - len(flat)
-            else:
-                iu, ju = np.triu_indices(m, k=1)
-                l1, r1 = nd_ids[iu], nd_ids[ju]
-                fl1, fr1 = nd_ft[iu], nd_ft[ju]
-                l2 = np.repeat(nd_ids, d)
-                r2 = np.tile(d_ids, m)
-                fl2 = np.repeat(nd_ft, d)
-                fr2 = np.tile(d_ft, m)
-                dropped = 0
-            left = np.concatenate([l1, l2])
-            right = np.concatenate([r1, r2])
-            ftl = np.concatenate([fl1, fl2])
-            ftr = np.concatenate([fr1, fr2])
-            # canonical ordering left < right (dkey is side-symmetric,
-            # so the swap leaves it untouched)
-            swap = left > right
-            left[swap], right[swap] = right[swap], left[swap].copy()
+            pairing = ~g["has_doi"].to_numpy()[order]
+        a_ids, b_ids = ids[pairing], ids[~pairing]
+        a_ft, b_ft = fts[pairing], fts[~pairing]
+        m, d = len(a_ids), len(b_ids)
+        total = _virtual_pairs(m, d)
+        flat = _pair_sample(total, max_pairs)
+        if not len(flat):
+            continue
+        # the virtual pair space: a x a upper triangle first, then a x b
+        within = m * (m - 1) // 2
+        f1, f2 = flat[flat < within], flat[flat >= within] - within
+        iu, ju = _triu_unflatten(f1, m)
+        i2, j2 = (f2 // d, f2 % d) if d else (f2, f2)
+        left = np.concatenate([a_ids[iu], a_ids[i2]])
+        right = np.concatenate([a_ids[ju], b_ids[j2]])
+        ftl = np.concatenate([a_ft[iu], a_ft[i2]])
+        ftr = np.concatenate([a_ft[ju], b_ft[j2]])
+        # canonical ordering left < right (dkey is side-symmetric, so the
+        # swap leaves it untouched)
+        swap = left > right
+        left[swap], right[swap] = right[swap], left[swap].copy()
         outs.append(pd.DataFrame({"left_id": left, "right_id": right,
-                                  "block_key": key, "dropped_pairs": dropped,
+                                  "block_key": key,
+                                  "dropped_pairs": total - len(flat),
                                   "families": family_bit(key),
                                   "dkey": np.where(ftl <= ftr, ftl, ftr)}))
     if not outs:
@@ -503,12 +486,13 @@ def _dedup_bucket(df: pd.DataFrame) -> pd.DataFrame:
     return out.take(order).reset_index(drop=True)
 
 
-def candidate_pairs(records_ds, hot_keys_ref=None,
-                    max_pairs_per_block=DEFAULT_MAX_PAIRS_PER_BLOCK,
+def candidate_pairs(records_ds, hot_keys_ref=None, max_pairs_per_block=None,
                     num_buckets: int | None = None):
     """records -> candidate pairs (left_id < right_id). A pair produced
     by several block keys keeps the lexicographically smallest key and
-    ORs its family bits. Both shuffles use coarse hash buckets
+    ORs its family bits. The per-block cap defaults to
+    DEFAULT_MAX_PAIRS_PER_BLOCK, read at call time as :func:`block_caps`
+    reads it. Both shuffles use coarse hash buckets
     (ops.relational.bucketed_map_groups) so Python-per-group overhead
     is O(num_buckets), not O(num_keys).
 
@@ -524,6 +508,8 @@ def candidate_pairs(records_ds, hot_keys_ref=None,
     unchanged (min of one key, OR of one bit)."""
     from ..ops.relational import bucketed_map_groups
 
+    if max_pairs_per_block is None:
+        max_pairs_per_block = DEFAULT_MAX_PAIRS_PER_BLOCK
     if num_buckets is None:
         # records is materialized by every pipeline caller (reused 3x),
         # so count() is metadata-cheap there; test callers hand tiny
@@ -550,3 +536,37 @@ def candidate_pairs(records_ds, hot_keys_ref=None,
     # spread, no "" mega-bucket).
     return bucketed_map_groups(pairs, "dkey", _dedup_bucket,
                                num_buckets=num_buckets)
+
+
+def block_caps(records_ds, hot_keys_ref=None) -> dict:
+    """Capped block key -> pairs its cap dropped, for the blocks
+    :func:`candidate_pairs` builds from the same records and hot keys at
+    its default cap.
+
+    Computed from block sizes, not read off the pairs: a pair keeps the
+    smallest of its block keys but the largest ``dropped_pairs`` of its
+    blocks, so grouping pairs by key credits a capped block's drops to
+    every smaller key that co-blocks one of its sampled pairs. One
+    shuffle-free pass over the emitted keys counts each batch's
+    (block_key, has_doi) rows after the pair stage's (block_key,
+    record_id) dedup; the calling process sums the partials and runs them through
+    the pair stage's own cap (:func:`_pair_sample`)."""
+
+    def _sizes(b: pd.DataFrame) -> pd.DataFrame:
+        b = b.drop_duplicates(subset=["block_key", "record_id"])
+        return b.groupby(["block_key", "has_doi"], as_index=False).size()
+
+    parts = emit_block_keys(records_ds, hot_keys_ref=hot_keys_ref).map_batches(
+        _sizes, batch_format="pandas").to_pandas()
+    if parts.empty:
+        return {}
+    sizes = (parts.groupby(["block_key", "has_doi"])["size"].sum()
+             .unstack(fill_value=0).reindex(columns=[False, True], fill_value=0))
+    with_doi = sizes[True].to_numpy()
+    is_doi = sizes.index.str.startswith("doi:")
+    # a doi: block pairs all its records (see _pairs_for_bucket)
+    m = sizes[False].to_numpy() + is_doi * with_doi
+    total = _virtual_pairs(m, ~is_doi * with_doi)
+    over = total > DEFAULT_MAX_PAIRS_PER_BLOCK
+    return {key: int(t - len(_pair_sample(t, DEFAULT_MAX_PAIRS_PER_BLOCK)))
+            for key, t in zip(sizes.index[over], total[over])}

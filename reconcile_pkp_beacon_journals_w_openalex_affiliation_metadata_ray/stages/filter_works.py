@@ -12,10 +12,10 @@ affiliations/src/main.rs`, SURVEY.md §3.1), its scale-bearing stage:
   authorships[].raw_affiliation_strings entry is non-blank.
 - M4-rust partition key (`main.rs:289-315`): DOI prefix with
   '_unknown_' fallback.
-- S5 partitioned write: ``write_parquet(partition_cols=['doi_prefix'])``
-  replaces the reference's mutex-guarded LRU gzip writer manager
-  (`main.rs:319-532`) — Ray tasks write their own files, no shared
-  mutable state.
+- S5 partitioned write: the ``doi_prefix`` column is the key for
+  ``write_parquet(partition_cols=['doi_prefix'])``, which replaces the
+  reference's mutex-guarded LRU gzip writer manager (`main.rs:319-532`)
+  — Ray tasks write their own files, no shared mutable state.
 
 Per-cause filter counters (A5, `main.rs:86-144`) are emitted as partial
 columns and summed with one tiny aggregate instead of global atomics.
@@ -90,8 +90,3 @@ def filter_works(works_ds, base_urls_df: pd.DataFrame):
     return works_ds.map_batches(
         filter_batch, batch_format="pyarrow", zero_copy_batch=True,
         fn_kwargs={"base_ref": base_ref})
-
-
-def write_filtered(filtered_ds, out_dir: str):
-    """Partitioned sink (S5 replacement): one directory per DOI prefix."""
-    filtered_ds.write_parquet(out_dir, partition_cols=["doi_prefix"])

@@ -21,3 +21,21 @@ def ray_session():
     tune_data_context(ctx)
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture()
+def executions(monkeypatch):
+    """Counts Ray Data executions: every plan the streaming executor
+    starts in this process appends its output operator to the returned
+    list. Clear the list between the phases a test measures."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    started = []
+    execute = StreamingExecutor.execute
+
+    def counting_execute(self, dag, *args, **kwargs):
+        started.append(dag.name)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
+    return started

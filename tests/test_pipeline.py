@@ -76,11 +76,6 @@ def test_reconcile_f1_gate(ray_session, fdir):
     assert res["f1"] >= 0.99, res
     assert res["precision"] >= 0.99, res
     assert res["recall"] >= 0.99, res
-    # the no-collect two-hash-join scale path must produce the IDENTICAL
-    # confusion matrix
-    via_join = reconcile.pairwise_f1_join(
-        clusters, os.path.join(fdir, "labeled_pairs.parquet"))
-    assert via_join == res, (via_join, res)
 
 
 def test_connected_components_vs_union_find(ray_session):
@@ -462,3 +457,132 @@ def test_read_extract_pages_shard_directory(ray_session, fdir, tmp_path):
         got = read_extract_pages(str(shard_dir), target_rows=target_rows).to_pandas()
         got = got.sort_values("url").reset_index(drop=True)
         assert got.equals(base)
+
+
+def test_flagship_execution_counts(ray_session, executions, tmp_path):
+    """Ray Data executions per run, the caller's read of ``clusters``
+    included: the flagship e2e configuration 5, ``run_reconcile``'s
+    defaults 7 (pairs and scored parked), a cold checkpointed run 9 and a
+    full resume 1."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+
+    workdir = str(tmp_path / "ckpt")
+    runs = [
+        (5, lambda: reconcile.run_reconcile(SF, materialize_pairs=False,
+                                            materialize_scored=False)),
+        (7, lambda: reconcile.run_reconcile(SF)),
+        (9, lambda: reconcile.run_reconcile_checkpointed(SF, workdir)[0]),
+        (1, lambda: reconcile.run_reconcile_checkpointed(SF, workdir)[0]),
+    ]
+    for want, run in runs:
+        executions.clear()
+        run()["clusters"].materialize()
+        assert len(executions) == want, executions
+
+
+def test_one_flagship_stage_sequence():
+    """pipelines/reconcile.py writes the flagship stages once: each stage
+    call appears exactly once, inside ``_flagship_stages``, and
+    ``mf.checkpoint`` only in the checkpointed run's park step; neither
+    entry point makes a stage call of its own."""
+    import ast
+    import inspect
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+
+    stages = ("build_records", "find_hot_keys", "candidate_pairs", "broadcast_records",
+              "score_pairs", "score_pairs_shuffle", "connected_components_auto")
+    calls = {name: [] for name in stages + ("checkpoint",)}
+    for fn in ast.parse(inspect.getsource(reconcile)).body:
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in calls):
+                calls[node.func.attr].append(fn.name)
+    want = {name: ["_flagship_stages"] for name in stages}
+    want["checkpoint"] = ["run_reconcile_checkpointed"]
+    assert calls == want
+
+
+def _name_records(names_by_id, path_key=""):
+    """Records that block only by exact author name (``an:`` keys) and,
+    when ``path_key`` is set, by one shared ``path:`` key."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    ids = sorted(names_by_id)
+    blank = [""] * len(ids)
+    return rd.from_arrow(pa.table({
+        "record_id": ids, "doi_norm": blank, "host_key": blank,
+        "path_key": [path_key] * len(ids), "name_blob": blank,
+        "authors_norm": pa.array([names_by_id[i] for i in ids], pa.list_(pa.string())),
+    })).materialize()
+
+
+def _report_with_cap(monkeypatch, recs):
+    """(pipeline_report over ``recs``' pair stage, the pairs as pandas)
+    with no ``bucketed_map_groups`` call made by the report."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.ops import relational
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import block
+
+    pairs = block.candidate_pairs(recs).materialize()
+    out = {"records": recs, "hot_keys": frozenset(), "pairs": pairs,
+           "scored": pairs.map_batches(lambda b: b.assign(is_match=False),
+                                       batch_format="pandas"),
+           "clusters": recs}
+    shuffles = []
+    monkeypatch.setattr(relational, "bucketed_map_groups",
+                        lambda *a, **k: shuffles.append(1))
+    report = reconcile.pipeline_report(out)
+    assert not shuffles
+    return report, pairs.to_pandas()
+
+
+def test_pipeline_report_counts_each_capped_block_once(ray_session, monkeypatch):
+    """A 300-record ``an:x`` block capped at 1,000 pairs, three of whose
+    sampled pairs ``an:a``/``an:b``/``an:c`` also block: those pairs
+    keep the smaller key and the capped block's ``dropped_pairs``, yet
+    the report counts one capped block and its 300*299/2 - 1,000 drops."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import block
+
+    monkeypatch.setattr(block, "DEFAULT_MAX_PAIRS_PER_BLOCK", 1000)
+    names = {f"r{i:03d}": ["x"] for i in range(300)}
+    sampled = block.candidate_pairs(_name_records(names)).to_pandas()
+    assert len(sampled) == 1000
+    picks = sampled.iloc[[0, 500, 999]]
+    for name, left, right in zip("abc", picks["left_id"], picks["right_id"]):
+        names[left] = names[left] + [name]
+        names[right] = names[right] + [name]
+    report, pairs = _report_with_cap(monkeypatch, _name_records(names))
+    # grouping the pairs by block key would credit four blocks
+    assert pairs.loc[pairs["dropped_pairs"] > 0, "block_key"].nunique() == 4
+    assert report == {"records": 300, "hot_keys": [], "candidate_pairs": 1000,
+                      "scored_pairs": 1000, "match_edges": 0, "clusters": 300,
+                      "capped_blocks": 1, "dropped_pairs_total": 43_850}
+
+
+def test_pipeline_report_sees_capped_block_hidden_by_smaller_keys(ray_session, monkeypatch):
+    """Every sampled pair of a capped ``path:p`` block is also blocked by
+    a smaller uncapped ``an:`` key, so no pair carries the capped key; the
+    report still counts that one block and its drops."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import block
+
+    monkeypatch.setattr(block, "DEFAULT_MAX_PAIRS_PER_BLOCK", 6)
+    names = {f"r{i:02d}": [] for i in range(12)}
+    sampled = block.candidate_pairs(_name_records(names, path_key="p")).to_pandas()
+    assert len(sampled) == 6
+    for k, (left, right) in enumerate(zip(sampled["left_id"], sampled["right_id"])):
+        for rid in (left, right):
+            names[rid] = names[rid] + [f"n{k}"]
+            assert len(names[rid]) <= 3  # only the first three names are keys
+    report, pairs = _report_with_cap(monkeypatch, _name_records(names, path_key="p"))
+    assert not pairs["block_key"].str.startswith("path:").any()
+    assert report["candidate_pairs"] == 6
+    assert report["capped_blocks"] == 1
+    assert report["dropped_pairs_total"] == 12 * 11 // 2 - 6
