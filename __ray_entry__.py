@@ -2235,8 +2235,9 @@ def q_block_keys(sf_dir: str):
     tier_dir = _persist_linkage_artifacts(sf_dir, out)
     keys = block.emit_block_keys(
         out["records"], hot_keys_ref=ray.put(out["hot_keys"])).to_pandas()
-    # ftok is pair-generation plumbing (the name-locality dedup key),
-    # not part of the blocking contract this query checks
+    # record_keys (each row's record key list, which lets a block tell
+    # the pairs it owns) is pair-generation plumbing, not part of the
+    # blocking contract this query checks
     keys = keys[["block_key", "record_id", "has_doi"]]
     keys = keys.sort_values(["block_key", "record_id"],
                             kind="mergesort").reset_index(drop=True)
@@ -2474,8 +2475,9 @@ def q_metablock_weights(sf_dir: str):
 def q_candidate_pairs(sf_dir: str):
     """Candidate pair generation. The oracle derives the ENTIRE
     doi-family pair set independently in SQL (records self-join on
-    doi_norm with left<right — which also verifies that the doi stream
-    bypasses dedup and that fuzzy blocks pruned every both-DOI pair)
+    doi_norm with left<right — which also verifies that every doi pair
+    is emitted once, by its doi: block, and that fuzzy blocks pruned
+    every both-DOI pair)
     and replays the fuzzy-family rows."""
     out = _reconcile(sf_dir)
     _persist_linkage_artifacts(sf_dir, out)
@@ -5270,8 +5272,8 @@ def oracle_sql() -> dict[str, str]:
               ON b.rn > a.rn AND b.rn <= a.rn + 4
         """,
         # the ENTIRE doi family re-derived by a records self-join (also
-        # proves fuzzy blocks pruned every both-DOI pair and the doi
-        # stream bypassed dedup); fuzzy rows replay
+        # proves fuzzy blocks pruned every both-DOI pair and each doi
+        # pair is emitted once, by its doi: block); fuzzy rows replay
         "q_candidate_pairs": f"""
             WITH r AS (SELECT record_id, doi_norm
                        FROM read_parquet('{fdir}/records_attrs.parquet'))

@@ -142,7 +142,7 @@ def run_reconcile(sf_dir: str, materialize_extracted: bool = False,
     share that stage). materialize_pairs / materialize_scored park those stages for
     callers that read them more than once (the query sweep). The
     flagship e2e configuration sets both False: scoring streams straight
-    off the pair dedup with no plasma round trip or stage barrier, and
+    off pair generation with no plasma round trip or stage barrier, and
     clustering reads scored once (connected_components_auto materializes
     the much smaller edge table itself)."""
     fdir = ensure_fixtures(sf_dir)

@@ -35,16 +35,19 @@ Execution shape: key emission is a STATELESS ``map_batches`` task —
 its only state (MinHash permutation parameters, the broadcast hot-key
 set) is cached per worker process in a module global, so tasks stay
 cheap and elastic and never pin CPUs the way a fixed actor pool would.
-Pair generation and pair dedup run as coarse bucketed shuffles
+Pair generation is ONE coarse bucketed shuffle of the key rows
 (ops.relational.bucketed_map_groups: O(num_buckets) Python calls,
-C-level self-merge / groupby-agg inside). All shuffles carry only
-(key, record_id, has_doi) — never the heavy record payloads.
+C-level self-merge inside), and each pair is emitted only by its owner
+block, so no second shuffle deduplicates pairs several blocks share.
+Shuffles carry only (key, record_id, has_doi, the record's key list) —
+never the heavy record payloads.
 """
 
 from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.minhash import MinHasher, band_keys
 
@@ -56,15 +59,16 @@ DEFAULT_MAX_PAIRS_PER_BLOCK = 20_000
 
 def adaptive_num_buckets(n_records: int, records_per_bucket: int = 1_000,
                          lo: int = 32, hi: int = 4_096) -> int:
-    """Bucket count for the pair-gen / pair-dedup shuffles, scaled to
-    the record count. The PARALLELISM of a bucketed_map_groups stage —
-    and of everything Ray fuses onto its output, which in the flagship
-    e2e configuration includes the whole scoring kernel — is bounded
-    by the bucket count: groupby().map_groups tasks follow the sort's
-    range partitions. A fixed 32 serialized sf1's 120M-candidate
-    stream into ~28 tasks of 4M+ pairs each (pair-gen 12.5 min,
-    dedup+scoring 11.5 min with a 5-minute single-task tail — BASELINE
-    §c15 timeline).
+    """Bucket count for the pair-generation shuffle (and the joins of
+    shuffle scoring), scaled to the record count. The PARALLELISM of a
+    bucketed_map_groups stage — and of everything Ray fuses onto its
+    output, which in the flagship e2e configuration includes the whole
+    scoring kernel — is bounded by the bucket count:
+    groupby().map_groups tasks follow the sort's range partitions. A
+    fixed 32 serialized sf1's 120M-candidate stream into ~28 tasks of
+    4M+ pairs each (pair-gen 12.5 min, then a since-removed pair-dedup
+    shuffle + scoring 11.5 min with a 5-minute single-task tail —
+    BASELINE §c15 timeline).
 
     The count must also be MUCH larger than the wanted parallelism,
     not equal to it: Ray's sort samples quantile boundaries over the
@@ -135,24 +139,16 @@ def emit_keys_batch(batch: pa.Table, hot_keys_ref=None, num_perm=DEFAULT_NUM_PER
     # whole-batch vectorized MinHash (one reduceat pass, bit-identical
     # to per-row signature(); empty blobs cost nothing)
     sigs = mh.signatures(blobs)
-    keys, out_ids, has_doi = [], [], []
+    keys, out_ids, has_doi, rec_keys = [], [], [], []
 
     def emit(k, rid, d):
         keys.append(k)
         out_ids.append(rid)
         has_doi.append(bool(d))
 
-    # first token of the first normalized author name, falling back to
-    # the record id for author-less records (so they spread uniformly
-    # instead of piling into one "" dedup bucket). Rides every key row
-    # so pair generation can form the pair-symmetric name-locality
-    # dedup key without a join (see candidate_pairs).
-    ftoks = [a[0].split()[0] if a and a[0] else r
-             for a, r in zip(authors_norm, rids)]
-    ft_map = dict(zip(rids, ftoks))
-
     for row_i, (rid, doi, host, path, blob, a_norm) in enumerate(
             zip(rids, dois, hosts, paths, blobs, authors_norm)):
+        start = len(keys)
         if doi:
             emit("doi:" + doi, rid, doi)
         if path:
@@ -171,11 +167,28 @@ def emit_keys_batch(batch: pa.Table, hot_keys_ref=None, num_perm=DEFAULT_NUM_PER
         if blob:
             for bk in band_keys(sigs[row_i], num_bands):
                 emit(_refine(bk, hot, a_norm, doi), rid, doi)
+        # every key row carries its record's whole key list, so a block
+        # can tell which pairs it owns (_owned_pairs) without a join
+        rec_keys += [_pack_keys(keys[start:])] * (len(keys) - start)
     return pa.table({"block_key": pa.array(keys, pa.string()),
                      "record_id": pa.array(out_ids, pa.string()),
                      "has_doi": pa.array(has_doi, pa.bool_()),
-                     "ftok": pa.array([ft_map[r] for r in out_ids],
-                                      pa.string())})
+                     "record_keys": pa.array(rec_keys, pa.string())})
+
+
+_SEP, _ESC = "\x1e", "\x1d"
+
+
+def _escape(key: str) -> str:
+    """``key`` without ``\\x1e`` (a DOI or URL path may hold any
+    character), one to one."""
+    return key.replace(_ESC, _ESC + _ESC).replace(_SEP, _ESC + ".")
+
+
+def _pack_keys(keys) -> str:
+    """A record's distinct block keys, sorted, :func:`_escape`d and
+    ``\\x1e``-joined (list columns break inside map_groups)."""
+    return _SEP.join(map(_escape, sorted(set(keys))))
 
 
 def emit_block_keys(records_ds, hot_keys_ref=None):
@@ -312,7 +325,8 @@ def _pair_sample(total: int, max_pairs: int):
 
 
 def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
-    """Vectorized pair generation for every block key in a bucket.
+    """Vectorized pair generation for every block key in a bucket: each
+    block's own pairs, with its own ``dropped_pairs`` and family bit.
 
     In non-DOI blocks, pairs where BOTH records carry a DOI are
     skipped: their outcome is already decided by the DOI itself (equal
@@ -321,7 +335,12 @@ def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
     fuzzy blocks without losing a single undecided pair."""
     import numpy as np
 
-    df = df.drop_duplicates(subset=["block_key", "record_id"])
+    # a record's repeated key (two equal author names) counts once; a
+    # set of tuples, because pandas' multi-column drop_duplicates hashes
+    # strings as C strings and merges ids that differ after a NUL
+    seen = set()
+    df = df[np.fromiter((not (t in seen or seen.add(t))
+                         for t in zip(df["block_key"], df["record_id"])), bool, len(df))]
     sizes = df["block_key"].value_counts()
     # keys whose pair count could exceed the cap go through the capped
     # per-key path; the rest use one C-level self-merge
@@ -331,32 +350,26 @@ def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
     outs = []
     if len(small):
         # vectorized all-pairs for the (dominant) small blocks: one
-        # C-level self-merge instead of a Python loop per key
-        m = small.merge(small, on="block_key", suffixes=("_l", "_r"))
-        m = m[m["record_id_l"] < m["record_id_r"]]
-        decided = (~m["block_key"].str.startswith("doi:")) & m["has_doi_l"] & m["has_doi_r"]
-        m = m[~decided]
+        # C-level self-merge instead of a Python loop per key; family
+        # bits are looked up per key row, not per pair
+        small = small[["block_key", "record_id", "has_doi"]].assign(
+            families=small["block_key"].map(family_bit).astype("int64"))
+        m = small.merge(small, on=["block_key", "families"], suffixes=("_l", "_r"))
+        decided = (m["families"] != FAMILY_DOI) & m["has_doi_l"] & m["has_doi_r"]
+        m = m[(m["record_id_l"] < m["record_id_r"]) & ~decided]
         if len(m):
-            fam = m["block_key"].map(family_bit).astype("int64")
-            fl = m["ftok_l"].to_numpy()
-            fr = m["ftok_r"].to_numpy()
             outs.append(pd.DataFrame({
                 "left_id": m["record_id_l"].to_numpy(),
                 "right_id": m["record_id_r"].to_numpy(),
                 "block_key": m["block_key"].to_numpy(),
                 "dropped_pairs": 0,
-                "families": fam.to_numpy(),
-                # pair-symmetric name-locality dedup key (min of the two
-                # sides' first author tokens): every duplicate of a pair
-                # shares it, and same-name pairs co-locate downstream
-                "dkey": np.where(fl <= fr, fl, fr),
+                "families": m["families"].to_numpy(),
             }))
 
     for key in big:
         g = df[df["block_key"] == key]
         order = np.argsort(g["record_id"].to_numpy())
         ids = g["record_id"].to_numpy()[order]
-        fts = g["ftok"].to_numpy()[order]
         # a doi: block pairs all of its records; elsewhere both-DOI pairs
         # are decided, so only the DOI-less records pair, with each other
         # and with the DOI-carrying ones
@@ -365,7 +378,6 @@ def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
         else:
             pairing = ~g["has_doi"].to_numpy()[order]
         a_ids, b_ids = ids[pairing], ids[~pairing]
-        a_ft, b_ft = fts[pairing], fts[~pairing]
         m, d = len(a_ids), len(b_ids)
         total = _virtual_pairs(m, d)
         flat = _pair_sample(total, max_pairs)
@@ -378,134 +390,129 @@ def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
         i2, j2 = (f2 // d, f2 % d) if d else (f2, f2)
         left = np.concatenate([a_ids[iu], a_ids[i2]])
         right = np.concatenate([a_ids[ju], b_ids[j2]])
-        ftl = np.concatenate([a_ft[iu], a_ft[i2]])
-        ftr = np.concatenate([a_ft[ju], b_ft[j2]])
-        # canonical ordering left < right (dkey is side-symmetric, so the
-        # swap leaves it untouched)
+        # canonical ordering left < right
         swap = left > right
         left[swap], right[swap] = right[swap], left[swap].copy()
         outs.append(pd.DataFrame({"left_id": left, "right_id": right,
                                   "block_key": key,
                                   "dropped_pairs": total - len(flat),
-                                  "families": family_bit(key),
-                                  "dkey": np.where(ftl <= ftr, ftl, ftr)}))
+                                  "families": family_bit(key)}))
     if not outs:
         return pd.DataFrame({"left_id": pd.Series(dtype=str),
                              "right_id": pd.Series(dtype=str),
                              "block_key": pd.Series(dtype=str),
                              "dropped_pairs": pd.Series(dtype="int64"),
-                             "families": pd.Series(dtype="int64"),
-                             "dkey": pd.Series(dtype=str)})
+                             "families": pd.Series(dtype="int64")})
     return pd.concat(outs, ignore_index=True)
 
 
-def _dedup_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    """Per-pair dedup inside a bucket: min block_key, max dropped,
-    OR of the key-family bits (the pair's evidence provenance).
+def _owned_pairs(df: pd.DataFrame, max_pairs: int, capped=None) -> pd.DataFrame:
+    """The pairs of a bucket's blocks (:func:`_pairs_for_bucket`) that
+    each block OWNS. The blocks that emit a pair are the keys both its
+    records carry, less the non-``doi:`` keys when both carry a DOI and
+    the capped keys whose sample dropped the pair; the smallest of them
+    owns it. The owner's row gets the OR of their family bits and the
+    largest of their ``dropped_pairs``, so each pair is emitted once,
+    as the row its blocks' copies would deduplicate to.
 
-    The OUTPUT rows are ordered so equal name-locality keys (dkey) are
-    adjacent: when Ray's dynamic block splitting shards a large bucket
-    block downstream (≈2M-pair buckets at sf1 exceed the target block
-    size), each contiguous shard then keeps whole same-name runs,
-    preserving the scoring stage's memo locality. Row ORDER is not part
-    of the pair contract (the driver compare and every consumer sort or
-    aggregate), only determinism is — a stable argsort of
-    first-occurrence codes is deterministic, and pd.factorize's
-    NUL-truncation can only merge two dkeys' adjacency groups, never
-    alter the rows.
-
-    Everything runs on integer codes: ids are factorized, block keys go
-    through a Categorical (whose categories are LEXICOGRAPHICALLY
-    sorted, so min-code == min-string), and the bit-OR decomposes into
-    per-bit maxima. A direct pandas groupby over the two string id
-    columns with a string-min aggregation measured ~40x slower on
-    multi-million-row buckets (and a per-group Python lambda for the OR
-    was the round-2 pair-dedup regression).
-
-    pandas' khash factorize/Categorical would MERGE ids or keys that
-    differ only after an embedded NUL (C-string semantics) — merged ids
-    silently DROP distinct pairs, so adversarial web input (a %00 in a
-    URL id) takes an exact dict-interning path instead, gated on one
-    vectorized contains scan per string column."""
+    ``capped`` is ``None`` or (``{escaped key: dropped pairs}``, the set
+    of ``(escaped key, left_id, right_id)`` each capped block keeps).
+    Record ids are taken to be unique (page URLs and work ids are, in
+    every input here): a repeated id keeps the first key list its
+    bucket sees."""
     import numpy as np
 
-    if df.empty:
-        return df[["left_id", "right_id", "block_key", "dropped_pairs",
-                   "families"]]
-    has_nul = any(df[c].str.contains("\x00", regex=False).any()
-                  for c in ("left_id", "right_id", "block_key"))
-    if has_nul:
-        from ..functions.minhash import factorize_exact
+    pairs = _pairs_for_bucket(df, max_pairs)
+    if pairs.empty:
+        return pairs
+    # one row per record: its DOI flag and its key list as key codes,
+    # in key order (padded with -1, which indexes the sentinel appended
+    # to every per-key array)
+    pos, doi, lists, code = {}, [], [], {}
+    for rid, hd, packed in zip(df["record_id"], df["has_doi"], df["record_keys"]):
+        if rid not in pos:
+            pos[rid] = len(pos)
+            doi.append(hd)
+            lists.append([code.setdefault(k, len(code)) for k in packed.split(_SEP)])
+    has_doi = np.array(doi, dtype=bool)
+    codes = np.full((len(lists), max(map(len, lists))), -1, dtype=np.int64)
+    for i, ks in enumerate(lists):
+        codes[i, :len(ks)] = ks
+    keys = list(code)
+    fam = np.array([family_bit(k) for k in keys] + [0], dtype=np.int64)
+    drops, kept = capped or ({}, ())
+    dropped = np.array([drops.get(k, 0) for k in keys] + [0], dtype=np.int64)
 
-        lcodes, lu = factorize_exact(df["left_id"].tolist(), has_nul=True)
-        rcodes, ru = factorize_exact(df["right_id"].tolist(), has_nul=True)
-        luniq, runiq = pd.Index(lu), pd.Index(ru)
-        kcodes, ku = factorize_exact(df["block_key"].tolist(), has_nul=True)
-        # min-code == min-string needs LEXICOGRAPHICALLY ranked codes
-        ku_arr = np.asarray(ku, dtype=object)
-        order = np.argsort(ku_arr, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        bk_codes, bk_categories = rank[kcodes], ku_arr[order]
-    else:
-        lcodes, luniq = pd.factorize(df["left_id"], sort=False)
-        rcodes, runiq = pd.factorize(df["right_id"], sort=False)
-        cat = pd.Categorical(df["block_key"])
-        bk_codes = np.asarray(cat.codes, dtype=np.int64)
-        bk_categories = cat.categories
-    pair = lcodes.astype(np.int64) * len(runiq) + rcodes
-    fam = df["families"].to_numpy()
-    cols = {
-        "pair": pair,
-        "bkc": bk_codes,
-        "dropped_pairs": df["dropped_pairs"].to_numpy(),
-        "__b1": (fam & 1) != 0, "__b2": (fam & 2) != 0,
-        "__b4": (fam & 4) != 0, "__b8": (fam & 8) != 0,
-    }
-    # every duplicate of a pair shares its dkey, so "first" is
-    # canonical; integer codes because only EQUALITY adjacency matters,
-    # not lexicographic order
-    cols["dkc"], _ = pd.factorize(df["dkey"], sort=False)
-    aggs = dict(
-        bkc=("bkc", "min"), dropped_pairs=("dropped_pairs", "max"),
-        __b1=("__b1", "max"), __b2=("__b2", "max"),
-        __b4=("__b4", "max"), __b8=("__b8", "max"), dkc=("dkc", "first"))
-    g = pd.DataFrame(cols).groupby("pair", as_index=False,
-                                   sort=False).agg(**aggs)
-    pairs = g["pair"].to_numpy()
-    out = pd.DataFrame({
-        "left_id": luniq.take(pairs // len(runiq)),
-        "right_id": runiq.take(pairs % len(runiq)),
-        "block_key": np.asarray(bk_categories)[g["bkc"].to_numpy()],
-        "dropped_pairs": g["dropped_pairs"].to_numpy(),
-        "families": (g["__b1"].astype("int64") + 2 * g["__b2"].astype("int64")
-                     + 4 * g["__b4"].astype("int64")
-                     + 8 * g["__b8"].astype("int64")),
-    })
-    order = np.argsort(g["dkc"].to_numpy(), kind="stable")
-    return out.take(order).reset_index(drop=True)
+    left, right = pairs["left_id"].to_numpy(), pairs["right_id"].to_numpy()
+    ids = pd.Index(list(pos))
+    li, ri = ids.get_indexer(left), ids.get_indexer(right)
+    lc, rc = np.take(codes, li, axis=0), np.take(codes, ri, axis=0)
+    # emits[p, j]: the j-th key of the pair's left record emits the pair
+    emits = ((lc[:, :, None] == rc[:, None, :]).any(axis=2) & (lc >= 0)
+             & ~((has_doi[li] & has_doi[ri])[:, None]
+                 & (fam[lc] != FAMILY_DOI)))
+    for p, j in zip(*np.nonzero(emits & (dropped[lc] > 0))):
+        if (keys[lc[p, j]], left[p], right[p]) not in kept:
+            emits[p, j] = False
+    # the lists are sorted, so the first emitting key is the owner
+    kcode = pairs["block_key"].map({k: code[_escape(k)] for k in set(df["block_key"])})
+    own = lc[np.arange(len(pairs)), emits.argmax(axis=1)] == kcode.to_numpy()
+    return pairs.assign(
+        dropped_pairs=np.where(emits, dropped[lc], 0).max(axis=1),
+        families=np.bitwise_or.reduce(np.where(emits, fam[lc], 0), axis=1))[own]
+
+
+def _capped_blocks(keys_ds, max_pairs: int) -> dict:
+    """Capped block key -> pairs its cap drops, from block sizes. One
+    shuffle-free pass counts each batch's pairing and DOI-carrying
+    records per key after the (block_key, record_id) dedup of
+    :func:`_pairs_for_bucket`; the calling process sums the partials and
+    runs them through that function's cap (:func:`_pair_sample`). Arrow
+    groups by whole strings (pandas' hashing stops at a NUL)."""
+
+    def _sizes(t: pa.Table) -> pa.Table:
+        t = t.group_by(["block_key", "record_id", "has_doi"]).aggregate([])
+        # a doi: block pairs all its records (see _pairs_for_bucket)
+        pairing = pc.or_(pc.starts_with(t["block_key"], "doi:"), pc.invert(t["has_doi"]))
+        return pa.table({
+            "block_key": t["block_key"],
+            "m": pc.cast(pairing, pa.int64()),
+            "d": pc.cast(pc.invert(pairing), pa.int64()),
+        }).group_by("block_key").aggregate([("m", "sum"), ("d", "sum")])
+
+    parts = list(keys_ds.map_batches(_sizes, batch_format="pyarrow")
+                 .iter_batches(batch_size=None, batch_format="pyarrow"))
+    if not parts:
+        return {}
+    sizes = pa.concat_tables(parts).group_by("block_key").aggregate(
+        [("m_sum", "sum"), ("d_sum", "sum")])
+    total = _virtual_pairs(sizes["m_sum_sum"].to_numpy(), sizes["d_sum_sum"].to_numpy())
+    over = total > max_pairs
+    return {key: int(t - len(_pair_sample(t, max_pairs)))
+            for key, t in zip(sizes["block_key"].filter(pa.array(over)).to_pylist(), total[over])}
 
 
 def candidate_pairs(records_ds, hot_keys_ref=None, max_pairs_per_block=None,
                     num_buckets: int | None = None):
-    """records -> candidate pairs (left_id < right_id). A pair produced
-    by several block keys keeps the lexicographically smallest key and
-    ORs its family bits. The per-block cap defaults to
-    DEFAULT_MAX_PAIRS_PER_BLOCK, read at call time as :func:`block_caps`
-    reads it. Both shuffles use coarse hash buckets
-    (ops.relational.bucketed_map_groups) so Python-per-group overhead
-    is O(num_buckets), not O(num_keys).
+    """records -> candidate pairs (left_id < right_id), one row per pair:
+    the smallest of the block keys that emit it, the largest of their
+    ``dropped_pairs`` and the OR of their family bits. The per-block cap
+    defaults to DEFAULT_MAX_PAIRS_PER_BLOCK, read at call time as
+    :func:`block_caps` reads it.
 
-    ONE stream: pair-gen pipes straight into the dedup shuffle. A
-    previous version split the doi family around the dedup (doi pairs
-    are provably unique) and union()ed the branches back — at sf1 that
-    stalled the stage: Ray's UnionOperator held the fuzzy branch's
-    output until ordering resolved, ~24 GB of deduped pairs piled up
-    in plasma and backpressured the dedup to ONE task at a time, and
-    the pre-dedup stream (118M rows at sf1) also had to be
-    materialized for the two-branch split. doi rows riding the dedup
-    shuffle cost ~3% extra volume; _dedup_bucket passes them through
-    unchanged (min of one key, OR of one bit)."""
+    ONE shuffle: the key rows group by block key in coarse hash buckets
+    (ops.relational.bucketed_map_groups, so Python-per-group overhead is
+    O(num_buckets), not O(num_keys)), and each bucket emits only the
+    pairs its blocks own (:func:`_owned_pairs`). A pair is tested at its
+    smallest shared key, the way a prefix-filter similarity join checks
+    a pair only at its first common prefix token, so no shuffle is
+    needed to deduplicate pairs that several blocks share.
+
+    Whether a capped block kept a pair is not local to the other blocks
+    of the pair, so capped blocks are found first, by the shuffle-free
+    size pass of :func:`block_caps`. Only when a block is capped are the
+    capped blocks' key rows collected and their kept pairs computed
+    here; they ship with the bucket function to every owner test."""
     from ..ops.relational import bucketed_map_groups
 
     if max_pairs_per_block is None:
@@ -516,26 +523,20 @@ def candidate_pairs(records_ds, hot_keys_ref=None, max_pairs_per_block=None,
         # from_pandas datasets where it is also free.
         num_buckets = adaptive_num_buckets(records_ds.count())
     keys = emit_block_keys(records_ds, hot_keys_ref=hot_keys_ref)
-    pairs = bucketed_map_groups(
-        keys, "block_key", lambda df: _pairs_for_bucket(df, max_pairs_per_block),
+    capped = None
+    drops = _capped_blocks(keys, max_pairs_per_block)
+    if drops:
+        names = pa.array(list(drops), pa.string())
+        rows = keys.map_batches(
+            lambda t: t.filter(pc.is_in(t["block_key"], value_set=names)),
+            batch_format="pyarrow").to_pandas()
+        kept = _pairs_for_bucket(rows, max_pairs_per_block)
+        capped = ({_escape(k): n for k, n in drops.items()},
+                  set(zip(kept["block_key"].map(_escape), kept["left_id"],
+                          kept["right_id"])))
+    return bucketed_map_groups(
+        keys, "block_key", lambda df: _owned_pairs(df, max_pairs_per_block, capped),
         num_buckets=num_buckets)
-    # The dedup bucket key only needs to be a PURE FUNCTION OF THE PAIR
-    # (so every duplicate of (l, r) lands in one bucket); beyond that it
-    # is a free choice, and it decides which pairs share a downstream
-    # scoring task's intern/memo state. Measured on the sf0.1 pair
-    # stream (32 buckets, sum over buckets of distinct scoring-kernel
-    # comparisons vs the 6.01M global floor):
-    #   (left,right) hash — no locality:                 ~2.3x left_id's
-    #   left_id — a record's pairs co-locate:            13.84M
-    #   dkey, min(first author token of either side):    6.77M
-    # dkey co-locates same-name pairs, which is also attr-pair-memo
-    # locality: the quadratically-growing fuzzy same-name blocks at
-    # bigger tiers repeat identical author-list pairs, and grouping them
-    # into one task turns those into memo hits before any cache-cap
-    # clear. Author-less records fall back to their record_id (uniform
-    # spread, no "" mega-bucket).
-    return bucketed_map_groups(pairs, "dkey", _dedup_bucket,
-                               num_buckets=num_buckets)
 
 
 def block_caps(records_ds, hot_keys_ref=None) -> dict:
@@ -546,27 +547,7 @@ def block_caps(records_ds, hot_keys_ref=None) -> dict:
     Computed from block sizes, not read off the pairs: a pair keeps the
     smallest of its block keys but the largest ``dropped_pairs`` of its
     blocks, so grouping pairs by key credits a capped block's drops to
-    every smaller key that co-blocks one of its sampled pairs. One
-    shuffle-free pass over the emitted keys counts each batch's
-    (block_key, has_doi) rows after the pair stage's (block_key,
-    record_id) dedup; the calling process sums the partials and runs them through
-    the pair stage's own cap (:func:`_pair_sample`)."""
-
-    def _sizes(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.drop_duplicates(subset=["block_key", "record_id"])
-        return b.groupby(["block_key", "has_doi"], as_index=False).size()
-
-    parts = emit_block_keys(records_ds, hot_keys_ref=hot_keys_ref).map_batches(
-        _sizes, batch_format="pandas").to_pandas()
-    if parts.empty:
-        return {}
-    sizes = (parts.groupby(["block_key", "has_doi"])["size"].sum()
-             .unstack(fill_value=0).reindex(columns=[False, True], fill_value=0))
-    with_doi = sizes[True].to_numpy()
-    is_doi = sizes.index.str.startswith("doi:")
-    # a doi: block pairs all its records (see _pairs_for_bucket)
-    m = sizes[False].to_numpy() + is_doi * with_doi
-    total = _virtual_pairs(m, ~is_doi * with_doi)
-    over = total > DEFAULT_MAX_PAIRS_PER_BLOCK
-    return {key: int(t - len(_pair_sample(t, DEFAULT_MAX_PAIRS_PER_BLOCK)))
-            for key, t in zip(sizes.index[over], total[over])}
+    every smaller key that co-blocks one of its sampled pairs. The size
+    pass is the one :func:`candidate_pairs` runs."""
+    return _capped_blocks(emit_block_keys(records_ds, hot_keys_ref=hot_keys_ref),
+                          DEFAULT_MAX_PAIRS_PER_BLOCK)

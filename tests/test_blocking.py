@@ -168,3 +168,124 @@ def test_candidate_pairs_bucket_count_invariant(ray_session):
     assert len(frames[5]) > 0
     pd.testing.assert_frame_equal(frames[5], frames[64])
     pd.testing.assert_frame_equal(frames[5], frames[None])
+
+
+def _reference_pairs(recs, max_pairs):
+    """Candidate pairs the slow way: every block's own pairs from
+    ``_pairs_for_bucket`` over all key rows, then per pair the smallest
+    block key, the largest ``dropped_pairs`` and the OR of the family
+    bits (the rows the old pair-dedup shuffle produced)."""
+    keys = block.emit_keys_batch(recs).to_pandas()
+    own = block._pairs_for_bucket(keys, max_pairs)
+    for bit in (1, 2, 4, 8):
+        own[f"b{bit}"] = (own["families"] & bit) // bit
+    g = own.groupby(["left_id", "right_id"], as_index=False).agg(
+        block_key=("block_key", "min"), dropped_pairs=("dropped_pairs", "max"),
+        b1=("b1", "max"), b2=("b2", "max"), b4=("b4", "max"), b8=("b8", "max"))
+    g["families"] = g["b1"] + 2 * g["b2"] + 4 * g["b4"] + 8 * g["b8"]
+    return g[["left_id", "right_id", "block_key", "dropped_pairs", "families"]]
+
+
+def _assert_pairs_match_reference(ds, max_pairs):
+    recs = ds.materialize()
+    block._HOT_CACHE.clear()
+    want = _reference_pairs(pa.concat_tables(
+        recs.iter_batches(batch_size=None, batch_format="pyarrow")), max_pairs)
+    got = block.candidate_pairs(recs, max_pairs_per_block=max_pairs,
+                                num_buckets=7).to_pandas()
+    key = ["left_id", "right_id"]
+    pd.testing.assert_frame_equal(
+        got.sort_values(key).reset_index(drop=True),
+        want.sort_values(key).reset_index(drop=True))
+    return want
+
+
+def _records(rows):
+    """Records from (record_id, doi_norm, path_key, authors_norm) rows."""
+    import ray.data as rds
+
+    return rds.from_arrow(pa.table({
+        "record_id": [r[0] for r in rows],
+        "doi_norm": [r[1] for r in rows],
+        "host_key": [""] * len(rows),
+        "path_key": [r[2] for r in rows],
+        "name_blob": [""] * len(rows),
+        "authors_norm": pa.array([r[3] for r in rows], pa.list_(pa.string())),
+    }), override_num_blocks=3)
+
+
+def test_candidate_pairs_capped_equal_reference(ray_session):
+    """Each pair is emitted once, by its owner block, even where blocks
+    are capped: ``candidate_pairs`` equals the per-block reference on the
+    two capped-block constructions of the pipeline_report tests, on
+    sf0.001 records capped at 3 pairs per block (many capped, co-blocked
+    pairs), and on a capped ``doi:`` block."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import reconcile
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.sources import fixtures
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import records
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages.extract import (
+        read_extract_pages,
+    )
+
+    # a 300-record an:x block capped at 1,000 pairs, three of whose
+    # sampled pairs an:a / an:b / an:c also block
+    names = {f"r{i:03d}": ["x"] for i in range(300)}
+    sampled = _assert_pairs_match_reference(
+        _records([(r, "", "", n) for r, n in names.items()]), 1000)
+    for name, i in zip("abc", (0, 500, 999)):
+        for rid in sampled.iloc[i][["left_id", "right_id"]]:
+            names[rid] = names[rid] + [name]
+    want = _assert_pairs_match_reference(
+        _records([(r, "", "", n) for r, n in names.items()]), 1000)
+    assert (want["block_key"] < "an:x").sum() == 3
+
+    # a capped path:p block all of whose sampled pairs a smaller an: key
+    # also blocks, so no pair carries the capped key
+    names = {f"r{i:02d}": [] for i in range(12)}
+    sampled = _assert_pairs_match_reference(
+        _records([(r, "", "p", n) for r, n in names.items()]), 6)
+    for k, (left, right) in enumerate(zip(sampled["left_id"], sampled["right_id"])):
+        names[left] = names[left] + [f"n{k}"]
+        names[right] = names[right] + [f"n{k}"]
+    want = _assert_pairs_match_reference(
+        _records([(r, "", "p", n) for r, n in names.items()]), 6)
+    assert not want["block_key"].str.startswith("path:").any()
+
+    # a capped doi: block: 40 records of one DOI, half also named "d",
+    # plus DOI-less "d" records that pair with them through an:d; the
+    # DOI holds the key-list separator and its escape character
+    doi = "10.1/x\x1ey\x1d."
+    rows = [(f"d{i:02d}", doi, "", ["d"] if i % 2 else []) for i in range(40)]
+    rows += [(f"n{i}", "", "", ["d"]) for i in range(5)]
+    want = _assert_pairs_match_reference(_records(rows), 50)
+    assert (want["block_key"] == "doi:" + doi).sum() == 50
+    assert (want["dropped_pairs"] > 0).any() and (want["families"] == 1).any()
+
+    fdir = fixtures.ensure_fixtures("sf0.001")
+    recs = records.build_records(
+        read_extract_pages(os.path.join(fdir, "pages.parquet")),
+        reconcile.read_works(os.path.join(fdir, "reference_works.parquet")))
+    want = _assert_pairs_match_reference(recs, 3)
+    # co-blocked pairs whose smallest key sampled them away
+    assert (want["dropped_pairs"] > 0).sum() > 10
+    assert (want["families"] & (want["families"] - 1)).astype(bool).any()
+
+
+def test_candidate_pairs_is_one_shuffle():
+    """Static guard: ``candidate_pairs`` makes one ``bucketed_map_groups``
+    call (no pair-dedup shuffle), and stages/block.py never interns
+    strings through pandas' NUL-truncating ``pd.factorize`` /
+    ``pd.Categorical``."""
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(block))
+    fn = next(n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == "candidate_pairs")
+    shuffles = [n for n in ast.walk(fn) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "bucketed_map_groups"]
+    assert len(shuffles) == 1
+    pandas_interning = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name) and n.value.id == "pd"
+                        and n.attr in ("factorize", "Categorical")]
+    assert not pandas_interning

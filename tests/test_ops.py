@@ -631,55 +631,56 @@ def test_empty_bucket_outputs_keep_schema(rds):
     assert list(df.columns) == ["left_id", "right_id", "jaccard"]
     assert len(df) == 0
 
-    # empty typed frame straight through the dedup bucket kernel
-    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages.block import (
-        _dedup_bucket,
-    )
-
-    empty = pd.DataFrame({"left_id": pd.Series(dtype=str),
-                          "right_id": pd.Series(dtype=str),
-                          "block_key": pd.Series(dtype=str),
-                          "dropped_pairs": pd.Series(dtype="int64"),
-                          "families": pd.Series(dtype="int64")})
-    out = _dedup_bucket(empty)
-    assert list(out.columns) == ["left_id", "right_id", "block_key",
-                                 "dropped_pairs", "families"]
+    # candidate pairs over records that share no key -> typed empty
+    # result (a 0-row to_pandas drops the columns; the schema keeps them)
+    none = _candidate_pairs(rds, {"a": ["x"], "b": ["y"]}).materialize()
+    assert none.count() == 0
+    assert none.schema().names == ["left_id", "right_id", "block_key",
+                                   "dropped_pairs", "families"]
 
 
-def test_dedup_bucket_nul_ids_stay_distinct():
-    """pandas factorize/Categorical hash strings as C strings, merging
-    keys that differ only after an embedded NUL — merged ids silently
-    DROP distinct pairs. The exact fallback must keep them apart and
-    still pick the lexicographic min block_key."""
-    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages.block import (
-        _dedup_bucket,
-    )
+def _candidate_pairs(rds, authors, paths=None, hosts=None):
+    """block.candidate_pairs over records keyed only by the given author
+    names, URL-path and host keys (no DOI, no LSH bands)."""
+    import pyarrow as pa
 
-    df = pd.DataFrame({
-        # rows 0/1: DISTINCT pairs whose left ids differ after a NUL;
-        # rows 2/3: the same pair twice with NUL-divergent block keys
-        "left_id": ["a\x00x", "a\x00y", "b", "b"],
-        "right_id": ["r", "r", "s", "s"],
-        "block_key": ["k1", "k2", "doi:9\x00b", "doi:9\x00a"],
-        "dropped_pairs": [0, 1, 2, 3],
-        "families": [1, 2, 4, 8],
-        "dkey": ["a", "a", "b", "b"],
-    })
-    out = (_dedup_bucket(df)
-           .sort_values(["left_id", "right_id"]).reset_index(drop=True))
-    assert len(out) == 3  # a\x00x-r, a\x00y-r, b-s
-    assert set(zip(out["left_id"], out["right_id"])) == {
-        ("a\x00x", "r"), ("a\x00y", "r"), ("b", "s")}
-    brow = out[out["left_id"] == "b"].iloc[0]
-    assert brow["block_key"] == "doi:9\x00a"  # full-string lexicographic min
-    assert brow["families"] == 12 and brow["dropped_pairs"] == 3
-    # NUL-free fast path unchanged on the analogous frame
-    clean = df.assign(left_id=["ax", "ay", "b", "b"],
-                      block_key=["k1", "k2", "doi:9b", "doi:9a"])
-    out2 = (_dedup_bucket(clean)
-            .sort_values(["left_id", "right_id"]).reset_index(drop=True))
-    assert len(out2) == 3
-    assert out2[out2["left_id"] == "b"].iloc[0]["block_key"] == "doi:9a"
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import block
+
+    ids = list(authors)
+    blank = [""] * len(ids)
+    recs = rds.from_arrow(pa.table({
+        "record_id": ids, "doi_norm": blank,
+        "host_key": [(hosts or {}).get(i, "") for i in ids],
+        "path_key": [(paths or {}).get(i, "") for i in ids],
+        "name_blob": blank,
+        "authors_norm": pa.array([authors[i] for i in ids], pa.list_(pa.string())),
+    }))
+    return block.candidate_pairs(recs)
+
+
+def test_candidate_pairs_nul_ids_stay_distinct(rds):
+    """pandas factorize/Categorical and multi-column drop_duplicates hash
+    strings as C strings, merging ids or keys that differ only after an
+    embedded NUL — merged ids silently DROP distinct pairs. Pair
+    generation keeps them apart and still picks the lexicographic min
+    block_key."""
+    out = _candidate_pairs(
+        rds,
+        # a\x00x / a\x00y share a path block with r, and one name each
+        {"a\x00x": ["k1"], "a\x00y": ["k2"], "r": ["k1", "k2"],
+         # b / s share a host key and two NUL-divergent name keys
+         "b": ["z\x00b", "z\x00a"], "s": ["z\x00b", "z\x00a"]},
+        paths={"a\x00x": "p", "a\x00y": "p", "r": "p"},
+        hosts={"b": "h", "s": "h"}).to_pandas()
+    got = {(lt, rt): (k, d, f) for lt, rt, k, d, f in out.itertuples(index=False)}
+    assert len(got) == len(out)  # each pair once
+    assert got == {
+        ("a\x00x", "a\x00y"): ("path:p", 0, 2),
+        ("a\x00x", "r"): ("an:k1", 0, 10),
+        ("a\x00y", "r"): ("an:k2", 0, 10),
+        # full-string lexicographic min of the keys, OR of host + name bits
+        ("b", "s"): ("an:z\x00a", 0, 12),
+    }
 
 
 def test_collect_set_strings_nul_keys(rds):

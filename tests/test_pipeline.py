@@ -461,19 +461,21 @@ def test_read_extract_pages_shard_directory(ray_session, fdir, tmp_path):
 
 def test_flagship_execution_counts(ray_session, executions, tmp_path):
     """Ray Data executions per run, the caller's read of ``clusters``
-    included: the flagship e2e configuration 5, ``run_reconcile``'s
-    defaults 7 (pairs and scored parked), a cold checkpointed run 9 and a
-    full resume 1."""
+    included: the flagship e2e configuration 6, ``run_reconcile``'s
+    defaults 8 (pairs and scored parked), a cold checkpointed run 10 and a
+    full resume 1. A run that builds pairs executes the pair stage's
+    block-size pass (block._capped_blocks) on its own; with no capped
+    block that is its only extra execution."""
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
         reconcile,
     )
 
     workdir = str(tmp_path / "ckpt")
     runs = [
-        (5, lambda: reconcile.run_reconcile(SF, materialize_pairs=False,
+        (6, lambda: reconcile.run_reconcile(SF, materialize_pairs=False,
                                             materialize_scored=False)),
-        (7, lambda: reconcile.run_reconcile(SF)),
-        (9, lambda: reconcile.run_reconcile_checkpointed(SF, workdir)[0]),
+        (8, lambda: reconcile.run_reconcile(SF)),
+        (10, lambda: reconcile.run_reconcile_checkpointed(SF, workdir)[0]),
         (1, lambda: reconcile.run_reconcile_checkpointed(SF, workdir)[0]),
     ]
     for want, run in runs:
