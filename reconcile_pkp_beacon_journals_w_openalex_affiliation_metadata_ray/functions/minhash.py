@@ -171,7 +171,7 @@ def factorize_exact(values, has_nul=None):
     C strings (khash), so keys that differ only at/after an embedded
     ``"\\x00"`` factorize as EQUAL — the merge silently corrupts any
     downstream gather (reproduced on this pandas build; it once broke
-    the scoring ratio memo, see stages/score.py). Fast path is plain
+    a scoring ratio memo). Fast path is plain
     ``pd.factorize``; when ``has_nul`` (callers that already walk the
     source texts pass it precomputed — scanning millions of shingle
     occurrences here would cost as much as the kernel being served)

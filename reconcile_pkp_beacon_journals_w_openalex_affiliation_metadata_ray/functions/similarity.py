@@ -113,36 +113,6 @@ def indel_ratio(a: str, b: str) -> float:
     return 100.0 * (1.0 - indel_distance(a, b) / total)
 
 
-# per-worker (a, b) -> ratio memo. Pairwise scoring re-compares the
-# same string combos constantly: a block of k same-name records scores
-# O(k^2) pairs over nearly the same handful of author/institution
-# strings, and institution strings draw from a bounded global pool.
-_RATIO_CACHE = BoundedCache(max_items=2_000_000, max_cost=256 << 20)
-
-
-def indel_ratio_cached(a: str, b: str) -> float:
-    """Memoized symmetric :func:`indel_ratio` (per-worker bounded cache).
-
-    Keys are ORDERED TUPLES, not joined strings: Python strings memoize
-    their hash, so a tuple key re-hashes two cached values (~20 ns)
-    where a freshly concatenated key string paid a full siphash of its
-    bytes on EVERY lookup — measurable at millions of lookups per
-    batch. (Tuples also sidestep any separator-collision question.)"""
-    if a == b:
-        return 100.0
-    key = (a, b) if a <= b else (b, a)
-    v = _RATIO_CACHE.get(key)
-    if v is None:
-        v = indel_ratio(a, b)
-        if len(_RATIO_CACHE) >= _RATIO_CACHE.max_items \
-                or _RATIO_CACHE.cost >= _RATIO_CACHE.max_cost:
-            _RATIO_CACHE.clear()
-            _RATIO_CACHE.cost = 0
-        _RATIO_CACHE[key] = v
-        _RATIO_CACHE.cost += len(a) + len(b) + 48
-    return v
-
-
 # pattern string -> 128-slot uint64 char-mask array (ASCII fast path):
 # pattern bitmaps become ONE numpy fancy-index per subject string
 # instead of a per-character Python dict get

@@ -37,8 +37,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.similarity import BoundedCache, indel_ratio, indel_ratio_cached
+from ..functions.similarity import indel_ratio, indel_ratios_bulk
 from ..functions.textnorm import normalize_text
 from . import block
 
@@ -95,7 +96,7 @@ def _best_author_score(a_norm: list, b_norm: list) -> float:
     for name in small:
         best = 0.0
         for other in large:
-            score = indel_ratio_cached(name, other)
+            score = indel_ratio(name, other)
             if score > best:
                 best = score
                 if best == 100.0:
@@ -115,23 +116,12 @@ def _inst_score(a_norm: list, b_norm: list) -> float:
     best = 0.0
     for x in a_norm:
         for y in b_norm:
-            s = indel_ratio_cached(x, y)
+            s = indel_ratio(x, y)
             if s > best:
                 best = s
                 if best == 100.0:
                     return best
     return best
-
-
-# per-worker ATTR-PAIR score memos: 40% of candidate pairs at sf0.1
-# share their (authors_packed_l, authors_packed_r) combination with an
-# earlier pair (measured: 178k distinct / 300k pairs), so the whole
-# per-name best/avg computation for such a pair is a dict hit instead
-# of a combo emission + kernel pass. Keys are canonical unordered
-# packed-string pairs; values are the raw (pre-_round2) scores, so a
-# hit is bit-identical to recomputation.
-_AUTH_PAIR_CACHE = BoundedCache(max_items=500_000, max_cost=192 << 20)
-_INST_PAIR_CACHE = BoundedCache(max_items=500_000, max_cost=192 << 20)
 
 
 def _score_tuple(doi_l, authors_l, insts_l, doi_r, authors_r, insts_r,
@@ -183,70 +173,50 @@ def _score_tuple(doi_l, authors_l, insts_l, doi_r, authors_r, insts_r,
 
 
 def _ratios_for_combos(xs: list, ys: list) -> "np.ndarray":
-    """InDel ratios for parallel combo lists, float64 array. Distinct
-    (unordered) string pairs are dict-interned in ONE pass that also
-    consults the per-worker ratio memo (tuple keys: both member strings
-    carry memoized hashes, where a freshly concatenated key string paid
-    a full re-hash per occurrence — and pd.factorize is out entirely,
-    its khash table truncates at embedded NULs); only the misses run
-    the bulk numpy kernel, whose results scatter back via one fancy
-    assignment. Replaces both the per-batch pre-warm scan AND the
-    per-pair cached-lookup loop of the old row kernel."""
-    from ..functions.similarity import _RATIO_CACHE, indel_ratios_bulk
-
-    if not xs:
-        return np.zeros(0, dtype=np.float64)
+    """InDel ratios for parallel combo lists, float64 array: distinct
+    (unordered) string pairs are dict-interned (tuple keys compare
+    whole strings, embedded NULs included), run once through the bulk
+    kernel and gathered back."""
     seen: dict = {}
-    codes = np.empty(len(xs), dtype=np.int64)
-    uniq_vals: list = []
-    miss_slots: list = []
-    miss_keys: list = []
-    miss_pairs: list = []
-    sget = seen.get
-    cache = _RATIO_CACHE
-    cache_get = cache.get
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        k = (x, y) if x <= y else (y, x)
-        c = sget(k)
-        if c is None:
-            c = len(uniq_vals)
-            seen[k] = c
-            v = cache_get(k)
-            if v is None:
-                miss_slots.append(c)
-                miss_keys.append(k)
-                miss_pairs.append((x, y))
-                v = 0.0  # placeholder, overwritten below
-            uniq_vals.append(v)
-        codes[i] = c
-    dist = np.array(uniq_vals, dtype=np.float64)
-    if miss_pairs:
-        got = indel_ratios_bulk(miss_pairs)
-        dist[np.array(miss_slots, dtype=np.int64)] = got
-        # one bulk insert under one cap check (a per-item .set loop
-        # measured 2.8 s per 6 sf0.3 batches); the cap discipline is
-        # identical — wholesale clear when the batch would overflow —
-        # and cache CONTENT only ever affects speed, never results
-        add_cost = sum(len(x) + len(y) + 48 for x, y in miss_keys)
-        if (len(cache) + len(miss_keys) >= cache.max_items
-                or cache.cost + add_cost >= cache.max_cost):
-            cache.clear()
-            cache.cost = 0
-        if len(miss_keys) < cache.max_items:
-            cache.update(zip(miss_keys, got))
-            cache.cost += add_cost
-    return np.take(dist, codes)
+    codes = np.fromiter(
+        (seen.setdefault((x, y) if x <= y else (y, x), len(seen))
+         for x, y in zip(xs, ys)), dtype=np.int64, count=len(xs))
+    return np.asarray(indel_ratios_bulk(list(seen)), dtype=np.float64)[codes]
+
+
+def _intern_pairs(left: list, right: list, rows, ordered: bool):
+    """Intern the (left, right) packed-string pairs at ``rows``: returns
+    each row's code and the distinct pairs. Both sides share one Arrow
+    dictionary (whole-string compare, NUL-exact — unlike pandas' khash);
+    an unordered pair is keyed by its sorted codes."""
+    enc = pa.array(list(left) + list(right), pa.string()).fill_null("") \
+        .dictionary_encode()
+    codes = enc.indices.to_numpy().astype(np.int64)
+    cl, cr = codes[: len(left)][rows], codes[len(left):][rows]
+    if not ordered:
+        cl, cr = np.minimum(cl, cr), np.maximum(cl, cr)
+    d = len(enc.dictionary)
+    keys, inv = np.unique(cl * d + cr, return_inverse=True)
+    strs = enc.dictionary.to_pylist()
+    return inv, [(strs[k // d], strs[k % d]) for k in keys.tolist()]
 
 
 def score_vectors(ldoi, rdoi, lauth, rauth, linst, rinst, fams):
     """Vectorized scoring core over PACKED attribute columns (lists
     joined with ``_SEP``): returns (author, inst, combined, doi_equal,
     doi_conflict, is_match) numpy arrays, bit-identical to a per-row
-    :func:`_score_tuple` loop (equivalence-tested). The old row loop
-    measured ~90-119 us/pair of UDF time at sf0.1 — dominated by
-    per-pair Python (function frames, list appends, cached-ratio dict
-    scans), not the ratio kernel; here the per-pair Python is one
-    combo-emission pass and everything else is reduceat/gather."""
+    :func:`_score_tuple` loop (equivalence-tested).
+
+    DOI-undecided pairs are interned per batch into distinct author-list
+    pairs (ordered) and institution-list pairs (unordered); each distinct
+    pair emits its combos once, ONE kernel pass scores the batch's
+    distinct combos, and the per-pair results scatter back through the
+    intern codes. Per-batch interning is enough: summed over 8192-row
+    batches, sf0.1's 2,824,253 undecided pairs hold 918,775 distinct
+    author-list pairs (862,578 globally) and 1,365,023 institution-list
+    pairs (1,113,806 globally), so a cross-batch memo could save at most
+    6.1% / 18% of the list-pair work while costing a probe per pair
+    and memory per worker."""
     n = len(ldoi)
     ld = np.asarray(ldoi, dtype=object)
     rd_ = np.asarray(rdoi, dtype=object)
@@ -263,125 +233,80 @@ def score_vectors(ldoi, rdoi, lauth, rauth, linst, rinst, fams):
 
     und = np.flatnonzero(~decided)
     if len(und):
-        # one combo-emission pass (the only per-pair Python left):
-        # author combos in (small-side name, large-side other) order —
-        # exactly the old loop's iteration order, so the sequential
-        # reduceat sums below are bit-identical to its accumulation
-        a_xs, a_ys = [], []
-        a_name_counts = []          # large-side length per small name
-        a_names_per_pair = np.zeros(len(und), dtype=np.int64)
-        a_cached = np.full(len(und), np.nan)
-        a_keys = [None] * len(und)
-        i_xs, i_ys = [], []
-        i_counts = np.zeros(len(und), dtype=np.int64)
-        i_cached = np.full(len(und), np.nan)
-        i_keys = [None] * len(und)
-        both_inst = np.zeros(len(und), dtype=bool)
-        none_inst = np.zeros(len(und), dtype=bool)
-        for k, j in enumerate(und.tolist()):
-            la_s = lauth[j] or ""
-            ra_s = rauth[j] or ""
+        a_inv, a_pairs = _intern_pairs(lauth, rauth, und, ordered=True)
+        i_inv, i_pairs = _intern_pairs(linst, rinst, und, ordered=False)
+        # combo emission, once per distinct list pair. Author combos run
+        # in (small-side name, large-side other) order — the reference
+        # loop's order, so the sequential reduceat sums below are
+        # bit-identical to its accumulation; the small side is the
+        # first list at equal lengths, which is why author pairs are
+        # ORDERED. A name present on the other side contributes 100
+        # whatever else it meets (the reference's early exit): it emits
+        # one (name, name) combo instead of its cross-product row, and
+        # a shared institution likewise makes the max 100.
+        xs, ys = [], []
+        name_counts = []                    # combos per small-side name
+        a_names = np.zeros(len(a_pairs), dtype=np.int64)
+        for k, (la_s, ra_s) in enumerate(a_pairs):
             if la_s and ra_s:
-                # ORDERED key: _best_author_score averages over the
-                # smaller side with a first-argument tie-break at equal
-                # lengths, so f(a, b) != f(b, a) in general — an
-                # unordered key would serve the swapped pair's value
-                akey = la_s + "\x01" + ra_s
-                hit = _AUTH_PAIR_CACHE.get(akey)
-                if hit is not None:
-                    a_cached[k] = hit
-                else:
-                    a_keys[k] = akey
-                    la = la_s.split(_SEP)
-                    ra = ra_s.split(_SEP)
-                    small, large = (la, ra) if len(la) <= len(ra) \
-                        else (ra, la)
-                    a_names_per_pair[k] = len(small)
-                    # exact-equal shortcut (the old kernel's early exit
-                    # at 100): a name present on the other side
-                    # contributes best=100 regardless of the remaining
-                    # combos — emit one (name, name) combo (a==b
-                    # resolves without the DP kernel) instead of its
-                    # whole cross-product row. Near-dup pairs share
-                    # most names, so this collapses the dominant combo
-                    # mass.
-                    large_set = set(large)
-                    for name in small:
-                        if name in large_set:
-                            a_name_counts.append(1)
-                            a_xs.append(name)
-                            a_ys.append(name)
-                        else:
-                            a_name_counts.append(len(large))
-                            for other in large:
-                                a_xs.append(name)
-                                a_ys.append(other)
-            li_s = linst[j] or ""
-            ri_s = rinst[j] or ""
-            if li_s and ri_s:
-                both_inst[k] = True
-                ikey = (li_s + "\x01" + ri_s) if li_s <= ri_s \
-                    else (ri_s + "\x01" + li_s)
-                hit = _INST_PAIR_CACHE.get(ikey)
-                if hit is not None:
-                    i_cached[k] = hit
-                else:
-                    i_keys[k] = ikey
-                    li = li_s.split(_SEP)
-                    ri = ri_s.split(_SEP)
-                    common = set(li) & set(ri)
-                    if common:
-                        # any shared institution string -> max is 100
-                        c0 = next(iter(common))
-                        i_counts[k] = 1
-                        i_xs.append(c0)
-                        i_ys.append(c0)
+                la = la_s.split(_SEP)
+                ra = ra_s.split(_SEP)
+                small, large = (la, ra) if len(la) <= len(ra) else (ra, la)
+                a_names[k] = len(small)
+                large_set = set(large)
+                for name in small:
+                    if name in large_set:
+                        name_counts.append(1)
+                        xs.append(name)
+                        ys.append(name)
                     else:
-                        i_counts[k] = len(li) * len(ri)
-                        for x in li:
-                            for y in ri:
-                                i_xs.append(x)
-                                i_ys.append(y)
-            elif not li_s and not ri_s:
-                none_inst[k] = True
+                        name_counts.append(len(large))
+                        xs.extend([name] * len(large))
+                        ys.extend(large)
+        n_author = len(xs)
+        i_counts = np.zeros(len(i_pairs), dtype=np.int64)
+        i_none = np.zeros(len(i_pairs), dtype=bool)
+        for k, (li_s, ri_s) in enumerate(i_pairs):
+            if li_s and ri_s:
+                li = li_s.split(_SEP)
+                ri = ri_s.split(_SEP)
+                common = set(li) & set(ri)
+                if common:
+                    c0 = next(iter(common))
+                    i_counts[k] = 1
+                    xs.append(c0)
+                    ys.append(c0)
+                else:
+                    i_counts[k] = len(li) * len(ri)
+                    for x in li:
+                        xs.extend([x] * len(ri))
+                        ys.extend(ri)
+            else:
+                i_none[k] = not li_s and not ri_s
+        ratios = _ratios_for_combos(xs, ys)
+
+        def _offsets(counts):
+            return np.concatenate(([0], np.cumsum(counts)[:-1]))
 
         # author: best ratio per small name (max.reduceat), then the
-        # old loop's sequential sum over names (add.reduceat) / count
-        a_ratios = _ratios_for_combos(a_xs, a_ys)
-        a_und = np.zeros(len(und), dtype=np.float64)
-        pair_has = a_names_per_pair > 0
-        if a_ratios.size:
-            name_counts = np.asarray(a_name_counts, dtype=np.int64)
-            name_off = np.concatenate(([0], np.cumsum(name_counts)[:-1]))
-            bests = np.maximum.reduceat(a_ratios, name_off)
-            pair_off = np.concatenate(
-                ([0], np.cumsum(a_names_per_pair[pair_has])[:-1]))
-            sums = np.add.reduceat(bests, pair_off)
-            a_und[pair_has] = sums / a_names_per_pair[pair_has]
-        a_hit = ~np.isnan(a_cached)
-        a_und[a_hit] = a_cached[a_hit]
-        for k in np.flatnonzero(pair_has).tolist():
-            _AUTH_PAIR_CACHE.set(a_keys[k], a_und[k],
-                                 cost=len(a_keys[k]) + 32)
-
+        # reference's sequential sum over names (add.reduceat) / count
+        a_dist = np.zeros(len(a_pairs), dtype=np.float64)
+        has = a_names > 0
+        if n_author:
+            bests = np.maximum.reduceat(ratios[:n_author], _offsets(name_counts))
+            a_dist[has] = np.add.reduceat(bests, _offsets(a_names[has])) / a_names[has]
         # institutions: both empty -> 100, one empty -> 0, else max
-        i_ratios = _ratios_for_combos(i_xs, i_ys)
-        i_und = np.where(none_inst, 100.0, 0.0)
-        i_emit = i_counts > 0
-        if i_ratios.size:
-            i_off = np.concatenate(([0], np.cumsum(i_counts[i_emit])[:-1]))
-            i_und[i_emit] = np.maximum.reduceat(i_ratios, i_off)
-        i_hit = ~np.isnan(i_cached)
-        i_und[i_hit] = i_cached[i_hit]
-        for k in np.flatnonzero(i_emit).tolist():
-            _INST_PAIR_CACHE.set(i_keys[k], i_und[k],
-                                 cost=len(i_keys[k]) + 32)
+        i_dist = np.where(i_none, 100.0, 0.0)
+        emit = i_counts > 0
+        if emit.any():
+            i_dist[emit] = np.maximum.reduceat(ratios[n_author:], _offsets(i_counts[emit]))
 
         def _r2(x):
             return np.copysign(np.floor(np.abs(x) * 100.0 + 0.5) / 100.0, x)
 
-        a_r = _r2(a_und)
-        i_r = _r2(i_und)
+        a_r = _r2(a_dist)[a_inv]
+        i_r = _r2(i_dist)[i_inv]
+        both_inst = emit[i_inv]
         comb = np.where(both_inst,
                         _r2(AUTHOR_WEIGHT * a_r + INST_WEIGHT * i_r), a_r)
         fam_und = np.asarray(fams, dtype=np.int64)[und]
@@ -399,20 +324,14 @@ def score_vectors(ldoi, rdoi, lauth, rauth, linst, rinst, fams):
 def pack_attrs(records_ds):
     """records -> (record_id, doi_norm, authors_packed, insts_packed),
     the attribute table both scoring paths bring to their pairs: the
-    author / institution lists are ``_SEP``-joined. Packed DISTRIBUTED
-    (the to_pylist + join loop is linear in records — at sf1's 3.2M
-    records it pinned the driver single-threaded for minutes when run
-    driver-side)."""
+    author / institution lists are ``_SEP``-joined by Arrow (a null
+    list packs as ""). Packed DISTRIBUTED, per batch."""
     def _pack(t: pa.Table) -> pa.Table:
         return pa.table({
             "record_id": t["record_id"],
             "doi_norm": t["doi_norm"],
-            "authors_packed": pa.array(
-                [_SEP.join(x or []) for x in t["authors_norm"].to_pylist()],
-                pa.string()),
-            "insts_packed": pa.array(
-                [_SEP.join(x or []) for x in t["insts_norm"].to_pylist()],
-                pa.string()),
+            "authors_packed": pc.binary_join(t["authors_norm"], _SEP).fill_null(""),
+            "insts_packed": pc.binary_join(t["insts_norm"], _SEP).fill_null(""),
         })
 
     return records_ds.map_batches(_pack, batch_format="pyarrow",

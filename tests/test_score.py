@@ -32,6 +32,16 @@ def _random_rows(rng: random.Random, n: int) -> list:
             for _ in range(n)]
 
 
+def _nul_rows() -> list:
+    """DOI-undecided pairs over author / institution lists that differ
+    only after an embedded NUL, in every left/right combination."""
+    auths = (["ana\x00lopez"], ["ana\x00lopes"], ["li na", "ana\x00lopez"])
+    insts = (["univ\x00oslo"], ["univ\x00bergen"], ["mit", "univ\x00oslo"])
+    return [(None, al, il, None, ar, ir, fam)
+            for al in auths for ar in auths for il in insts for ir in insts
+            for fam in (0, 3)]
+
+
 def _vectors(rows: list) -> list:
     cols = list(zip(*rows))
     got = score.score_vectors(
@@ -51,8 +61,10 @@ def _per_row(rows: list) -> list:
 def test_score_vectors_equals_per_row_reference():
     """score_vectors is bit-identical to a _score_tuple loop over equal,
     conflicting and missing DOIs, empty author / institution lists and
-    every family-bit pattern. The second half repeats the first, so it
-    is scored from the per-worker attribute-pair memos."""
+    every family-bit pattern; over lists that differ only after an
+    embedded NUL (an interning that truncates there, like pandas'
+    factorize, merges them); and over one batch in which many pairs,
+    and their left/right swaps, repeat."""
     rng = random.Random(20261017)
     first = _random_rows(rng, 1500)
     second = first[:]
@@ -63,11 +75,13 @@ def test_score_vectors_equals_per_row_reference():
     assert {r[6] for r in first} == set(range(16))
     assert any(not r[1] for r in first) and any(not r[2] for r in first)
 
-    for rows in (first, second):
+    nul = _nul_rows()
+    assert len(set(_per_row(nul)[0])) > 1 and len(set(_per_row(nul)[1])) > 1
+    repeated = (first[:150] + [r[3:6] + r[:3] + r[6:] for r in first[:150]]) * 8
+    rng.shuffle(repeated)
+
+    for rows in (first, second, nul, repeated):
         assert _vectors(rows) == _per_row(rows)
-    fuzzy = [r for r in second if not (r[0] and (r[0] == r[3] or r[3]))]
-    assert any(score._SEP.join(r[1]) + "\x01" + score._SEP.join(r[4])
-               in score._AUTH_PAIR_CACHE for r in fuzzy if r[1] and r[4])
     matches = _per_row(first)[5]
     assert any(matches) and not all(matches)
 
@@ -75,8 +89,10 @@ def test_score_vectors_equals_per_row_reference():
 def test_one_scoring_body():
     """score_vectors has one call site in the package, inside
     _scored_table, the body both the broadcast and the shuffle path
-    run; the deleted scorer variants leave no trace."""
-    calls, body = [], None
+    run; the deleted scorer variants and scoring memos leave no trace,
+    and pandas' NUL-truncating ``pd.factorize`` is called only by
+    functions/minhash.factorize_exact, its NUL-gated wrapper."""
+    calls, body, stray = [], None, []
     for root, _, files in os.walk(PKG_DIR):
         for name in files:
             if not name.endswith(".py"):
@@ -84,14 +100,23 @@ def test_one_scoring_body():
             path = os.path.join(root, name)
             with open(path) as fh:
                 src = fh.read()
-            assert "aux_metrics" not in src and "use_actors" not in src, path
+            for gone in ("aux_metrics", "use_actors", "_AUTH_PAIR_CACHE",
+                         "_INST_PAIR_CACHE", "_RATIO_CACHE", "indel_ratio_cached"):
+                assert gone not in src, (path, gone)
             tree = ast.parse(src)
+            wrapper = [(n.lineno, n.end_lineno) for n in ast.walk(tree)
+                       if isinstance(n, ast.FunctionDef) and n.name == "factorize_exact"]
+            stray += [(path, n.lineno) for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute) and n.attr == "factorize"
+                      and getattr(n.value, "id", None) == "pd"
+                      and not any(a <= n.lineno <= b for a, b in wrapper)]
             for node in ast.walk(tree):
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == "score_vectors"):
                     calls.append((path, node.lineno))
                 if isinstance(node, ast.FunctionDef) and node.name == "_scored_table":
                     body = (path, node.lineno, node.end_lineno)
+    assert not stray, stray
     assert len(calls) == 1, calls
     (path, line), = calls
     assert body is not None and path == body[0] and body[1] <= line <= body[2]
