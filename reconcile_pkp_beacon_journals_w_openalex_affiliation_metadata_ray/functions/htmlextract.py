@@ -161,47 +161,102 @@ class _TreeBuilder(HTMLParser):
 
 
 # ---------------------------------------------------------------------------
-# Fast tokenizer path.
+# Fast path.
 #
-# stdlib HTMLParser spends ~80% of extract_page in goahead/parse_starttag
-# regex gauntlets (measured: 0.34 ms/page on the fixture corpus, the
-# single biggest stage of the flagship e2e). Well-formed lowercase HTML
-# without charrefs/comments/declarations — i.e. every page the fixture
-# generator and typical OJS landing pages emit — needs none of that
-# tolerance machinery. `_fast_extract` tokenizes with ONE strict regex
-# split and computes `extract_page`'s result directly; anything the
-# strict shapes don't cover (a `&` anywhere, `<!`/`<?`, uppercase or
-# exotic tag/attr names, attrs on end tags, stray `<`, markup inside
-# script/style) aborts to the stdlib path for the WHOLE document, so
-# the fast path can never be subtly wrong — it either reproduces the
-# `_TreeBuilder` extraction exactly (equivalence-tested on the full
-# fixture corpus + hypothesis fuzz) or it isn't used.
-
-# any charref (stdlib would unescape; we must not see one on the fast path)
-_HAZARD_RE = re.compile(r"&")
+# The stdlib HTMLParser path costs ~10x the fast path per page (8.6 ms on
+# a crawl page). Well-formed
+# lowercase HTML without charrefs, comments or declarations -- every page
+# the fixture and benchmark generators emit -- needs none of its
+# tolerance machinery. `_fast_extract` computes `extract_page`'s result
+# from strict regex tokens; anything the strict shapes do not cover (a
+# `&` anywhere, `<!`/`<?`, uppercase or exotic tag/attr names, attrs on
+# end tags, a `<` that does not start a strict tag, markup inside
+# script/style) aborts to the stdlib path for the WHOLE document, so the
+# fast path either reproduces the `_TreeBuilder` extraction exactly
+# (equivalence-tested on the fixture corpus, fuzz and crawl-shaped
+# pages) or is not used.
+#
+# Cost grows with tag tokens per page, not with text bytes. A crawl page
+# (~38 KB, ~1,160 tags, most of them a 260-link nav menu) cost 1,489
+# us/page when one 4-group `_TAG_RE.split` fed a Python loop over every
+# token: 540 us of split, 755 us of per-token work, 194 us of whitespace
+# collapse. Cutting script/style content out first saves nothing worth
+# having (544 -> 529 us of split): each such element is one data token.
+# So only the tags that can change the extraction are handled one by
+# one: every tag inside a region (a text-skipped element or the first
+# ul.authors) and the start tags that open one or carry meta attrs
+# (`_MARKED_RE`). The tags between those are validated and blanked by
+# one group-less `subn` per stretch, whose kept text is whitespace-
+# collapsed per stretch, not per token. Same pages, 596 us/page: 273 us
+# tokenizer (marked-tag search + subn), 127 us per-token work, 196 us
+# whitespace collapse (crawl seeds 101-105, every 5th page, min of 3
+# timings per page, one core of a shared 4-vCPU VM, CPython 3.11).
 
 _TAG_RE = re.compile(
     r"<(/?)([a-z][a-z0-9-]*)"
     r"((?:\s+[a-z][a-z0-9_:.-]*(?:\s*=\s*(?:\"[^\"]*\"|'[^']*'|[^\s>'\"=`]+))?)*)"
     r"\s*(/?)>"
 )
+# the same shapes without groups, for tags that are only validated and
+# blanked: no attrs or self-close slash on end tags (the stdlib ends
+# those at the first '>', even a quoted one); possessive quantifiers keep
+# sre from saving backtrack state (this grammar never needs to backtrack,
+# so the matches are the same)
+_BARE_TAG_RE = re.compile(
+    r"<(?:/[a-z][a-z0-9-]*+\s*+|[a-z][a-z0-9-]*+"
+    r"(?:\s++[a-z][a-z0-9_:.-]*+(?:\s*+=\s*+(?:\"[^\"]*+\"|'[^']*+'|[^\s>'\"=`]++))?+)*+"
+    r"\s*+/?)>"
+)
+# a region's next token: the data before a tag, then the tag
+_DATA_TAG_RE = re.compile(r"([^<]*)" + _TAG_RE.pattern)
 _ATTR_RE = re.compile(
     r"([a-z][a-z0-9_:.-]*)(?:\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s>'\"=`]+)))?"
 )
 
 
+# start tags that matter outside every region: region openers and meta
+_MARKED_RE = re.compile(
+    r"<(?:%s)(?![a-z0-9-])" % "|".join(sorted(_TEXT_SKIP | {"meta", "ul"})))
+
+
+def _parse_attrs(attrtext):
+    attrs = {}
+    for name, dq, sq, bare in _ATTR_RE.findall(attrtext):
+        if name not in attrs:  # first occurrence wins
+            attrs[name] = dq or sq or bare
+    return attrs
+
+
+def _run_tokens(run):
+    """The data tokens of a '<'-joined run, each whitespace-collapsed as
+    the text spec does. A data token never holds '<', so the collapse
+    can run over the whole run; most runs have nothing to collapse (no
+    whitespace but single spaces between other characters) and skip it."""
+    if not (run.isprintable() and "  " not in run and " <" not in run
+            and "< " not in run and run[:1] != " " and run[-1:] != " "):
+        run = " ".join(run.split()).replace(" <", "<").replace("< ", "<")
+    return run.split("<")
+
+
 def _fast_extract(html: str):
-    """Fast-path extractor: ONE `_TAG_RE.split` pass that computes
-    :func:`extract_page`'s result directly — no DOM, no Node
-    allocations, attrs parsed only for the three tags whose attributes
-    the extractors read (``meta`` always, ``ul``/``span`` only while
-    the ul.authors state machine needs them). Returns the page dict or
-    None when any token falls outside the proven strict shapes,
-    including a raw-text element (script/style) whose content contains
-    markup, which only the CDATA-aware stdlib parser can tokenize.
-    Aborted documents go straight to the stdlib `_TreeBuilder` path,
-    the reference this one is equivalence-tested against, so the answer
-    is identical either way.
+    """Fast-path extractor: computes :func:`extract_page`'s result
+    without a DOM. Returns the page dict, or None when any token falls
+    outside the strict shapes or the answer would depend on elements
+    the fast path does not track; the caller then runs the stdlib
+    `_TreeBuilder` path, the reference this one is equivalence-tested
+    against, so the answer is identical either way.
+
+    Only a region's elements are tracked. A region opens at a start tag
+    of a `_TEXT_SKIP` element or of the first ul.authors and closes when
+    that element is popped; inside one, every tag is simulated on a
+    stack of the region's open elements. Outside every region the open
+    elements cannot change the extraction: no text-skipped element is
+    open, so every data token is kept text; the ul.authors collectors
+    are idle; metas are void. So there only the next start tag of a
+    region opener or a meta is looked at (`_MARKED_RE`), and the tags
+    in between are validated and blanked in bulk. A close tag or an
+    implied close inside a region that matches no element of the region
+    would act on the untracked elements below it: abort.
 
     Parity argument (each point mirrors a `_TreeBuilder` invariant):
     pre-order of the final tree = start-tag token order, so "first
@@ -210,48 +265,31 @@ def _fast_extract(html: str):
     span text = data tokens seen while the span's stack slot is live;
     text nodes are exactly the inter-tag runs, so get_text_stripped's
     per-child strip/join is reproduced per data token."""
-    if _HAZARD_RE.search(html) is not None:
+    if "&" in html:
         return None
-    parts = _TAG_RE.split(html)
-    stack = ["[document]"]  # open tag NAMES; index 0 = root sentinel
-    cum = [0]  # cumulative _TEXT_SKIP count per slot (pop = O(1) restore)
-    sd = 0     # == cum[-1]; 0 -> text-spec collects
+    texts = []  # collapsed data tokens the text spec keeps (empty ones too)
     metas = []  # attr dicts, document order
-    text_parts = []
-    attr_memo: dict = {}
+    stack = []  # open tag NAMES of the outermost open region, bottom first
+    nskip = 0  # _TEXT_SKIP elements on the stack; 0 -> text is kept
+    cdata = None  # script/style open: the next tag MUST close it
     # ul.authors state machine (extract_ul_pairs semantics)
     ul_found = False
-    ul_idx = -1   # stack index of the OPEN target ul, -1 when closed/absent
-    li_idx = -1   # stack index of the current DIRECT li of the target ul
+    ul_idx = -1  # stack index of the OPEN target ul, -1 when closed/absent
+    li_idx = -1  # stack index of the current DIRECT li of the target ul
     # span collector states: None = not found yet; [parts, start_idx] =
     # collecting; str = finalized text
     li_name = None
     li_aff = None
     ul_items = []  # finalized (author_text_or_None, affiliation_text)
-    cdata_close = None  # script/style open: next tag token MUST close it
 
-    def _parse_attrs(attrtext):
-        attrs = {}
-        for am in _ATTR_RE.finditer(attrtext):
-            ak = am.group(1)
-            if ak not in attrs:
-                v = am.group(2)
-                if v is None:
-                    v = am.group(3)
-                    if v is None:
-                        v = am.group(4) or ""
-                attrs[ak] = v
-        attr_memo[attrtext] = attrs
-        return attrs
-
-    def _pops(newlen):
-        """Pop stack to newlen, finalizing span collectors, the open
-        direct li, and the target ul — innermost first. Only called
-        while the target ul is open (the hot path inlines plain pops)."""
-        nonlocal sd, ul_idx, li_idx, li_name, li_aff
+    def _pop(newlen):
+        """Pop the stack to newlen, finalizing span collectors, the open
+        direct li and the target ul -- innermost first."""
+        nonlocal nskip, ul_idx, li_idx, li_name, li_aff
+        for t in stack[newlen:]:
+            if t in _TEXT_SKIP:
+                nskip -= 1
         del stack[newlen:]
-        del cum[newlen:]
-        sd = cum[-1]
         if type(li_name) is list and li_name[1] >= newlen:
             li_name = "".join(li_name[0])
         if type(li_aff) is list and li_aff[1] >= newlen:
@@ -265,116 +303,113 @@ def _fast_extract(html: str):
         if ul_idx >= newlen:
             ul_idx = -1
 
-    data = parts[0]
-    if data:
-        if "<" in data:
-            return None
-        s = " ".join(data.split())
-        if s:
-            text_parts.append(s)
-    # locals for the hot loop
-    voids = VOID_ELEMENTS
-    implied = _IMPLIED_CLOSE
-    boundary = _CLOSE_BOUNDARY
-    tskip = _TEXT_SKIP
-    memo_get = attr_memo.get
-    it = iter(parts)
-    next(it)
-    for close, tag, attrtext, selfclose, data in zip(it, it, it, it, it):
+    pos = 0
+    while True:
+        if stack:
+            mt = _DATA_TAG_RE.match(html, pos)
+            if mt is None:  # EOF
+                data = html[pos:]
+                if "<" in data:
+                    return None  # a '<' that starts no strict tag
+            else:
+                data, close, tag, attrtext, selfclose = mt.groups()
+            if data:
+                if not nskip:
+                    texts.append(" ".join(data.split()))
+                if li_idx >= 0:
+                    if type(li_name) is list:
+                        s = data.strip()
+                        if s:
+                            li_name[0].append(s)
+                    if type(li_aff) is list:
+                        s = data.strip()
+                        if s:
+                            li_aff[0].append(s)
+            if mt is None:
+                break
+        else:
+            m = _MARKED_RE.search(html, pos)
+            end = len(html) if m is None else m.start()
+            run, n = _BARE_TAG_RE.subn("<", html[pos:end])
+            tokens = _run_tokens(run)
+            if len(tokens) != n + 1:
+                return None  # a '<' that starts no strict tag
+            texts += tokens
+            if m is None:
+                break
+            mt = _TAG_RE.match(html, end)
+            if mt is None:
+                return None
+            close, tag, attrtext, selfclose = mt.groups()
+        pos = mt.end()
         if close:
-            if cdata_close is not None:
-                # stdlib CDATA mode: the only token shape the split
-                # stream can represent is an immediate plain close tag;
-                # markup inside script/style needs the stdlib parser
-                if tag != cdata_close or attrtext or selfclose:
-                    return None
-                cdata_close = None
             if attrtext or selfclose:
                 return None  # attrs on an end tag: tolerance territory
-            for j in range(len(stack) - 1, 0, -1):
+            if cdata is not None:
+                # stdlib CDATA mode: the only token shape representable
+                # here is an immediate plain close tag
+                if tag != cdata:
+                    return None
+                cdata = None
+            if tag in VOID_ELEMENTS:
+                continue  # _TreeBuilder ignores void end tags
+            for j in range(len(stack) - 1, -1, -1):
                 if stack[j] == tag:
-                    if ul_idx < 0:
-                        del stack[j:]
-                        del cum[j:]
-                        sd = cum[-1]
-                    else:
-                        _pops(j)
+                    _pop(j)
                     break
-        elif cdata_close is not None:
+            else:
+                return None  # may close an element below the region
+            continue
+        if cdata is not None:
             return None
-        elif tag in voids:
+        if tag in VOID_ELEMENTS:
             if tag == "meta":
-                metas.append((memo_get(attrtext) or _parse_attrs(attrtext))
-                             if attrtext else {})
-        else:
-            closes = implied.get(tag)
-            if closes:
-                for j in range(len(stack) - 1, 0, -1):
-                    t = stack[j]
-                    if t in boundary:
-                        break
-                    if t in closes:
-                        if ul_idx < 0:
-                            del stack[j:]
-                            del cum[j:]
-                            sd = cum[-1]
-                        else:
-                            _pops(j)
-                        break
-            if tag == "ul":
-                if not ul_found:
-                    attrs = (memo_get(attrtext) or _parse_attrs(attrtext)) \
-                        if attrtext else {}
-                    if "authors" in attrs.get("class", "").split():
-                        ul_found = True
-                        if not selfclose:
-                            ul_idx = len(stack)
-            elif tag == "li":
-                # direct child of the target ul (post implied-close)
-                if ul_idx >= 0 and len(stack) == ul_idx + 1 and not selfclose:
-                    li_idx = len(stack)
-                    li_name = None
-                    li_aff = None
-                # a self-closed li has no children: author None, skipped
-            elif tag == "span" and li_idx >= 0 and (li_name is None
-                                                    or li_aff is None):
-                attrs = (memo_get(attrtext) or _parse_attrs(attrtext)) \
-                    if attrtext else {}
-                cl = attrs.get("class", "").split()
-                if li_name is None and "name" in cl:
-                    li_name = "" if selfclose else [[], len(stack)]
-                if li_aff is None and "affiliation" in cl:
-                    li_aff = "" if selfclose else [[], len(stack)]
-            if not selfclose:
-                stack.append(tag)
-                if tag in tskip:
-                    sd += 1
-                cum.append(sd)
+                metas.append(_parse_attrs(attrtext))
+            continue
+        closes = _IMPLIED_CLOSE.get(tag)
+        if closes:
+            for j in range(len(stack) - 1, -1, -1):
+                t = stack[j]
+                if t in _CLOSE_BOUNDARY:
+                    break
+                if t in closes:
+                    _pop(j)
+                    break
+            else:
+                return None  # the scan would continue below the region
+        if tag == "ul":
+            if not ul_found and "authors" in _parse_attrs(attrtext).get("class", "").split():
+                ul_found = True
+                if not selfclose:
+                    ul_idx = len(stack)
+            elif not stack:
+                continue  # a plain ul outside every region opens none
+        elif tag == "li":
+            # direct child of the target ul (post implied-close)
+            if ul_idx >= 0 and len(stack) == ul_idx + 1 and not selfclose:
+                li_idx = len(stack)
+                li_name = None
+                li_aff = None
+            # a self-closed li has no children: author None, skipped
+        elif tag == "span" and li_idx >= 0 and (li_name is None or li_aff is None):
+            cl = _parse_attrs(attrtext).get("class", "").split()
+            if li_name is None and "name" in cl:
+                li_name = "" if selfclose else [[], len(stack)]
+            if li_aff is None and "affiliation" in cl:
+                li_aff = "" if selfclose else [[], len(stack)]
+        if not selfclose:
+            stack.append(tag)
+            if tag in _TEXT_SKIP:
+                nskip += 1
                 if tag == "script" or tag == "style":
                     if type(li_name) is list or type(li_aff) is list:
                         # raw-text content inside an ACTIVE span
                         # collector: stdlib drops unterminated CDATA,
-                        # which the split stream can't always see —
+                        # which this token stream can't always see --
                         # the stdlib parser resolves it exactly
                         return None
-                    cdata_close = tag
-        if data:
-            if "<" in data:
-                return None
-            if not sd:
-                s = " ".join(data.split())
-                if s:
-                    text_parts.append(s)
-            if li_idx >= 0:
-                if type(li_name) is list:
-                    s2 = data.strip()
-                    if s2:
-                        li_name[0].append(s2)
-                if type(li_aff) is list:
-                    s2 = data.strip()
-                    if s2:
-                        li_aff[0].append(s2)
-    _pops(1)  # EOF: finalize everything still open (open li still counts)
+                    cdata = tag
+    _pop(0)  # EOF: finalize everything still open (open li still counts)
 
     ul_pairs = [(a, aff, "ul.authors") for a, aff in ul_items if a]
     # meta state machine (extract_meta_pairs semantics, over attr dicts)
@@ -409,7 +444,7 @@ def _fast_extract(html: str):
     return {
         "mentions": merge_mentions(pairs, ul_pairs),
         "doi": doi,
-        "text": "\n".join(text_parts),
+        "text": "\n".join(filter(None, texts)),
         "has_author_tag": has_author_tag,
         "has_inst_tag": has_inst_tag,
         "has_ul_authors": bool(ul_pairs),
@@ -417,8 +452,9 @@ def _fast_extract(html: str):
 
 
 def parse_html(html):
-    """Parse HTML (str or utf-8/replace-decoded bytes) into a DOM tree
-    with the tolerant stdlib parser; never raises on malformed input."""
+    """Parse HTML (str, or bytes decoded as utf-8 with undecodable bytes
+    dropped, errors="ignore", as in `extract_page`) into a DOM tree with
+    the tolerant stdlib parser; never raises on malformed input."""
     if isinstance(html, (bytes, bytearray, memoryview)):
         html = bytes(html).decode("utf-8", errors="ignore")
     builder = _TreeBuilder()

@@ -210,6 +210,20 @@ EXTRACT_EDGE_DOCS = [
     "a  b\n\n c<p> d   e </p>",
     "<head><p>inside head</p></head>after",
     "tail after last tag</p> trailing ",
+    # tag-shape edges
+    '<p title="x>y">quoted gt</p>',
+    '<p title="x<y">quoted lt</p>',
+    "<p>a</p >b",
+    "<a href=x/>t</a>",   # the slash belongs to the bare value: no self-close
+    "a<br />b",
+    "<p>x</p><",          # trailing '<' at EOF
+    "<title/>x",
+    "<p><title>x<p>y",    # an implied close pops a skip element
+    "<div><title>t</div>shown",  # an outer end tag pops a skip element
+    "<p>a</p><p> b</p>",  # leading space in a token after a tag
+    "<script><meta name='citation_author' content='X'></script>",  # raw text
+    "<head><script>x</head>y",  # only </script> ends raw text
+    "<title>t</title a='>'>x",  # the stdlib ends an end tag at its first '>'
 ]
 
 
@@ -257,3 +271,96 @@ def _ul_docs(draw):
 @settings(max_examples=500, deadline=None)
 def test_fuzz_ul_state_machine_matches_dom(doc):
     assert_extract_equivalent(doc)
+
+
+def _crawl_page() -> str:
+    """A crawl-shaped page: stylesheet and script boilerplate in head,
+    citation metas, a 260-link nav menu, an article body and a
+    ul.authors block."""
+    css = "".join(f".c{i}-w{{margin:{i % 9}px;color:#{i * 7919 % 0xFFFFFF:06x}}}" for i in range(200))
+    js = ";".join(f"var t{i}='w{i}'+{i}" for i in range(150))
+    menu = "".join(f'<li><a href="/index.php/topic/{i}">Topic {i}</a></li>' for i in range(260))
+    metas = (
+        '<meta name="citation_doi" content="10.4092/rev92.v0">'
+        '<meta name="citation_author" content="Soren T. Souza">'
+        '<meta name="citation_author_institution" content="  Center  for  Study ">'
+        '<meta name="citation_author" content="Ana Z. Kowalski">'
+    )
+    body = "".join(f'<p id="para{i}">word {i} of the article body.</p>' for i in range(20))
+    authors = (
+        '<ul class="authors"><li><span class="name">  Soren  Souza </span>'
+        '<span class="affiliation">Center for Study</span></li>'
+        '<li><span class="name">Ana Kowalski</span></li></ul>'
+    )
+    return (
+        f"<html><head><title>Article view</title>{metas}<style>{css}</style>"
+        f"<script>{js}</script></head><body>"
+        f'<nav class="site-menu"><ul>{menu}</ul></nav><h1>Title</h1>{authors}{body}'
+        "<script>var ignored = 1;</script></body></html>"
+    )
+
+
+def test_crawl_shaped_page_takes_fast_path():
+    """A silent fallback on boilerplate-heavy pages costs ~10x per page
+    and changes no output, so only this test would notice it."""
+    html = _crawl_page()
+    page = hx._fast_extract(html)
+    assert page is not None
+    assert page == dom_extract(html)
+    assert page["has_ul_authors"] and page["has_author_tag"]
+    assert "Topic 259" in page["text"] and "var t1" not in page["text"]
+
+
+_quoted_values = st.text(alphabet=st.sampled_from(list("ab <>/='\" x")), max_size=8)
+
+
+@st.composite
+def _quoted_attr_docs(draw):
+    """Tag soup whose quoted attribute values may hold '<', '>' and '/',
+    around the tags the fast path looks at one by one."""
+    parts = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 3))
+        tag = draw(st.sampled_from(["p", "a", "ul", "li", "span", "meta", "title", "script", "head"]))
+        if kind == 0:
+            parts.append(draw(_words))
+        elif kind == 1:
+            name = draw(st.sampled_from(["class", "name", "content", "href"]))
+            q = draw(st.sampled_from(['"', "'"]))
+            v = draw(_quoted_values).replace(q, "")
+            parts.append(f"<{tag} {name}={q}{v}{q}{draw(st.sampled_from(['', '/', ' /']))}>")
+        elif kind == 2:
+            parts.append(f"</{tag}>")
+        else:
+            parts.append(f'<{tag} class="{draw(st.sampled_from(["authors", "name", "affiliation"]))}">')
+    return "".join(parts)
+
+
+@given(_quoted_attr_docs())
+@settings(max_examples=400, deadline=None)
+def test_fuzz_quoted_attr_values_match_dom(doc):
+    assert_extract_equivalent(doc)
+    assert hx.extract_page(doc) == dom_extract(doc)
+
+
+_tagish = st.lists(st.sampled_from(list("ab-_:.=/'\"` \t\n<>1") + ["class", "\x1c"]),
+                  max_size=14).map("".join)
+
+
+@given(st.sampled_from(["<", "</"]), st.sampled_from(["a", "p", "li", "x1-", "B"]), _tagish)
+@settings(max_examples=500, deadline=None)
+def test_bare_tag_re_matches_the_strict_tags(lt, name, rest):
+    """_BARE_TAG_RE (group-less, possessive) blanks exactly the tags
+    _TAG_RE accepts, with the same extent, minus end tags with attrs."""
+    s = lt + name + rest
+    m = hx._TAG_RE.match(s)
+    if m is not None and m.group(1) and (m.group(3) or m.group(4)):
+        m = None
+    b = hx._BARE_TAG_RE.match(s)
+    assert (b and b.end()) == (m and m.end())
+
+
+def test_bytes_decode_drops_undecodable_bytes():
+    """Bytes are utf-8 decoded with errors='ignore': a switch to
+    'replace' would change the extracted text per url."""
+    assert hx.extract_page(b"<p>a\xffb</p>")["text"] == "ab"
