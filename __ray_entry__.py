@@ -2227,18 +2227,11 @@ def q_block_keys(sf_dir: str):
     attributes + hot-key set (unnest first-3 authors, refinement CASE,
     always-refined host keys) and replays only the b*: LSH band rows
     (MinHash permutations are not SQL-expressible)."""
-    import ray
-
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import block
 
     out = _reconcile(sf_dir)
     tier_dir = _persist_linkage_artifacts(sf_dir, out)
-    keys = block.emit_block_keys(
-        out["records"], hot_keys_ref=ray.put(out["hot_keys"])).to_pandas()
-    # record_keys (each row's record key list, which lets a block tell
-    # the pairs it owns) is pair-generation plumbing, not part of the
-    # blocking contract this query checks
-    keys = keys[["block_key", "record_id", "has_doi"]]
+    keys = block.key_rows_ds(out["records"], out["hot_keys"]).to_pandas()
     keys = keys.sort_values(["block_key", "record_id"],
                             kind="mergesort").reset_index(drop=True)
     keys.to_parquet(os.path.join(tier_dir, "block_keys.parquet"), index=False)
@@ -2448,14 +2441,11 @@ def q_metablock_weights(sf_dir: str):
     to the four SQL-derivable key families (no LSH bands), so the
     oracle re-derives the ENTIRE computation independently: keys,
     pairs, weights, threshold."""
-    import ray
-
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import block
 
     out = _reconcile(sf_dir)
     _persist_linkage_artifacts(sf_dir, out)
-    keys = block.emit_block_keys(
-        out["records"], hot_keys_ref=ray.put(out["hot_keys"]))
+    keys = block.key_rows_ds(out["records"], out["hot_keys"])
     exact = keys.map_batches(
         lambda b: b.loc[~b["block_key"].str.match(r"b\d+:"),
                         ["block_key", "record_id"]],

@@ -246,11 +246,6 @@ def band_keys(signature: np.ndarray, num_bands: int) -> list:
     return keys
 
 
-def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    """MinHash Jaccard estimate = fraction of agreeing components."""
-    return float(np.mean(sig_a == sig_b))
-
-
 def simhash64(text: str, shingle: int = 3) -> int:
     """64-bit SimHash over character shingles."""
     if not text:
@@ -332,10 +327,6 @@ def simhash_batch(texts, shingle: int = 3) -> np.ndarray:
                          axis=1, bitorder="little")
     out[nonempty] = packed.view(np.uint64).ravel()
     return out
-
-
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
 
 
 def rolling_fingerprints(text: str, window: int = 16, mod_bits: int = 6) -> list:

@@ -425,12 +425,6 @@ def jaro_winkler(a: str, b: str, prefix_weight: float = 0.1, max_prefix: int = 4
     return j + prefix * prefix_weight * (1.0 - j)
 
 
-def token_jaccard(a: str, b: str) -> float:
-    """Jaccard similarity of whitespace token sets, in [0, 1].
-    Two empty token sets score 1.0."""
-    return set_jaccard(set(a.split()), set(b.split()))
-
-
 def ngram_set(text: str, n: int = 3) -> set:
     """Character n-gram shingle set (no padding); short strings yield
     the whole string as one shingle."""

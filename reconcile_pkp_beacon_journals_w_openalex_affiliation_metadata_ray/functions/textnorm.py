@@ -75,20 +75,6 @@ def normalize_text(text) -> str:
     return " ".join(text.split())
 
 
-def safe_bool(value) -> bool:
-    """'true' (any case, surrounding whitespace) -> True, else False
-    (`get_stats.py:35-36`)."""
-    return str(value).strip().lower() == "true"
-
-
-def safe_float(value, default: float = 0.0) -> float:
-    """float() with a default on failure (`get_stats.py:28-33`)."""
-    try:
-        return float(value)
-    except (ValueError, TypeError):
-        return default
-
-
 _PHONETIC_MAP = {c: d for cs, d in
                  (("BFPV", "1"), ("CGJKQSXZ", "2"), ("DT", "3"),
                   ("L", "4"), ("MN", "5"), ("R", "6"))

@@ -26,19 +26,3 @@ def format_epoch_ms(ms) -> str:
     if not (_MIN_YEAR <= dt.year <= _MAX_YEAR):
         return ""
     return dt.strftime("%Y%m%d%H%M%S")
-
-
-def format_elapsed(seconds: float) -> str:
-    """Human elapsed-time formatter with the reference's exact tiering
-    (`get-openalex.../src/main.rs:545-559`): 'Xh Ym Zs' / 'Ym Zs' /
-    'Z.mmms'."""
-    total = int(seconds)
-    # truncate like the reference's as_secs()/subsec_millis() — no
-    # rounding, no carry: 59.9996 -> '59.999s', 60.9996 -> '1m 0s'
-    millis = int((seconds - total) * 1000)
-    hours, minutes, secs = total // 3600, (total % 3600) // 60, total % 60
-    if hours > 0:
-        return f"{hours}h {minutes}m {secs}s"
-    if minutes > 0:
-        return f"{minutes}m {secs}s"
-    return f"{secs}.{millis:03d}s"

@@ -3,7 +3,7 @@
 pages.parquet ──row-group read + EXTRACT (one fused task per row-group
 chunk, html never in plasma)──┐
 reference_works.parquet ──row-group read + work records (fused)──┴──►
-records ──► BLOCK (key emit + hot-key refine + groupby pair-gen) ──►
+records (+ block keys) ──► BLOCK (hot-key count + refine + groupby pair-gen) ──►
 SCORE (broadcast attrs, or a bucketed join past the object-store
 budget) ──► CLUSTER (iterative min-label CC) ──► STATS.
 
@@ -81,8 +81,6 @@ def _flagship_stages(fdir: str, park, materialize_extracted: bool = False) -> di
     Stage calls go through module attributes resolved at call time, so a
     tracer can rebind them (perfbench/trace.py). Returns the parked
     stages, plus ``extracted`` and ``hot_keys`` when their stage ran."""
-    import ray
-
     out = {}
 
     def records_stage():
@@ -106,7 +104,7 @@ def _flagship_stages(fdir: str, park, materialize_extracted: bool = False) -> di
 
     def pairs_stage():
         out["hot_keys"] = block.find_hot_keys(recs())
-        return block.candidate_pairs(recs(), hot_keys_ref=ray.put(out["hot_keys"]))
+        return block.candidate_pairs(recs(), out["hot_keys"])
 
     out["pairs"] = park("pairs", pairs_stage, "left_id", None)
 
@@ -186,10 +184,9 @@ def pipeline_report(out: dict) -> dict:
     counts, hot keys, and the capped blocks with the pairs their caps
     dropped (:func:`stages.block.block_caps`) — every cap the blocking
     stage applied is visible here, never silent."""
-    import ray
     from ray.data.aggregate import Sum
 
-    caps = block.block_caps(out["records"], hot_keys_ref=ray.put(out["hot_keys"]))
+    caps = block.block_caps(out["records"], out["hot_keys"])
     scored = out["scored"]
     n_matches = scored.map_batches(
         lambda b: b.assign(m=b.is_match.astype(int))[["m"]],

@@ -31,28 +31,30 @@ a million-record block never materializes its cross product.
 Pair pruning: in non-DOI blocks, pairs where both records carry a DOI
 are skipped — their outcome is already decided by the DOI key family.
 
-Execution shape: key emission is a STATELESS ``map_batches`` task —
-its only state (MinHash permutation parameters, the broadcast hot-key
-set) is cached per worker process in a module global, so tasks stay
-cheap and elastic and never pin CPUs the way a fixed actor pool would.
-Pair generation is ONE coarse bucketed shuffle of the key rows
-(ops.relational.bucketed_map_groups: O(num_buckets) Python calls,
-C-level self-merge inside), and each pair is emitted only by its owner
-block, so no second shuffle deduplicates pairs several blocks share.
-Shuffles carry only (key, record_id, has_doi, the record's key list) —
-never the heavy record payloads.
+Execution shape: MinHash and the key rules run ONCE per record, in
+the records stage (:func:`with_block_keys`); the keys ride on the
+records as a list column, and later passes only count them
+(:func:`find_hot_keys`) and refine them (:func:`key_rows`) with Arrow.
+The hot set is a plain frozenset argument. Pair generation is ONE
+coarse bucketed shuffle of the key rows (ops.relational.
+bucketed_map_groups: O(num_buckets) Python calls, C-level self-merge
+inside), and each pair is emitted only by its owner block, so no
+second shuffle deduplicates pairs several blocks share. Shuffles carry
+only (key, record_id, has_doi, the record's key list) — never the
+heavy record payloads.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.minhash import MinHasher, band_keys
 
-DEFAULT_NUM_PERM = 64
-DEFAULT_NUM_BANDS = 4
+NUM_PERM = 64
+NUM_BANDS = 4
 DEFAULT_HOT_THRESHOLD = 256
 DEFAULT_MAX_PAIRS_PER_BLOCK = 20_000
 
@@ -85,95 +87,88 @@ def adaptive_num_buckets(n_records: int, records_per_bucket: int = 1_000,
     only task granularity."""
     return max(lo, min(hi, int(n_records) // records_per_bucket))
 
-# per-worker-process caches (tasks reuse workers; building the
-# MinHasher / fetching the broadcast hot set happens once per worker,
-# not once per batch)
+# per-worker-process MinHasher: its shingle-vector cache warms across
+# the record batches a worker maps
 _MINHASHER: MinHasher | None = None
-_HOT_CACHE: dict = {}
 
 
-def _get_minhasher(num_perm: int) -> MinHasher:
+def with_block_keys(t: pa.Table) -> pa.Table:
+    """Records ``t`` plus each record's block keys, before hot-key
+    refinement, as ``block_keys`` (list<string>, duplicates kept) and
+    its refinement suffix ``key_suffix``: the first normalized author,
+    else the DOI, else ``_``. The keys, in order: ``doi:``, ``path:``,
+    ``host:{host}~{suffix}``, ``an:`` for the first three authors, then
+    the LSH bands of the name blob. ``records.build_records`` adds them
+    in each side's per-batch map, so MinHash runs once per record and
+    every later pass (:func:`find_hot_keys`, :func:`key_rows`) reads the
+    columns."""
     global _MINHASHER
-    if _MINHASHER is None or _MINHASHER.num_perm != num_perm:
-        _MINHASHER = MinHasher(num_perm=num_perm)
-    return _MINHASHER
-
-
-def _get_hot(hot_keys_ref) -> frozenset:
-    if hot_keys_ref is None:
-        return frozenset()
-    key = hot_keys_ref.hex() if hasattr(hot_keys_ref, "hex") else id(hot_keys_ref)
-    if key not in _HOT_CACHE:
-        import ray
-
-        _HOT_CACHE.clear()
-        _HOT_CACHE[key] = ray.get(hot_keys_ref)
-    return _HOT_CACHE[key]
-
-
-def _refine(key: str, hot: frozenset, authors_norm, doi_norm: str) -> str:
-    """Hot keys get a secondary attribute appended: the FULL normalized
-    first-author name (stable under the light-corruption tier; records
-    with heavier corruption are co-blocked via doi/path/LSH keys, so
-    deep refinement here costs recall ~nothing while collapsing a
-    mega-host block to same-name groups)."""
-    if key not in hot:
-        return key
-    if authors_norm:
-        return f"{key}~{authors_norm[0]}"
-    if doi_norm:
-        return f"{key}~{doi_norm}"
-    return f"{key}~_"
-
-
-def emit_keys_batch(batch: pa.Table, hot_keys_ref=None, num_perm=DEFAULT_NUM_PERM,
-                    num_bands=DEFAULT_NUM_BANDS) -> pa.Table:
-    mh = _get_minhasher(num_perm)
-    hot = _get_hot(hot_keys_ref)
-    rids = batch["record_id"].to_pylist()
-    dois = batch["doi_norm"].to_pylist()
-    hosts = batch["host_key"].to_pylist()
-    paths = batch["path_key"].to_pylist()
-    blobs = batch["name_blob"].to_pylist()
-    authors_norm = batch["authors_norm"].to_pylist()
+    if _MINHASHER is None:
+        _MINHASHER = MinHasher(num_perm=NUM_PERM)
+    blobs = t["name_blob"].to_pylist()
     # whole-batch vectorized MinHash (one reduceat pass, bit-identical
     # to per-row signature(); empty blobs cost nothing)
-    sigs = mh.signatures(blobs)
-    keys, out_ids, has_doi, rec_keys = [], [], [], []
-
-    def emit(k, rid, d):
-        keys.append(k)
-        out_ids.append(rid)
-        has_doi.append(bool(d))
-
-    for row_i, (rid, doi, host, path, blob, a_norm) in enumerate(
-            zip(rids, dois, hosts, paths, blobs, authors_norm)):
-        start = len(keys)
-        if doi:
-            emit("doi:" + doi, rid, doi)
+    sigs = _MINHASHER.signatures(blobs)
+    keys, suffixes = [], []
+    for doi, path, host, names, blob, sig in zip(
+            t["doi_norm"].to_pylist(), t["path_key"].to_pylist(),
+            t["host_key"].to_pylist(), t["authors_norm"].to_pylist(), blobs, sigs):
+        suffix = names[0] if names else (doi or "_")
+        ks = ["doi:" + doi] if doi else []
         if path:
-            emit("path:" + path, rid, doi)
+            ks.append("path:" + path)
         if host:
             # host equality alone is the reference's SEMI-JOIN key, not
             # a pair key — for pair generation it is ALWAYS refined by
             # the first author name (else mega-hosts go quadratic)
-            suffix = a_norm[0] if a_norm else (doi or "_")
-            emit(f"host:{host}~{suffix}", rid, doi)
+            ks.append(f"host:{host}~{suffix}")
         # exact normalized author-name keys: cheap, tiny blocks, catch
         # cross-host records whose name normalizes identically (first
         # three authors bound the fanout)
-        for name in a_norm[:3]:
-            emit(_refine("an:" + name, hot, a_norm, doi), rid, doi)
+        ks += ["an:" + name for name in names[:3]]
         if blob:
-            for bk in band_keys(sigs[row_i], num_bands):
-                emit(_refine(bk, hot, a_norm, doi), rid, doi)
-        # every key row carries its record's whole key list, so a block
-        # can tell which pairs it owns (_owned_pairs) without a join
-        rec_keys += [_pack_keys(keys[start:])] * (len(keys) - start)
-    return pa.table({"block_key": pa.array(keys, pa.string()),
-                     "record_id": pa.array(out_ids, pa.string()),
-                     "has_doi": pa.array(has_doi, pa.bool_()),
-                     "record_keys": pa.array(rec_keys, pa.string())})
+            ks += band_keys(sig, NUM_BANDS)
+        keys.append(ks)
+        suffixes.append(suffix)
+    return (t.append_column("block_keys", pa.array(keys, pa.list_(pa.string())))
+            .append_column("key_suffix", pa.array(suffixes, pa.string())))
+
+
+def key_rows(t: pa.Table, hot_keys=frozenset(), record_keys: bool = False) -> pa.Table:
+    """Records (with :func:`with_block_keys`' columns) -> one
+    (block_key, record_id, has_doi) row per key, repeats kept. A hot
+    ``an:`` or band key becomes ``{key}~{key_suffix}``: the first-author
+    name is stable under the light-corruption tier, and records with
+    heavier corruption are co-blocked via doi/path/LSH keys, so the
+    refinement costs recall ~nothing while collapsing a mega-block to
+    same-name groups. ``doi:`` and ``path:`` keys are never refined,
+    ``host:`` keys always are (by :func:`with_block_keys`).
+
+    ``record_keys`` adds the shuffle's column: the record's packed key
+    list (:func:`_pack_keys`) on each of its rows, so a block can tell
+    which pairs it owns (:func:`_owned_pairs`) without a join."""
+    keys = t["block_keys"]
+    parent = pc.list_parent_indices(keys)
+    key = pc.list_flatten(keys)
+    if hot_keys:
+        hot = pc.and_(pc.is_in(key, value_set=pa.array(list(hot_keys), pa.string())),
+                      pc.invert(pc.match_substring_regex(key, "^(doi|path|host):")))
+        key = pc.if_else(hot, pc.binary_join_element_wise(
+            key, pc.take(t["key_suffix"], parent), "~"), key)
+    out = pa.table({"block_key": key,
+                    "record_id": pc.take(t["record_id"], parent),
+                    "has_doi": pc.take(pc.not_equal(t["doi_norm"], ""), parent)})
+    if record_keys:
+        out = out.append_column("record_keys", pc.take(
+            _pack_keys(key, parent, len(t)), parent))
+    return out
+
+
+def key_rows_ds(records_ds, hot_keys=frozenset(), record_keys: bool = False):
+    """:func:`key_rows` over a records Dataset."""
+    return records_ds.map_batches(
+        key_rows, batch_format="pyarrow", zero_copy_batch=True,
+        fn_kwargs={"hot_keys": hot_keys, "record_keys": record_keys})
 
 
 _SEP, _ESC = "\x1e", "\x1d"
@@ -181,30 +176,41 @@ _SEP, _ESC = "\x1e", "\x1d"
 
 def _escape(key: str) -> str:
     """``key`` without ``\\x1e`` (a DOI or URL path may hold any
-    character), one to one."""
+    character), one to one and order-preserving."""
     return key.replace(_ESC, _ESC + _ESC).replace(_SEP, _ESC + ".")
 
 
-def _pack_keys(keys) -> str:
-    """A record's distinct block keys, sorted, :func:`_escape`d and
-    ``\\x1e``-joined (list columns break inside map_groups)."""
-    return _SEP.join(map(_escape, sorted(set(keys))))
+def _pack_keys(key, parent, n: int) -> pa.Array:
+    """Each of ``n`` records' distinct block keys (``key``, owned by the
+    record ``parent`` indexes), escaped as :func:`_escape` does, sorted
+    and ``\\x1e``-joined (list columns break inside map_groups). Arrow
+    compares whole strings, and sorting escaped keys sorts the keys."""
+    escaped = pc.replace_substring(pc.replace_substring(key, _ESC, _ESC + _ESC),
+                                   _SEP, _ESC + ".")
+    rows = pa.table({"p": parent, "k": escaped}).group_by(["p", "k"]).aggregate([]).sort_by(
+        [("p", "ascending"), ("k", "ascending")])
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows["p"].to_numpy(), minlength=n))])
+    return pc.binary_join(pa.ListArray.from_arrays(
+        pa.array(offsets, pa.int32()), rows["k"].combine_chunks()), _SEP)
 
 
-def emit_block_keys(records_ds, hot_keys_ref=None):
-    return records_ds.map_batches(
-        emit_keys_batch,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        fn_kwargs={"hot_keys_ref": hot_keys_ref},
-    )
+def _summed(partials_ds, cols) -> pa.Table | None:
+    """The per-batch partials of ``partials_ds`` summed by block key in
+    the calling process (Arrow groups by whole strings; pandas' hashing
+    stops at a NUL); ``None`` when there are none."""
+    parts = list(partials_ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+    if not parts:
+        return None
+    return pa.concat_tables(parts).group_by("block_key").aggregate(
+        [(c, "sum") for c in cols])
 
 
 def find_hot_keys(records_ds, threshold=DEFAULT_HOT_THRESHOLD,
                   sample_frac: float = 0.1, sample_min_rows: int = 50_000,
                   driver_merge_rows: int = 500_000):
-    """First pass: measure block sizes, return the set of oversized
-    keys. No shuffle: each batch emits its per-key value_counts, the
+    """The set of oversized unrefined block keys, counted off the
+    records' ``block_keys`` lists (a record's repeated key counts each
+    time). No shuffle: each batch emits its per-key value_counts, the
     driver sums the partials (O(distinct keys) rows). Above
     sample_min_rows records the pass runs on a DETERMINISTIC
     content-hash sample (stable pandas row-hash of record_id — the same
@@ -215,32 +221,22 @@ def find_hot_keys(records_ds, threshold=DEFAULT_HOT_THRESHOLD,
     definition massively over threshold, so sampling detects them
     reliably at a tenth the cost."""
     n = records_ds.count()
-    src = records_ds
-    eff_threshold = threshold
-    if n > sample_min_rows:
-        from pandas.util import hash_pandas_object
+    sampled = n > sample_min_rows
+    cut = int(sample_frac * 10_000)
+    eff_threshold = max(8, int(threshold * sample_frac * 0.5)) if sampled else threshold
 
-        cut = int(sample_frac * 10_000)
+    def _partial_counts(t: pa.Table) -> pa.Table:
+        if sampled:
+            from pandas.util import hash_pandas_object
 
-        def _hash_sample(t: pa.Table) -> pa.Table:
-            # pyarrow in/out: records carry list columns, which break
-            # pandas->arrow round trips ("numpy type 17")
-            keep = (hash_pandas_object(t["record_id"].to_pandas(),
-                                       index=False) % 10_000 < cut)
-            return t.filter(pa.array(keep.to_numpy()))
+            t = t.filter(pa.array((hash_pandas_object(
+                t["record_id"].to_pandas(), index=False) % 10_000 < cut).to_numpy()))
+        vc = pc.value_counts(pc.list_flatten(t["block_keys"]))
+        return pa.table({"block_key": vc.field("values"), "n": vc.field("counts")})
 
-        src = records_ds.map_batches(_hash_sample, batch_format="pyarrow",
-                                     zero_copy_batch=True)
-        eff_threshold = max(8, int(threshold * sample_frac * 0.5))
-    keys = emit_block_keys(src)
+    partials_ds = records_ds.map_batches(_partial_counts, batch_format="pyarrow")
 
-    def _partial_counts(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b["block_key"].value_counts()
-        return pd.DataFrame({"block_key": vc.index, "n": vc.values})
-
-    partials_ds = keys.map_batches(_partial_counts, batch_format="pandas")
-
-    if n <= sample_min_rows or n * sample_frac <= driver_merge_rows:
+    if not sampled or n * sample_frac <= driver_merge_rows:
         # bounded key volume (small input, or a sample capped at
         # driver_merge_rows records ≈ 8x that many partial key rows): a
         # driver-side sum of the per-batch partials is cheaper than an
@@ -248,11 +244,11 @@ def find_hot_keys(records_ds, threshold=DEFAULT_HOT_THRESHOLD,
         # barrier for every tier up to ~5M records (sf1 inclusive),
         # identical hot set either way (same partials, same sum, same
         # threshold)
-        partials = partials_ds.to_pandas()
-        if partials.empty:
+        totals = _summed(partials_ds, ["n"])
+        if totals is None:
             return frozenset()
-        totals = partials.groupby("block_key")["n"].sum()
-        return frozenset(totals.index[totals > eff_threshold])
+        return frozenset(totals["block_key"].filter(
+            pc.greater(totals["n_sum"], eff_threshold)).to_pylist())
 
     from ..ops.relational import bucketed_map_groups
 
@@ -290,8 +286,6 @@ def family_bit(block_key: str) -> int:
 def _triu_unflatten(flat: "np.ndarray", n: int):
     """Flat upper-triangle pair index k (0-based, row-major over i<j)
     -> (i, j). Vectorized."""
-    import numpy as np
-
     # i is the largest row such that offset(i) <= k, where
     # offset(i) = i*n - i*(i+1)/2  (pairs before row i)
     kk = flat.astype(np.float64)
@@ -317,8 +311,6 @@ def _pair_sample(total: int, max_pairs: int):
     space: all of them up to the cap, past it a deterministic stride
     sample of ``max_pairs`` (the full product is never materialized);
     ``total - len(result)`` pairs are dropped."""
-    import numpy as np
-
     if total <= max_pairs:
         return np.arange(total, dtype=np.int64)
     return np.unique(np.linspace(0, total - 1, max_pairs).astype(np.int64))
@@ -333,8 +325,6 @@ def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
     DOIs co-block under the doi: key; different DOIs are a definite
     non-match) — this prunes the dominant both-authoritative share of
     fuzzy blocks without losing a single undecided pair."""
-    import numpy as np
-
     # a record's repeated key (two equal author names) counts once; a
     # set of tuples, because pandas' multi-column drop_duplicates hashes
     # strings as C strings and merges ids that differ after a NUL
@@ -420,8 +410,6 @@ def _owned_pairs(df: pd.DataFrame, max_pairs: int, capped=None) -> pd.DataFrame:
     Record ids are taken to be unique (page URLs and work ids are, in
     every input here): a repeated id keeps the first key list its
     bucket sees."""
-    import numpy as np
-
     pairs = _pairs_for_bucket(df, max_pairs)
     if pairs.empty:
         return pairs
@@ -462,16 +450,16 @@ def _owned_pairs(df: pd.DataFrame, max_pairs: int, capped=None) -> pd.DataFrame:
         families=np.bitwise_or.reduce(np.where(emits, fam[lc], 0), axis=1))[own]
 
 
-def _capped_blocks(keys_ds, max_pairs: int) -> dict:
+def _capped_blocks(records_ds, hot_keys, max_pairs: int) -> dict:
     """Capped block key -> pairs its cap drops, from block sizes. One
-    shuffle-free pass counts each batch's pairing and DOI-carrying
-    records per key after the (block_key, record_id) dedup of
-    :func:`_pairs_for_bucket`; the calling process sums the partials and
-    runs them through that function's cap (:func:`_pair_sample`). Arrow
-    groups by whole strings (pandas' hashing stops at a NUL)."""
+    shuffle-free pass over the records' :func:`key_rows` counts each
+    batch's pairing and DOI-carrying records per key after the
+    (block_key, record_id) dedup of :func:`_pairs_for_bucket`; the
+    calling process sums the partials and runs them through that
+    function's cap (:func:`_pair_sample`)."""
 
     def _sizes(t: pa.Table) -> pa.Table:
-        t = t.group_by(["block_key", "record_id", "has_doi"]).aggregate([])
+        t = key_rows(t, hot_keys).group_by(["block_key", "record_id", "has_doi"]).aggregate([])
         # a doi: block pairs all its records (see _pairs_for_bucket)
         pairing = pc.or_(pc.starts_with(t["block_key"], "doi:"), pc.invert(t["has_doi"]))
         return pa.table({
@@ -480,33 +468,33 @@ def _capped_blocks(keys_ds, max_pairs: int) -> dict:
             "d": pc.cast(pc.invert(pairing), pa.int64()),
         }).group_by("block_key").aggregate([("m", "sum"), ("d", "sum")])
 
-    parts = list(keys_ds.map_batches(_sizes, batch_format="pyarrow")
-                 .iter_batches(batch_size=None, batch_format="pyarrow"))
-    if not parts:
+    sizes = _summed(records_ds.map_batches(_sizes, batch_format="pyarrow"), ["m_sum", "d_sum"])
+    if sizes is None:
         return {}
-    sizes = pa.concat_tables(parts).group_by("block_key").aggregate(
-        [("m_sum", "sum"), ("d_sum", "sum")])
     total = _virtual_pairs(sizes["m_sum_sum"].to_numpy(), sizes["d_sum_sum"].to_numpy())
     over = total > max_pairs
     return {key: int(t - len(_pair_sample(t, max_pairs)))
             for key, t in zip(sizes["block_key"].filter(pa.array(over)).to_pylist(), total[over])}
 
 
-def candidate_pairs(records_ds, hot_keys_ref=None, max_pairs_per_block=None,
+def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None,
                     num_buckets: int | None = None):
     """records -> candidate pairs (left_id < right_id), one row per pair:
     the smallest of the block keys that emit it, the largest of their
-    ``dropped_pairs`` and the OR of their family bits. The per-block cap
+    ``dropped_pairs`` and the OR of their family bits. Block keys are
+    the records' own (:func:`with_block_keys`), refined by ``hot_keys``
+    (:func:`find_hot_keys`' set, a plain value). The per-block cap
     defaults to DEFAULT_MAX_PAIRS_PER_BLOCK, read at call time as
     :func:`block_caps` reads it.
 
-    ONE shuffle: the key rows group by block key in coarse hash buckets
-    (ops.relational.bucketed_map_groups, so Python-per-group overhead is
-    O(num_buckets), not O(num_keys)), and each bucket emits only the
-    pairs its blocks own (:func:`_owned_pairs`). A pair is tested at its
-    smallest shared key, the way a prefix-filter similarity join checks
-    a pair only at its first common prefix token, so no shuffle is
-    needed to deduplicate pairs that several blocks share.
+    ONE shuffle: the :func:`key_rows` group by block key in coarse hash
+    buckets (ops.relational.bucketed_map_groups, so Python-per-group
+    overhead is O(num_buckets), not O(num_keys)), and each bucket emits
+    only the pairs its blocks own (:func:`_owned_pairs`). A pair is
+    tested at its smallest shared key, the way a prefix-filter
+    similarity join checks a pair only at its first common prefix token,
+    so no shuffle is needed to deduplicate pairs that several blocks
+    share.
 
     Whether a capped block kept a pair is not local to the other blocks
     of the pair, so capped blocks are found first, by the shuffle-free
@@ -522,12 +510,11 @@ def candidate_pairs(records_ds, hot_keys_ref=None, max_pairs_per_block=None,
         # so count() is metadata-cheap there; test callers hand tiny
         # from_pandas datasets where it is also free.
         num_buckets = adaptive_num_buckets(records_ds.count())
-    keys = emit_block_keys(records_ds, hot_keys_ref=hot_keys_ref)
     capped = None
-    drops = _capped_blocks(keys, max_pairs_per_block)
+    drops = _capped_blocks(records_ds, hot_keys, max_pairs_per_block)
     if drops:
         names = pa.array(list(drops), pa.string())
-        rows = keys.map_batches(
+        rows = key_rows_ds(records_ds, hot_keys).map_batches(
             lambda t: t.filter(pc.is_in(t["block_key"], value_set=names)),
             batch_format="pyarrow").to_pandas()
         kept = _pairs_for_bucket(rows, max_pairs_per_block)
@@ -535,11 +522,12 @@ def candidate_pairs(records_ds, hot_keys_ref=None, max_pairs_per_block=None,
                   set(zip(kept["block_key"].map(_escape), kept["left_id"],
                           kept["right_id"])))
     return bucketed_map_groups(
-        keys, "block_key", lambda df: _owned_pairs(df, max_pairs_per_block, capped),
+        key_rows_ds(records_ds, hot_keys, record_keys=True), "block_key",
+        lambda df: _owned_pairs(df, max_pairs_per_block, capped),
         num_buckets=num_buckets)
 
 
-def block_caps(records_ds, hot_keys_ref=None) -> dict:
+def block_caps(records_ds, hot_keys=frozenset()) -> dict:
     """Capped block key -> pairs its cap dropped, for the blocks
     :func:`candidate_pairs` builds from the same records and hot keys at
     its default cap.
@@ -549,5 +537,4 @@ def block_caps(records_ds, hot_keys_ref=None) -> dict:
     blocks, so grouping pairs by key credits a capped block's drops to
     every smaller key that co-blocks one of its sampled pairs. The size
     pass is the one :func:`candidate_pairs` runs."""
-    return _capped_blocks(emit_block_keys(records_ds, hot_keys_ref=hot_keys_ref),
-                          DEFAULT_MAX_PAIRS_PER_BLOCK)
+    return _capped_blocks(records_ds, hot_keys, DEFAULT_MAX_PAIRS_PER_BLOCK)

@@ -6,10 +6,13 @@ authority works (the reference's implicit entities are per-DOI groups,
 `check...openalex.py:72-74`; here records generalize that to any
 web-page corpus).
 
-Schema: record_id, doi_norm, host_key, authors list<string>,
-insts list<string>, name_blob (normalized author names joined — the
-MinHash input). Records with neither a DOI nor any author carry no
-linkage signal and are dropped (counted upstream as noise pages).
+Schema: RECORD_SCHEMA (record_id, side, doi_norm, host_key, path_key,
+authors / insts and their normalized lists, name_blob: the normalized
+author names joined, the MinHash input), then the two block-key columns
+of ``stages.block.with_block_keys`` (block_keys list<string>,
+key_suffix), added in the same per-batch map. Records with neither a
+DOI nor any author carry no linkage signal and are dropped (counted
+upstream as noise pages).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pyarrow as pa
 from ..functions.doi import clean_doi
 from ..functions.textnorm import normalize_text
 from ..functions.urlkeys import host_key
+from .block import with_block_keys
 
 RECORD_SCHEMA = pa.schema(
     [
@@ -80,7 +84,7 @@ def _record_rows(ids, sides, dois, hosts, paths, authors_lists, insts_lists):
         out["authors_norm"].append(a_norm)
         out["insts_norm"].append(i_norm)
         out["name_blob"].append(" ".join(sorted(a_norm)))
-    return pa.Table.from_pydict(out, schema=RECORD_SCHEMA)
+    return with_block_keys(pa.Table.from_pydict(out, schema=RECORD_SCHEMA))
 
 
 def page_records_batch(batch: pa.Table) -> pa.Table:
@@ -139,7 +143,8 @@ def work_records_batch(batch: pa.Table) -> pa.Table:
 
 
 def build_records(extracted_ds, works_ds):
-    """Union of page records and work records as one Dataset."""
+    """Union of page records and work records as one Dataset, each
+    record with its block keys (computed here, once)."""
     pages = extracted_ds.map_batches(page_records_batch, batch_format="pyarrow",
                                      zero_copy_batch=True)
     works = works_ds.map_batches(work_records_batch, batch_format="pyarrow",

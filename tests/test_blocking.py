@@ -20,20 +20,18 @@ def test_triu_unflatten_roundtrip():
         assert (i == iu).all() and (j == ju).all()
 
 
-def _emit(records, hot=frozenset()):
+def _emit(records, hot=frozenset(), record_keys=False):
+    """Key rows of (record_id, doi_norm, host_key, path_key, name_blob,
+    authors_norm) rows under the hot set ``hot``."""
     tbl = pa.table({
         "record_id": [r[0] for r in records],
         "doi_norm": [r[1] for r in records],
         "host_key": [r[2] for r in records],
         "path_key": [r[3] for r in records],
         "name_blob": [r[4] for r in records],
-        "authors_norm": [r[5] for r in records],
+        "authors_norm": pa.array([r[5] for r in records], pa.list_(pa.string())),
     })
-    import reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages.block as b
-
-    b._HOT_CACHE.clear()
-    out = block.emit_keys_batch(tbl, hot_keys_ref=None)
-    return out.to_pandas()
+    return block.key_rows(block.with_block_keys(tbl), hot, record_keys).to_pandas()
 
 
 def test_key_families_emitted():
@@ -51,24 +49,79 @@ def test_key_families_emitted():
     assert not df[(df.record_id == "r2") & df.block_key.str.startswith("doi:")].shape[0]
 
 
-def test_hot_refinement_splits_blocks():
-    hot = frozenset(["an:wei wang"])
+def test_key_rows_literal():
+    """Key rows, refinement and record_keys packing, row for row: a hot
+    ``an:`` key and a hot band key are refined by the first author, a
+    hot ``doi:`` / ``path:`` key is not, ``host:`` always is; the suffix
+    falls back to the DOI, then to ``_``; a repeated author name keeps
+    both rows but packs once; a DOI holding ``\\x1e`` and ``\\x1d`` packs
+    escaped."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.functions import (
+        minhash,
+    )
+
+    bands = minhash.band_keys(minhash.MinHasher(64).signature("li wei wang wei wang"), 4)
+    doi = "10.2/e\x1ey\x1d."
+    hot = frozenset(["an:wei wang", bands[0], "doi:10.1/d", "path:j/view/1",
+                     "doi:" + doi, "host:h3~_"])
+    records = [
+        ("a", "10.1/d", "h", "j/view/1", "li wei wang wei wang", ["wei wang", "wei wang", "li"]),
+        ("b", doi, "h2", "", "", []),
+        ("c", "", "h3", "p", "", []),
+    ]
+    a_keys = ["doi:10.1/d", "path:j/view/1", "host:h~wei wang", "an:wei wang~wei wang",
+              "an:wei wang~wei wang", "an:li", bands[0] + "~wei wang", *bands[1:]]
+    b_keys = ["doi:" + doi, "host:h2~" + doi]
+    c_keys = ["path:p", "host:h3~_"]
+    df = _emit(records, hot, record_keys=True)
+    assert df["block_key"].tolist() == a_keys + b_keys + c_keys
+    assert df["record_id"].tolist() == ["a"] * 10 + ["b"] * 2 + ["c"] * 2
+    assert df["has_doi"].tolist() == [True] * 12 + [False] * 2
+    assert df["record_keys"].tolist() == (
+        ["\x1e".join(sorted(set(a_keys)))] * 10
+        + ["doi:10.2/e\x1d.y\x1d\x1d.\x1ehost:h2~10.2/e\x1d.y\x1d\x1d."] * 2
+        + ["host:h3~_\x1epath:p"] * 2)
+    assert df["record_keys"][0].count("an:wei wang~wei wang") == 1
+    # no hot set, no refinement
+    assert _emit(records[:1])["block_key"].tolist()[3:8] == [
+        "an:wei wang", "an:wei wang", "an:li", *bands[:2]]
+
+
+def test_find_hot_keys_counts_repeated_names(ray_session):
+    """A record's repeated author name counts twice toward the hot set."""
+    import ray.data as rds
+
     tbl = pa.table({
-        "record_id": ["a", "b"],
-        "doi_norm": ["", "10.9/z"],
-        "host_key": ["", ""],
-        "path_key": ["", ""],
-        "name_blob": ["", ""],
-        "authors_norm": [["wei wang"], ["wei wang"]],
+        "record_id": ["a", "b"], "doi_norm": ["", ""], "host_key": ["", ""],
+        "path_key": ["", ""], "name_blob": ["", ""],
+        "authors_norm": pa.array([["wei wang", "wei wang", "li"], ["li"]],
+                                 pa.list_(pa.string())),
     })
-    import ray
+    ds = rds.from_arrow(block.with_block_keys(tbl))
+    assert block.find_hot_keys(ds, threshold=1) == frozenset(["an:wei wang", "an:li"])
+    assert block.find_hot_keys(ds, threshold=2) == frozenset()
 
-    block._HOT_CACHE.clear()
-    ref = None
 
-    # call _refine directly (no ray needed)
-    assert block._refine("an:wei wang", hot, ["wei wang"], "") == "an:wei wang~wei wang"
-    assert block._refine("an:wei wang", frozenset(), ["wei wang"], "") == "an:wei wang"
+def test_later_passes_read_the_key_columns(ray_session):
+    """Nothing after the records stage re-runs MinHash: with the key
+    columns present and ``name_blob`` gone, the hot set and the pairs
+    come out as expected, the hot ``an:ann lee`` split by first author."""
+    import ray.data as rds
+
+    names = {"r1": ["ann lee"], "r2": ["ann lee"], "r3": ["bo chen", "ann lee"],
+             "r4": ["bo chen"]}
+    tbl = block.with_block_keys(pa.table({
+        "record_id": list(names), "doi_norm": ["", "", "", "10.1/x"],
+        "host_key": [""] * 4, "path_key": [""] * 4,
+        "name_blob": [" ".join(sorted(n)) for n in names.values()],
+        "authors_norm": pa.array(list(names.values()), pa.list_(pa.string())),
+    })).drop_columns(["name_blob"])
+    ds = rds.from_arrow(tbl)
+    hot = block.find_hot_keys(ds, threshold=2)
+    assert hot == frozenset(["an:ann lee"])
+    pairs = block.candidate_pairs(ds, hot).to_pandas().sort_values("left_id")
+    assert [tuple(r) for r in pairs.itertuples(index=False)] == [
+        ("r1", "r2", "an:ann lee~ann lee", 0, 8), ("r3", "r4", "an:bo chen", 0, 8)]
 
 
 def test_pair_cap_logs_dropped():
@@ -119,7 +172,8 @@ def test_find_hot_keys_driver_merge_equals_distributed(ray_session):
         "name_blob": ["" for _ in range(n)],
         "authors_norm": [["wei wang"] for _ in range(n)],
     })
-    ds = rds.from_pandas(recs, override_num_blocks=4)
+    ds = rds.from_pandas(recs, override_num_blocks=4).map_batches(
+        block.with_block_keys, batch_format="pyarrow")
     # force the SAMPLED regime in both runs (n > sample_min_rows), with
     # eff_threshold low enough that the shared name key is always hot
     common = dict(threshold=64, sample_frac=0.5, sample_min_rows=100)
@@ -175,7 +229,7 @@ def _reference_pairs(recs, max_pairs):
     ``_pairs_for_bucket`` over all key rows, then per pair the smallest
     block key, the largest ``dropped_pairs`` and the OR of the family
     bits (the rows the old pair-dedup shuffle produced)."""
-    keys = block.emit_keys_batch(recs).to_pandas()
+    keys = block.key_rows(recs).to_pandas()
     own = block._pairs_for_bucket(keys, max_pairs)
     for bit in (1, 2, 4, 8):
         own[f"b{bit}"] = (own["families"] & bit) // bit
@@ -188,7 +242,6 @@ def _reference_pairs(recs, max_pairs):
 
 def _assert_pairs_match_reference(ds, max_pairs):
     recs = ds.materialize()
-    block._HOT_CACHE.clear()
     want = _reference_pairs(pa.concat_tables(
         recs.iter_batches(batch_size=None, batch_format="pyarrow")), max_pairs)
     got = block.candidate_pairs(recs, max_pairs_per_block=max_pairs,
@@ -204,14 +257,14 @@ def _records(rows):
     """Records from (record_id, doi_norm, path_key, authors_norm) rows."""
     import ray.data as rds
 
-    return rds.from_arrow(pa.table({
+    return rds.from_arrow(block.with_block_keys(pa.table({
         "record_id": [r[0] for r in rows],
         "doi_norm": [r[1] for r in rows],
         "host_key": [""] * len(rows),
         "path_key": [r[2] for r in rows],
         "name_blob": [""] * len(rows),
         "authors_norm": pa.array([r[3] for r in rows], pa.list_(pa.string())),
-    }), override_num_blocks=3)
+    })), override_num_blocks=3)
 
 
 def test_candidate_pairs_capped_equal_reference(ray_session):

@@ -648,13 +648,13 @@ def _candidate_pairs(rds, authors, paths=None, hosts=None):
 
     ids = list(authors)
     blank = [""] * len(ids)
-    recs = rds.from_arrow(pa.table({
+    recs = rds.from_arrow(block.with_block_keys(pa.table({
         "record_id": ids, "doi_norm": blank,
         "host_key": [(hosts or {}).get(i, "") for i in ids],
         "path_key": [(paths or {}).get(i, "") for i in ids],
         "name_blob": blank,
         "authors_norm": pa.array([authors[i] for i in ids], pa.list_(pa.string())),
-    }))
+    })))
     return block.candidate_pairs(recs)
 
 

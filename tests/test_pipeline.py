@@ -515,13 +515,15 @@ def _name_records(names_by_id, path_key=""):
     import pyarrow as pa
     import ray.data as rd
 
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import block
+
     ids = sorted(names_by_id)
     blank = [""] * len(ids)
-    return rd.from_arrow(pa.table({
+    return rd.from_arrow(block.with_block_keys(pa.table({
         "record_id": ids, "doi_norm": blank, "host_key": blank,
         "path_key": [path_key] * len(ids), "name_blob": blank,
         "authors_norm": pa.array([names_by_id[i] for i in ids], pa.list_(pa.string())),
-    })).materialize()
+    }))).materialize()
 
 
 def _report_with_cap(monkeypatch, recs):
