@@ -129,120 +129,114 @@ def _build_pm_arr(a: str, np):
 
 
 def indel_ratios_bulk(pairs: list) -> list:
-    """InDel ratios for MANY (a, b) string pairs at once — bit-exact
-    with :func:`indel_ratio` (hash-checked on multi-million-combo real
-    workloads), with every per-pair cost pushed out of Python:
-
-    - patterns are dict-INTERNED during classification, so the bitmap
-      cache is consulted once per DISTINCT pattern, not once per pair
-      (the old per-row closure + get_or_build was ~25% of the kernel);
-    - subjects are encoded as ONE joined ascii buffer; each chunk's
-      (k, lmax) code matrix is a single vectorized gather with padded
-      cells pointing at a sentinel NUL (pattern slot 0 is never set,
-      so padding steps are DP no-ops);
-    - the Hyyrö DP runs as numpy uint64 vector steps across the chunk
-      — one (v+u)|(v-u) per character POSITION — over a TRANSPOSED
-      contiguous bitmask gather (strided column reads measured ~2x);
-    - results scatter back through one numpy fancy assignment.
-
-    Chunks are processed in subject-length order so a chunk's DP pays
-    its own lmax, not the batch maximum. Pairs that are non-ASCII or
-    whose shorter string exceeds 63 chars (the uint64 carry budget)
-    fall back to the scalar kernel. Measured 2.5x over the previous
-    per-row-loop version on the sf0.3 scoring combo stream (5.4 ->
-    2.1 us/combo). This is the scoring stage's hot kernel.
-    """
+    """InDel ratios for MANY (a, b) string pairs at once, bit-exact
+    with :func:`indel_ratio`: the pairs are interned by one Arrow
+    ``dictionary_encode`` (whole-string compare, NUL-exact) and scored
+    by :func:`indel_ratios_codes`."""
     import numpy as np
+    import pyarrow as pa
 
     n = len(pairs)
-    out = np.zeros(n, dtype=np.float64)
-    idxs: list = []
-    lbs: list = []
-    pcodes: list = []
-    subs: list = []
-    pat_code: dict = {}
-    pats: list = []
-    pget = pat_code.get
-    for i, (a, b) in enumerate(pairs):
-        if a == b:
-            out[i] = 100.0  # covers both-empty
-            continue
-        if not a or not b:
-            # unequal with one side empty -> distance = total
-            out[i] = 0.0 if (a or b) else 100.0
-            continue
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) <= 63 and a.isascii() and b.isascii():
-            c = pget(a)
-            if c is None:
-                c = len(pats)
-                pat_code[a] = c
-                pats.append(a)
-            pcodes.append(c)
-            idxs.append(i)
-            subs.append(b)
-            lbs.append(len(b))
-        else:
-            out[i] = indel_ratio(a, b)
-    if not idxs:
-        return out.tolist()
+    enc = pa.array([a for a, _ in pairs] + [b for _, b in pairs],
+                   pa.string()).dictionary_encode()
+    codes = enc.indices.to_numpy().astype(np.int64)
+    return indel_ratios_codes(enc.dictionary, codes[:n], codes[n:]).tolist()
 
-    # bitmap matrix over the batch's DISTINCT patterns (cross-batch
-    # cache serves repeats)
-    cache = _PM_ARR_CACHE
-    cget = cache.get
-    pm_rows = [None] * len(pats)
-    for c, a in enumerate(pats):
-        arr = cget(a)
-        if arr is None:
-            arr = _build_pm_arr(a, np)
-            cache.set(a, arr, cost=1100)
-        pm_rows[c] = arr
-    pm_flat = np.concatenate(pm_rows)
-    pat_la = np.fromiter(map(len, pats), dtype=np.uint64, count=len(pats))
 
-    big = np.frombuffer(("".join(subs)).encode("ascii") + b"\x00",
-                        dtype=np.uint8)
-    lb_all = np.array(lbs, dtype=np.int64)
-    off_all = np.concatenate(([0], np.cumsum(lb_all)[:-1]))
-    sentinel = len(big) - 1
-    pcode_all = np.array(pcodes, dtype=np.int64)
-    idx_all = np.array(idxs, dtype=np.int64)
-    # int32 gather indices are measurably faster; fall back to int64
-    # only if the distinct-pattern space overflows them
-    itype = np.int64 if len(pats) * 128 > 2**31 - 128 else np.int32
-    order = np.argsort(lb_all, kind="stable")
-    take = np.take
+# bitmap slots per pattern: the 128 ASCII codes plus a padding slot. Only
+# the positions past a pattern's end set bits there, bits outside the
+# pattern's mask, so a padded subject cell is a DP no-op even for a
+# pattern that holds a NUL
+_PAD = 128
+
+
+def indel_ratios_codes(strings, a, b):
+    """InDel ratios (float64 array) of the string pairs
+    ``(strings[a[i]], strings[b[i]])``, bit-exact with
+    :func:`indel_ratio`. ``strings`` is an Arrow string array (a slice
+    or repeated strings are fine), ``a`` / ``b`` integer code arrays.
+
+    Equal codes score 100 and an empty side 0 (both empty 100) without
+    the DP. The rest runs Hyyrö's bit-parallel LCS as numpy uint64
+    vector steps across the pairs, one ``(v+u)|(v-u)`` step per subject
+    character, with the shorter string as the pattern. Lengths come
+    from the offsets buffer and character codes straight from the data
+    buffer (padded with ``_PAD``); the distinct patterns' bitmaps are
+    built in one pass, and each chunk's bitmask rows are gathered
+    transposed (contiguous row reads measured ~2x over strided ones).
+    Chunks run in subject-length order, so a chunk's DP pays its own
+    longest subject. Non-ASCII pairs and patterns over 63 chars (the
+    uint64 carry budget) take the scalar kernel; only their strings
+    become Python objects."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if isinstance(strings, pa.ChunkedArray):
+        strings = strings.combine_chunks()
+    _, obuf, dbuf = strings.buffers()
+    offs = np.frombuffer(obuf, np.int32)[strings.offset: strings.offset + len(strings) + 1]
+    slen = np.diff(offs)
+    data = np.append(np.frombuffer(dbuf, np.uint8) if dbuf else [], _PAD).astype(np.uint8)
+    ascii_ = pc.string_is_ascii(strings).fill_null(True).to_numpy(zero_copy_only=False)
+
+    def _chars(codes, width):
+        # (len(codes), width) char-code matrix, _PAD past each end
+        j = np.arange(width, dtype=np.int32)
+        return data[np.where(j < slen[codes][:, None], offs[codes][:, None] + j, len(data) - 1)]
+
+    swap = slen[a] > slen[b]
+    pat, sub = np.where(swap, b, a), np.where(swap, a, b)
+    la, lb = slen[pat], slen[sub]
+    out = np.where((la + lb == 0) | (a == b), 100.0, 0.0)
+    todo = (a != b) & (la > 0)
+    fast = todo & (la <= 63) & ascii_[pat] & ascii_[sub]
+    slow = np.flatnonzero(todo & ~fast)
+    if len(slow):
+        need = np.unique(np.concatenate([a[slow], b[slow]]))
+        strs = dict(zip(need.tolist(), strings.take(pa.array(need)).to_pylist()))
+        out[slow] = [indel_ratio(strs[i], strs[j])
+                     for i, j in zip(a[slow].tolist(), b[slow].tolist())]
+    idx = np.flatnonzero(fast)
+    if not len(idx):
+        return out
+
+    # bitmaps of the distinct patterns: slot c of row r has bit j set
+    # where pattern r's j-th char is c (the bits of one row are
+    # distinct, so adding them is OR-ing them)
+    pats, pcode = np.unique(pat[idx], return_inverse=True)
+    width = int(slen[pats].max())
+    pm = np.zeros((len(pats), _PAD + 1), dtype=np.uint64)
+    np.add.at(pm, (np.arange(len(pats))[:, None], _chars(pats, width)),
+              np.uint64(1) << np.arange(width, dtype=np.uint64))
+    pm_flat = pm.ravel()
+    # int32 gather indices are measurably faster; int64 only when the
+    # distinct-pattern space overflows them
+    itype = np.int64 if pm.size > 2**31 - 1 else np.int32
+    prow = (pcode * (_PAD + 1)).astype(itype)
+    la, sub, lb = la[idx].astype(np.uint64), sub[idx], lb[idx]
+    order = np.argsort(lb, kind="stable")
     for lo in range(0, len(order), 8192):
-        sel = order[lo : lo + 8192]
-        k = len(sel)
-        lb = lb_all[sel]
-        lmax = int(lb[-1])
-        off = off_all[sel]
-        j = np.arange(lmax, dtype=np.int64)
-        cell = np.where(j[None, :] < lb[:, None],
-                        off[:, None] + j[None, :], sentinel)
-        codes = take(big, cell)
-        gidx = codes.astype(itype)
-        gidx += (pcode_all[sel] * 128).astype(itype)[:, None]
-        la = pat_la[pcode_all[sel]]
-        masks = (np.uint64(1) << la) - np.uint64(1)
+        sel = order[lo: lo + 8192]
+        lmax = int(lb[sel[-1]])
+        gidx = _chars(sub[sel], lmax).astype(itype) + prow[sel][:, None]
+        pmxT = np.take(pm_flat, np.ascontiguousarray(gidx.T))
+        masks = (np.uint64(1) << la[sel]) - np.uint64(1)
         v = masks.copy()
-        pmxT = take(pm_flat, np.ascontiguousarray(gidx.T))
-        for jj in range(lmax):
-            p = pmxT[jj]
+        for p in pmxT:
             u = v & p
             # v <= 2^63-1 and u <= v, so v+u fits uint64; u's bits are
             # a subset of v's, so v-u never underflows. Padding cells
-            # are p=0 -> a no-op, so ragged lengths need no masking.
+            # give u=0 -> a no-op, so ragged lengths need no masking.
             v = ((v + u) | (v - u)) & masks
-        ones = np.unpackbits(v.view(np.uint8)).reshape(k, -1).sum(axis=1)
-        lcs = la.astype(np.int64) - ones.astype(np.int64)
-        total = la.astype(np.int64) + lb
+        ones = np.unpackbits(v.view(np.uint8)).reshape(len(sel), -1).sum(axis=1)
+        lcs = la[sel].astype(np.int64) - ones.astype(np.int64)
+        total = la[sel].astype(np.int64) + lb[sel]
         # same expression order as indel_ratio -> bit-identical floats
-        out[idx_all[sel]] = 100.0 * (1.0 - (total - 2 * lcs) / total)
-    return out.tolist()
+        out[idx[sel]] = 100.0 * (1.0 - (total - 2 * lcs) / total)
+    return out
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -270,7 +264,7 @@ def levenshtein_bulk(pairs: list) -> list:
     1999, public) run as numpy uint64 vector steps ACROSS the batch:
     one (Eq&Pv)+Pv carry step per text POSITION for the whole chunk.
     The shorter string is the pattern; its 128-slot char-mask array is
-    shared with the InDel kernel's cache. Ragged text lengths are
+    cached per worker (``_PM_ARR_CACHE``). Ragged text lengths are
     handled with an active mask (a finished pair's registers freeze —
     unlike the LCS kernel, a zero Eq column is NOT a no-op for
     Levenshtein). Pairs that are non-ASCII or whose shorter string
@@ -308,8 +302,8 @@ def levenshtein_bulk(pairs: list) -> list:
             out_np[i] = levenshtein(a, b)
     if not idxs:
         return out_np.tolist()
-    # same interned-pattern / joined-buffer / transposed-gather layout
-    # as indel_ratios_bulk (see its docstring for the measured wins)
+    # interned patterns, one joined subject buffer and a transposed
+    # bitmask gather (contiguous row reads measured ~2x over strided)
     cache = _PM_ARR_CACHE
     cget = cache.get
     pm_rows = [None] * len(pats)

@@ -37,8 +37,8 @@ records as a list column, and later passes only count them
 (:func:`find_hot_keys`) and refine them (:func:`key_rows`) with Arrow.
 The hot set is a plain frozenset argument. Pair generation is ONE
 coarse bucketed shuffle of the key rows (ops.relational.
-bucketed_map_groups: O(num_buckets) Python calls, C-level self-merge
-inside), and each pair is emitted only by its owner block, so no
+bucketed_map_groups: O(num_buckets) Python calls, pairs enumerated on
+integer codes inside), and each pair is emitted only by its owner block, so no
 second shuffle deduplicates pairs several blocks share. Shuffles carry
 only (key, record_id, has_doi, the record's key list) — never the
 heavy record payloads.
@@ -180,13 +180,17 @@ def _escape(key: str) -> str:
     return key.replace(_ESC, _ESC + _ESC).replace(_SEP, _ESC + ".")
 
 
+def _escaped(keys):
+    """:func:`_escape` over an Arrow string array."""
+    return pc.replace_substring(pc.replace_substring(keys, _ESC, _ESC + _ESC), _SEP, _ESC + ".")
+
+
 def _pack_keys(key, parent, n: int) -> pa.Array:
     """Each of ``n`` records' distinct block keys (``key``, owned by the
     record ``parent`` indexes), escaped as :func:`_escape` does, sorted
     and ``\\x1e``-joined (list columns break inside map_groups). Arrow
     compares whole strings, and sorting escaped keys sorts the keys."""
-    escaped = pc.replace_substring(pc.replace_substring(key, _ESC, _ESC + _ESC),
-                                   _SEP, _ESC + ".")
+    escaped = _escaped(key)
     rows = pa.table({"p": parent, "k": escaped}).group_by(["p", "k"]).aggregate([]).sort_by(
         [("p", "ascending"), ("k", "ascending")])
     offsets = np.concatenate([[0], np.cumsum(np.bincount(rows["p"].to_numpy(), minlength=n))])
@@ -273,14 +277,14 @@ FAMILY_HOST = 4
 FAMILY_NAME = 8   # an: exact-name and b*: LSH bands
 
 
-def family_bit(block_key: str) -> int:
-    if block_key.startswith("doi:"):
-        return FAMILY_DOI
-    if block_key.startswith("path:"):
-        return FAMILY_PATH
-    if block_key.startswith("host:"):
-        return FAMILY_HOST
-    return FAMILY_NAME
+def _family_bits(keys: pa.Array) -> np.ndarray:
+    """Each block key's family bit, with a trailing 0 that a -1 code
+    indexes. Escaping (:func:`_escape`) leaves the prefixes intact."""
+    bits = np.full(len(keys) + 1, FAMILY_NAME, dtype=np.int64)
+    bits[-1] = 0
+    for prefix, bit in (("doi:", FAMILY_DOI), ("path:", FAMILY_PATH), ("host:", FAMILY_HOST)):
+        bits[:-1][pc.starts_with(keys, prefix).to_numpy(zero_copy_only=False)] = bit
+    return bits
 
 
 def _triu_unflatten(flat: "np.ndarray", n: int):
@@ -316,63 +320,59 @@ def _pair_sample(total: int, max_pairs: int):
     return np.unique(np.linspace(0, total - 1, max_pairs).astype(np.int64))
 
 
-def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
-    """Vectorized pair generation for every block key in a bucket: each
-    block's own pairs, with its own ``dropped_pairs`` and family bit.
+def _pair_codes(df: pd.DataFrame, max_pairs: int):
+    """Every block's own pairs in a bucket of key rows, on integer
+    codes. Returns the key dictionary, the record ids in sorted order,
+    each row's record rank in that order (so ``left_id < right_id`` is
+    an int compare), the keys' family bits (:func:`_family_bits`) and
+    the pairs as (left rank, right rank, key code, dropped pairs)
+    arrays with left < right. Arrow encodes and sorts whole strings,
+    NUL-exact.
 
-    In non-DOI blocks, pairs where BOTH records carry a DOI are
-    skipped: their outcome is already decided by the DOI itself (equal
-    DOIs co-block under the doi: key; different DOIs are a definite
+    A record's repeated key (two equal author names) counts once: one
+    row per (key, record), sorted by key then rank, with the first such
+    row's DOI flag. Small blocks enumerate the upper triangle of their
+    rows; a block over 500 records or over the cap takes the per-key
+    path, which samples its virtual pair space (:func:`_pair_sample`).
+    In non-DOI blocks, pairs where BOTH records carry a DOI are skipped:
+    their outcome is already decided by the DOI itself (equal DOIs
+    co-block under the doi: key; different DOIs are a definite
     non-match) — this prunes the dominant both-authoritative share of
     fuzzy blocks without losing a single undecided pair."""
-    # a record's repeated key (two equal author names) counts once; a
-    # set of tuples, because pandas' multi-column drop_duplicates hashes
-    # strings as C strings and merges ids that differ after a NUL
-    seen = set()
-    df = df[np.fromiter((not (t in seen or seen.add(t))
-                         for t in zip(df["block_key"], df["record_id"])), bool, len(df))]
-    sizes = df["block_key"].value_counts()
-    # keys whose pair count could exceed the cap go through the capped
-    # per-key path; the rest use one C-level self-merge
-    big = set(sizes.index[(sizes > 500) | (sizes.mul(sizes - 1) // 2 > max_pairs)])
-    small = df[~df["block_key"].isin(big)] if big else df
+    key = pa.array(df["block_key"].to_numpy(), pa.string()).dictionary_encode()
+    rid = pa.array(df["record_id"].to_numpy(), pa.string()).dictionary_encode()
+    order = pc.sort_indices(rid.dictionary)
+    n_keys, n_ids = len(key.dictionary), len(order)
+    ranks = np.empty(n_ids, dtype=np.int64)
+    ranks[order.to_numpy()] = np.arange(n_ids)
+    rank = ranks[rid.indices.to_numpy()]
+    fam = _family_bits(key.dictionary)
+    rows, first = np.unique(key.indices.to_numpy().astype(np.int64) * n_ids + rank,
+                            return_index=True)
+    kc, rc, doi = rows // n_ids, rows % n_ids, df["has_doi"].to_numpy(bool)[first]
+    sizes = np.bincount(kc, minlength=n_keys)
+    big = (sizes > 500) | (sizes * (sizes - 1) // 2 > max_pairs)
 
-    outs = []
-    if len(small):
-        # vectorized all-pairs for the (dominant) small blocks: one
-        # C-level self-merge instead of a Python loop per key; family
-        # bits are looked up per key row, not per pair
-        small = small[["block_key", "record_id", "has_doi"]].assign(
-            families=small["block_key"].map(family_bit).astype("int64"))
-        m = small.merge(small, on=["block_key", "families"], suffixes=("_l", "_r"))
-        decided = (m["families"] != FAMILY_DOI) & m["has_doi_l"] & m["has_doi_r"]
-        m = m[(m["record_id_l"] < m["record_id_r"]) & ~decided]
-        if len(m):
-            outs.append(pd.DataFrame({
-                "left_id": m["record_id_l"].to_numpy(),
-                "right_id": m["record_id_r"].to_numpy(),
-                "block_key": m["block_key"].to_numpy(),
-                "dropped_pairs": 0,
-                "families": m["families"].to_numpy(),
-            }))
+    small = np.flatnonzero(~big[kc])
+    pos = np.arange(len(small)) - np.searchsorted(kc[small], kc[small])
+    later = sizes[kc[small]] - 1 - pos
+    i = np.repeat(np.arange(len(small)), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    i, j = small[i], small[j]
+    keep = (fam[kc[i]] == FAMILY_DOI) | ~(doi[i] & doi[j])
+    outs = [(rc[i[keep]], rc[j[keep]], kc[i[keep]], np.zeros(keep.sum(), np.int64))]
 
-    for key in big:
-        g = df[df["block_key"] == key]
-        order = np.argsort(g["record_id"].to_numpy())
-        ids = g["record_id"].to_numpy()[order]
+    bounds = np.searchsorted(kc, np.arange(n_keys + 1))
+    for k in np.flatnonzero(big):
+        ids, g_doi = rc[bounds[k]:bounds[k + 1]], doi[bounds[k]:bounds[k + 1]]
         # a doi: block pairs all of its records; elsewhere both-DOI pairs
         # are decided, so only the DOI-less records pair, with each other
         # and with the DOI-carrying ones
-        if key.startswith("doi:"):
-            pairing = np.ones(len(ids), dtype=bool)
-        else:
-            pairing = ~g["has_doi"].to_numpy()[order]
+        pairing = np.ones(len(ids), bool) if fam[k] == FAMILY_DOI else ~g_doi
         a_ids, b_ids = ids[pairing], ids[~pairing]
         m, d = len(a_ids), len(b_ids)
         total = _virtual_pairs(m, d)
         flat = _pair_sample(total, max_pairs)
-        if not len(flat):
-            continue
         # the virtual pair space: a x a upper triangle first, then a x b
         within = m * (m - 1) // 2
         f1, f2 = flat[flat < within], flat[flat >= within] - within
@@ -380,25 +380,29 @@ def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
         i2, j2 = (f2 // d, f2 % d) if d else (f2, f2)
         left = np.concatenate([a_ids[iu], a_ids[i2]])
         right = np.concatenate([a_ids[ju], b_ids[j2]])
-        # canonical ordering left < right
-        swap = left > right
-        left[swap], right[swap] = right[swap], left[swap].copy()
-        outs.append(pd.DataFrame({"left_id": left, "right_id": right,
-                                  "block_key": key,
-                                  "dropped_pairs": total - len(flat),
-                                  "families": family_bit(key)}))
-    if not outs:
-        return pd.DataFrame({"left_id": pd.Series(dtype=str),
-                             "right_id": pd.Series(dtype=str),
-                             "block_key": pd.Series(dtype=str),
-                             "dropped_pairs": pd.Series(dtype="int64"),
-                             "families": pd.Series(dtype="int64")})
-    return pd.concat(outs, ignore_index=True)
+        outs.append((np.minimum(left, right), np.maximum(left, right),
+                     np.full(len(flat), k), np.full(len(flat), total - len(flat))))
+    return (key.dictionary, rid.dictionary.take(order), rank, fam,
+            tuple(np.concatenate(c) for c in zip(*outs)))
 
 
-def _owned_pairs(df: pd.DataFrame, max_pairs: int, capped=None) -> pd.DataFrame:
-    """The pairs of a bucket's blocks (:func:`_pairs_for_bucket`) that
-    each block OWNS. The blocks that emit a pair are the keys both its
+def _pair_frame(ids, keys, left, right, kc, dropped, families) -> pa.Table:
+    """Pair rows from codes, the strings gathered by Arrow ``take``."""
+    return pa.table({"left_id": ids.take(left), "right_id": ids.take(right),
+                     "block_key": keys.take(kc), "dropped_pairs": dropped,
+                     "families": families})
+
+
+def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
+    """Every block key's own pairs in a bucket of key rows, each with
+    its block's ``dropped_pairs`` and family bit (:func:`_pair_codes`)."""
+    keys, ids, _, fam, (left, right, pk, dropped) = _pair_codes(df, max_pairs)
+    return _pair_frame(ids, keys, left, right, pk, dropped, fam[pk]).to_pandas()
+
+
+def _owned_pairs(df: pd.DataFrame, max_pairs: int, capped=None) -> pa.Table:
+    """The pairs of a bucket's blocks (:func:`_pair_codes`) that each
+    block OWNS, as an Arrow table (scoring reads Arrow batches). The blocks that emit a pair are the keys both its
     records carry, less the non-``doi:`` keys when both carry a DOI and
     the capped keys whose sample dropped the pair; the smallest of them
     owns it. The owner's row gets the OR of their family bits and the
@@ -410,44 +414,47 @@ def _owned_pairs(df: pd.DataFrame, max_pairs: int, capped=None) -> pd.DataFrame:
     Record ids are taken to be unique (page URLs and work ids are, in
     every input here): a repeated id keeps the first key list its
     bucket sees."""
-    pairs = _pairs_for_bucket(df, max_pairs)
-    if pairs.empty:
-        return pairs
-    # one row per record: its DOI flag and its key list as key codes,
-    # in key order (padded with -1, which indexes the sentinel appended
-    # to every per-key array)
-    pos, doi, lists, code = {}, [], [], {}
-    for rid, hd, packed in zip(df["record_id"], df["has_doi"], df["record_keys"]):
-        if rid not in pos:
-            pos[rid] = len(pos)
-            doi.append(hd)
-            lists.append([code.setdefault(k, len(code)) for k in packed.split(_SEP)])
-    has_doi = np.array(doi, dtype=bool)
-    codes = np.full((len(lists), max(map(len, lists))), -1, dtype=np.int64)
-    for i, ks in enumerate(lists):
-        codes[i, :len(ks)] = ks
-    keys = list(code)
-    fam = np.array([family_bit(k) for k in keys] + [0], dtype=np.int64)
+    keys, ids, rank, _, (left, right, pk, none) = _pair_codes(df, max_pairs)
+    if not len(left):
+        return _pair_frame(ids, keys, left, right, pk, none, none)
+    # one key-code list per record (rank), from its first row: its
+    # packed keys split once and encoded once, padded with -1, which
+    # indexes the sentinel appended to every per-key array
+    _, first = np.unique(rank, return_index=True)
+    has_doi = df["has_doi"].to_numpy(bool)[first]
+    lists = pc.split_pattern(pa.array(df["record_keys"].to_numpy()[first], pa.string()), _SEP)
+    lens = pc.list_value_length(lists).to_numpy().astype(np.int64)
+    enc = pc.list_flatten(lists).dictionary_encode()
+    listed = enc.dictionary
+    codes = np.full((len(ids), lens.max()), -1, dtype=np.int64)
+    owner = np.repeat(np.arange(len(ids)), lens)
+    codes[owner, np.arange(len(owner)) - np.repeat(np.cumsum(lens) - lens, lens)] = \
+        enc.indices.to_numpy()
+    fam = _family_bits(listed)
     drops, kept = capped or ({}, ())
-    dropped = np.array([drops.get(k, 0) for k in keys] + [0], dtype=np.int64)
+    dropped = np.zeros(len(listed) + 1, dtype=np.int64)
+    if drops:
+        at = pc.index_in(listed, value_set=pa.array(list(drops), pa.string())).fill_null(-1)
+        at = at.to_numpy().astype(np.int64)
+        dropped[:-1][at >= 0] = np.array(list(drops.values()), np.int64)[at[at >= 0]]
 
-    left, right = pairs["left_id"].to_numpy(), pairs["right_id"].to_numpy()
-    ids = pd.Index(list(pos))
-    li, ri = ids.get_indexer(left), ids.get_indexer(right)
-    lc, rc = np.take(codes, li, axis=0), np.take(codes, ri, axis=0)
+    lc, rcodes = codes[left], codes[right]
     # emits[p, j]: the j-th key of the pair's left record emits the pair
-    emits = ((lc[:, :, None] == rc[:, None, :]).any(axis=2) & (lc >= 0)
-             & ~((has_doi[li] & has_doi[ri])[:, None]
+    emits = ((lc[:, :, None] == rcodes[:, None, :]).any(axis=2) & (lc >= 0)
+             & ~((has_doi[left] & has_doi[right])[:, None]
                  & (fam[lc] != FAMILY_DOI)))
-    for p, j in zip(*np.nonzero(emits & (dropped[lc] > 0))):
-        if (keys[lc[p, j]], left[p], right[p]) not in kept:
-            emits[p, j] = False
+    capped_cells = np.nonzero(emits & (dropped[lc] > 0))
+    if len(capped_cells[0]):
+        key_str, id_str = listed.to_pylist(), ids.to_pylist()
+        for p, j in zip(*capped_cells):
+            if (key_str[lc[p, j]], id_str[left[p]], id_str[right[p]]) not in kept:
+                emits[p, j] = False
     # the lists are sorted, so the first emitting key is the owner
-    kcode = pairs["block_key"].map({k: code[_escape(k)] for k in set(df["block_key"])})
-    own = lc[np.arange(len(pairs)), emits.argmax(axis=1)] == kcode.to_numpy()
-    return pairs.assign(
-        dropped_pairs=np.where(emits, dropped[lc], 0).max(axis=1),
-        families=np.bitwise_or.reduce(np.where(emits, fam[lc], 0), axis=1))[own]
+    own_code = pc.index_in(_escaped(keys), value_set=listed).to_numpy().astype(np.int64)
+    own = lc[np.arange(len(left)), emits.argmax(axis=1)] == own_code[pk]
+    return _pair_frame(ids, keys, left[own], right[own], pk[own],
+                       np.where(emits, dropped[lc], 0).max(axis=1)[own],
+                       np.bitwise_or.reduce(np.where(emits, fam[lc], 0), axis=1)[own])
 
 
 def _capped_blocks(records_ds, hot_keys, max_pairs: int) -> dict:

@@ -39,7 +39,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.similarity import indel_ratio, indel_ratios_bulk
+from ..functions.similarity import indel_ratio, indel_ratios_codes
 from ..functions.textnorm import normalize_text
 from . import block
 
@@ -71,8 +71,8 @@ SCORED_PAIR_SCHEMA = pa.schema(
 _ID_COLS = ["left_id", "right_id", "block_key"]
 _ATTR_COLS = ["doi_norm", "authors_packed", "insts_packed"]
 # author / institution lists travel packed into one flat string per
-# record: a flat string column gathers (take + to_pylist) ~3x cheaper
-# per row than list<string>, and survives the pandas<->arrow round
+# record: a flat string column measured ~3x cheaper per row to gather
+# (take + to_pylist) than list<string>, and survives the pandas<->arrow round
 # trips inside a shuffle, which list columns do not
 _SEP = "\x1e"
 _BATCH_ROWS = 8192
@@ -172,141 +172,129 @@ def _score_tuple(doi_l, authors_l, insts_l, doi_r, authors_r, insts_r,
     return (author, inst, combined, doi_equal, doi_conflict, is_match)
 
 
-def _ratios_for_combos(xs: list, ys: list) -> "np.ndarray":
-    """InDel ratios for parallel combo lists, float64 array: distinct
-    (unordered) string pairs are dict-interned (tuple keys compare
-    whole strings, embedded NULs included), run once through the bulk
-    kernel and gathered back."""
-    seen: dict = {}
-    codes = np.fromiter(
-        (seen.setdefault((x, y) if x <= y else (y, x), len(seen))
-         for x, y in zip(xs, ys)), dtype=np.int64, count=len(xs))
-    return np.asarray(indel_ratios_bulk(list(seen)), dtype=np.float64)[codes]
+def _column(x) -> pa.Array:
+    """One attribute column as a null-free Arrow string array."""
+    if isinstance(x, pa.ChunkedArray):
+        x = x.combine_chunks()
+    elif not isinstance(x, pa.Array):
+        x = pa.array(x, pa.string())
+    return x.fill_null("")
 
 
-def _intern_pairs(left: list, right: list, rows, ordered: bool):
-    """Intern the (left, right) packed-string pairs at ``rows``: returns
-    each row's code and the distinct pairs. Both sides share one Arrow
-    dictionary (whole-string compare, NUL-exact — unlike pandas' khash);
-    an unordered pair is keyed by its sorted codes."""
-    enc = pa.array(list(left) + list(right), pa.string()).fill_null("") \
-        .dictionary_encode()
-    codes = enc.indices.to_numpy().astype(np.int64)
-    cl, cr = codes[: len(left)][rows], codes[len(left):][rows]
-    if not ordered:
-        cl, cr = np.minimum(cl, cr), np.maximum(cl, cr)
-    d = len(enc.dictionary)
-    keys, inv = np.unique(cl * d + cr, return_inverse=True)
-    strs = enc.dictionary.to_pylist()
-    return inv, [(strs[k // d], strs[k % d]) for k in keys.tolist()]
+def _starts(counts):
+    return np.cumsum(counts) - counts
+
+
+def _cross(lo, ln, ro, rn):
+    """The full cross product of list pairs given as (offset, length) of
+    each side's names: per pair, each left name in order against every
+    right name in order. Returns the left and right flat name indices
+    and the combo count of each left-name row."""
+    rows = np.repeat(np.arange(len(ln)), ln)
+    x = lo[rows] + np.arange(len(rows)) - _starts(ln)[rows]
+    per_row = rn[rows]
+    combo = np.repeat(np.arange(len(rows)), per_row)
+    y = ro[rows][combo] + np.arange(len(combo)) - _starts(per_row)[combo]
+    return x[combo], y, per_row
 
 
 def score_vectors(ldoi, rdoi, lauth, rauth, linst, rinst, fams):
     """Vectorized scoring core over PACKED attribute columns (lists
-    joined with ``_SEP``): returns (author, inst, combined, doi_equal,
-    doi_conflict, is_match) numpy arrays, bit-identical to a per-row
-    :func:`_score_tuple` loop (equivalence-tested).
+    joined with ``_SEP``; Arrow arrays, chunked or not, or lists):
+    returns (author, inst, combined, doi_equal, doi_conflict, is_match)
+    numpy arrays, bit-identical to a per-row :func:`_score_tuple` loop
+    (equivalence-tested).
 
-    DOI-undecided pairs are interned per batch into distinct author-list
-    pairs (ordered) and institution-list pairs (unordered); each distinct
-    pair emits its combos once, ONE kernel pass scores the batch's
-    distinct combos, and the per-pair results scatter back through the
-    intern codes. Per-batch interning is enough: summed over 8192-row
-    batches, sf0.1's 2,824,253 undecided pairs hold 918,775 distinct
-    author-list pairs (862,578 globally) and 1,365,023 institution-list
-    pairs (1,113,806 globally), so a cross-batch memo could save at most
-    6.1% / 18% of the list-pair work while costing a probe per pair
-    and memory per worker."""
-    n = len(ldoi)
-    ld = np.asarray(ldoi, dtype=object)
-    rd_ = np.asarray(rdoi, dtype=object)
-    has_l = np.fromiter((bool(x) for x in ld), dtype=bool, count=n)
-    has_r = np.fromiter((bool(x) for x in rd_), dtype=bool, count=n)
-    eq = has_l & (ld == rd_)
-    conflict = has_l & has_r & ~eq
-    decided = eq | conflict
+    Everything past the DOI decision runs on integer codes. The
+    DOI-undecided pairs' four packed columns share one
+    ``dictionary_encode`` (whole-string compare, NUL-exact), and
+    ``np.unique`` on code pairs interns the distinct author-list pairs
+    (ordered: the small side is the first list at equal lengths) and
+    institution-list pairs (unordered: the max is symmetric). The
+    distinct lists are split once and their names dictionary-encoded;
+    each distinct list pair's full name cross product is built with
+    repeat/offset arithmetic, and only its distinct unequal name-code
+    pairs reach the kernel, once (:func:`indel_ratios_codes`). Equal
+    codes score 100 without it: the max is exact and 100 the ceiling,
+    so this equals the reference's early exit.
+
+    Per-batch interning is enough: summed over 8192-row batches, sf0.1's
+    2,824,253 undecided pairs hold 918,775 distinct author-list pairs
+    (862,578 globally) and 1,365,023 institution-list pairs (1,113,806
+    globally), so a cross-batch memo could save at most 6.1% / 18% of
+    the list-pair work while costing a probe per pair and memory per
+    worker."""
+    ld, rd = _column(ldoi), _column(rdoi)
+    has_l = pc.not_equal(ld, "")
+    eq = pc.and_(has_l, pc.equal(ld, rd)).to_numpy(zero_copy_only=False)
+    conflict = pc.and_(pc.and_(has_l, pc.not_equal(rd, "")),
+                       pc.not_equal(ld, rd)).to_numpy(zero_copy_only=False)
 
     author = np.where(eq, 100.0, 0.0)
     inst = author.copy()
     combined = author.copy()
     is_match = eq.copy()
 
-    und = np.flatnonzero(~decided)
-    if len(und):
-        a_inv, a_pairs = _intern_pairs(lauth, rauth, und, ordered=True)
-        i_inv, i_pairs = _intern_pairs(linst, rinst, und, ordered=False)
-        # combo emission, once per distinct list pair. Author combos run
-        # in (small-side name, large-side other) order — the reference
-        # loop's order, so the sequential reduceat sums below are
-        # bit-identical to its accumulation; the small side is the
-        # first list at equal lengths, which is why author pairs are
-        # ORDERED. A name present on the other side contributes 100
-        # whatever else it meets (the reference's early exit): it emits
-        # one (name, name) combo instead of its cross-product row, and
-        # a shared institution likewise makes the max 100.
-        xs, ys = [], []
-        name_counts = []                    # combos per small-side name
-        a_names = np.zeros(len(a_pairs), dtype=np.int64)
-        for k, (la_s, ra_s) in enumerate(a_pairs):
-            if la_s and ra_s:
-                la = la_s.split(_SEP)
-                ra = ra_s.split(_SEP)
-                small, large = (la, ra) if len(la) <= len(ra) else (ra, la)
-                a_names[k] = len(small)
-                large_set = set(large)
-                for name in small:
-                    if name in large_set:
-                        name_counts.append(1)
-                        xs.append(name)
-                        ys.append(name)
-                    else:
-                        name_counts.append(len(large))
-                        xs.extend([name] * len(large))
-                        ys.extend(large)
-        n_author = len(xs)
-        i_counts = np.zeros(len(i_pairs), dtype=np.int64)
-        i_none = np.zeros(len(i_pairs), dtype=bool)
-        for k, (li_s, ri_s) in enumerate(i_pairs):
-            if li_s and ri_s:
-                li = li_s.split(_SEP)
-                ri = ri_s.split(_SEP)
-                common = set(li) & set(ri)
-                if common:
-                    c0 = next(iter(common))
-                    i_counts[k] = 1
-                    xs.append(c0)
-                    ys.append(c0)
-                else:
-                    i_counts[k] = len(li) * len(ri)
-                    for x in li:
-                        xs.extend([x] * len(ri))
-                        ys.extend(ri)
-            else:
-                i_none[k] = not li_s and not ri_s
-        ratios = _ratios_for_combos(xs, ys)
+    und = np.flatnonzero(~(eq | conflict))
+    u = len(und)
+    if u:
+        rows = pa.array(und)
+        enc = pa.concat_arrays([_column(c).take(rows) for c in
+                                (lauth, rauth, linst, rinst)]).dictionary_encode()
+        codes = enc.indices.to_numpy().astype(np.int64).reshape(4, u)
+        d = len(enc.dictionary)
+        a_keys, a_inv = np.unique(codes[0] * d + codes[1], return_inverse=True)
+        i_keys, i_inv = np.unique(np.minimum(codes[2], codes[3]) * d
+                                  + np.maximum(codes[2], codes[3]), return_inverse=True)
+        # the distinct lists' names: "" packs an empty list
+        lists = pc.split_pattern(enc.dictionary, _SEP)
+        names = pc.list_flatten(lists).dictionary_encode()
+        name_code = names.indices.to_numpy().astype(np.int64)
+        n_off = lists.offsets.to_numpy()[:-1].astype(np.int64)
+        n_len = np.where(pc.equal(enc.dictionary, "").to_numpy(zero_copy_only=False), 0,
+                         pc.list_value_length(lists).to_numpy())
 
-        def _offsets(counts):
-            return np.concatenate(([0], np.cumsum(counts)[:-1]))
-
-        # author: best ratio per small name (max.reduceat), then the
-        # reference's sequential sum over names (add.reduceat) / count
-        a_dist = np.zeros(len(a_pairs), dtype=np.float64)
-        has = a_names > 0
-        if n_author:
-            bests = np.maximum.reduceat(ratios[:n_author], _offsets(name_counts))
-            a_dist[has] = np.add.reduceat(bests, _offsets(a_names[has])) / a_names[has]
+        # authors: small side (the first list at equal lengths) in list
+        # order against the large side, so the add.reduceat sums below
+        # run in the reference loop's order and are bit-identical to it
+        al, ar = a_keys // d, a_keys % d
+        a_has = (n_len[al] > 0) & (n_len[ar] > 0)
+        al, ar = al[a_has], ar[a_has]
+        flip = n_len[al] > n_len[ar]
+        small, large = np.where(flip, ar, al), np.where(flip, al, ar)
+        ax, ay, a_per_name = _cross(n_off[small], n_len[small], n_off[large], n_len[large])
         # institutions: both empty -> 100, one empty -> 0, else max
-        i_dist = np.where(i_none, 100.0, 0.0)
-        emit = i_counts > 0
-        if emit.any():
-            i_dist[emit] = np.maximum.reduceat(ratios[n_author:], _offsets(i_counts[emit]))
+        il, ir = i_keys // d, i_keys % d
+        i_both = (n_len[il] > 0) & (n_len[ir] > 0)
+        i_none = (n_len[il] == 0) & (n_len[ir] == 0)
+        ix, iy, _ = _cross(n_off[il[i_both]], n_len[il[i_both]],
+                           n_off[ir[i_both]], n_len[ir[i_both]])
 
-        def _r2(x):
-            return np.copysign(np.floor(np.abs(x) * 100.0 + 0.5) / 100.0, x)
+        x = name_code[np.concatenate([ax, ix])]
+        y = name_code[np.concatenate([ay, iy])]
+        ratios = np.full(len(x), 100.0)
+        diff = np.flatnonzero(x != y)
+        nd = len(names.dictionary)
+        lo, hi = np.minimum(x[diff], y[diff]), np.maximum(x[diff], y[diff])
+        combos, inv = np.unique(lo * nd + hi, return_inverse=True)
+        ratios[diff] = indel_ratios_codes(names.dictionary, combos // nd, combos % nd)[inv]
+
+        a_dist = np.zeros(len(a_keys), dtype=np.float64)
+        if len(ax):
+            bests = np.maximum.reduceat(ratios[: len(ax)], _starts(a_per_name))
+            n_small = n_len[small]
+            a_dist[a_has] = np.add.reduceat(bests, _starts(n_small)) / n_small
+        i_dist = np.where(i_none, 100.0, 0.0)
+        if len(ix):
+            i_dist[i_both] = np.maximum.reduceat(
+                ratios[len(ax):], _starts(n_len[il[i_both]] * n_len[ir[i_both]]))
+
+        def _r2(v):
+            return np.copysign(np.floor(np.abs(v) * 100.0 + 0.5) / 100.0, v)
 
         a_r = _r2(a_dist)[a_inv]
         i_r = _r2(i_dist)[i_inv]
-        both_inst = emit[i_inv]
+        both_inst = i_both[i_inv]
         comb = np.where(both_inst,
                         _r2(AUTHOR_WEIGHT * a_r + INST_WEIGHT * i_r), a_r)
         fam_und = np.asarray(fams, dtype=np.int64)[und]
@@ -351,10 +339,8 @@ def _scored_table(ids: pa.Table, lt: pa.Table, rt: pa.Table, fams) -> pa.Table:
     ``_ID_COLS``, ``lt`` / ``rt`` each side's ``_ATTR_COLS`` row-aligned
     with it, ``fams`` the family bits."""
     author, inst, combined, eq, conflict, m = score_vectors(
-        lt["doi_norm"].to_pylist(), rt["doi_norm"].to_pylist(),
-        lt["authors_packed"].to_pylist(), rt["authors_packed"].to_pylist(),
-        lt["insts_packed"].to_pylist(), rt["insts_packed"].to_pylist(),
-        fams)
+        lt["doi_norm"], rt["doi_norm"], lt["authors_packed"], rt["authors_packed"],
+        lt["insts_packed"], rt["insts_packed"], fams)
     return pa.Table.from_pydict({
         "left_id": ids["left_id"],
         "right_id": ids["right_id"],

@@ -327,8 +327,9 @@ def test_candidate_pairs_capped_equal_reference(ray_session):
 def test_candidate_pairs_is_one_shuffle():
     """Static guard: ``candidate_pairs`` makes one ``bucketed_map_groups``
     call (no pair-dedup shuffle), and stages/block.py never interns
-    strings through pandas' NUL-truncating ``pd.factorize`` /
-    ``pd.Categorical``."""
+    strings through pandas' NUL-truncating ``factorize``,
+    ``Categorical`` / category dtype or (multi-column)
+    ``drop_duplicates``; its string codes come from Arrow."""
     import ast
     import inspect
 
@@ -339,6 +340,100 @@ def test_candidate_pairs_is_one_shuffle():
                 and getattr(n.func, "id", getattr(n.func, "attr", None)) == "bucketed_map_groups"]
     assert len(shuffles) == 1
     pandas_interning = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute)
-                        and isinstance(n.value, ast.Name) and n.value.id == "pd"
-                        and n.attr in ("factorize", "Categorical")]
+                        and n.attr in ("factorize", "Categorical", "drop_duplicates")]
     assert not pandas_interning
+    assert '"category"' not in inspect.getsource(block)
+
+
+def _family(key):
+    return next((bit for prefix, bit in (("doi:", 1), ("path:", 2), ("host:", 4))
+                 if key.startswith(prefix)), 8)
+
+
+def _brute_block_pairs(df, max_pairs):
+    """Every block's own pairs by itertools: its distinct records (the
+    first row's DOI flag) in id order, the DOI-less ones paired with
+    each other and then with the DOI-carrying ones (all of them in a
+    ``doi:`` block), sampled by ``_pair_sample`` past the cap."""
+    import itertools
+
+    first = {}
+    for key, rid, doi in zip(df["block_key"], df["record_id"], df["has_doi"]):
+        first.setdefault((key, rid), bool(doi))
+    blocks = {}
+    for (key, rid), doi in first.items():
+        blocks.setdefault(key, {})[rid] = doi
+    rows = []
+    for key, recs in blocks.items():
+        ids = sorted(recs)
+        pairing = [r for r in ids if key.startswith("doi:") or not recs[r]]
+        rest = [r for r in ids if r not in pairing]
+        space = list(itertools.combinations(pairing, 2)) + list(itertools.product(pairing, rest))
+        kept = block._pair_sample(len(space), max_pairs)
+        rows += [(*sorted(space[i]), key, len(space) - len(kept), _family(key))
+                 for i in kept.tolist()]
+    return rows
+
+
+def _brute_owned_pairs(rows):
+    """Per pair: the smallest emitting key, the largest drop count and
+    the OR of the family bits."""
+    out = {}
+    for left, right, key, dropped, fam in rows:
+        k, d, f = out.get((left, right), (key, dropped, fam))
+        out[(left, right)] = (min(k, key), max(d, dropped), f | fam)
+    return sorted((left, right, *v) for (left, right), v in out.items())
+
+
+def _tuples(df):
+    return sorted(zip(df["left_id"], df["right_id"], df["block_key"],
+                      df["dropped_pairs"].astype(int).tolist(), df["families"].astype(int).tolist()))
+
+
+def test_pair_enumerator_equals_brute_force():
+    """``_pairs_for_bucket`` and ``_owned_pairs`` against an itertools
+    reference on random blocks: ids that differ only after a NUL,
+    repeated (key, record) rows, ``doi:`` blocks (every record pairs),
+    both-DOI pruning elsewhere, a key holding the key-list separator, a
+    501-record block under the cap and a capped block. The owned rows
+    are the same whether the key rows go through one call or are split
+    by key into 32 buckets."""
+    import random
+    import zlib
+
+    rng = random.Random(11)
+    max_pairs = 1000
+    pool = ["doi:10.1/x", "doi:10.1/y", "an:ann", "an:bo", "b0:7", "path:p",
+            "host:h~ann", "path:a\x1eb\x1d"]
+    recs = {}
+    for i in range(120):
+        rid = rng.choice(["r", "s"]) + "\x00" + str(i) if i % 3 == 0 else f"r{i:03d}"
+        recs[rid] = (rng.random() < 0.4, set(rng.sample(pool, rng.randint(1, 4))))
+    for i in range(60):
+        recs[f"cap{i:02d}"] = (False, {"an:cap", rng.choice(pool)})
+    for i in range(501):
+        recs[f"big{i:03d}"] = (i >= 2, {"an:big"})
+    rows = []
+    for rid, (doi, keys) in recs.items():
+        packed = "\x1e".join(sorted(block._escape(k) for k in keys))
+        rows += [(k, rid, doi, packed) for k in sorted(keys)]
+    rows += rng.sample(rows, 40)
+    rng.shuffle(rows)
+    df = pd.DataFrame(rows, columns=["block_key", "record_id", "has_doi", "record_keys"])
+
+    want = _brute_block_pairs(df, max_pairs)
+    assert _tuples(block._pairs_for_bucket(df, max_pairs)) == sorted(want)
+    sizes = {}
+    for _, _, key, dropped, _ in want:
+        sizes[key] = dropped
+    assert sizes["an:cap"] > 0 and sizes["an:big"] == 0
+    assert any("\x00" in left for left, *_ in want)
+
+    capped = ({block._escape(k): d for k, d in sizes.items() if d},
+              {(block._escape(k), left, right) for left, right, k, d, _ in want if sizes[k]})
+    owned = _brute_owned_pairs(want)
+    assert _tuples(block._owned_pairs(df, max_pairs, capped).to_pandas()) == owned
+    bucket = df["block_key"].map(lambda k: zlib.crc32(k.encode()) % 32)
+    split = pa.concat_tables([block._owned_pairs(g, max_pairs, capped)
+                              for _, g in df.groupby(bucket)])
+    assert _tuples(split.to_pandas()) == owned

@@ -462,6 +462,40 @@ def test_indel_ratios_bulk_bit_exact_with_scalar():
         assert s == indel_ratio(a, b), (a, b, s)
 
 
+def test_indel_ratios_codes_equals_scalar():
+    """The code kernel over an Arrow string table equals the scalar
+    kernel on every code pair: duplicate, empty and NUL-holding strings
+    (a NUL in a pattern must not match the padding of a shorter
+    subject), patterns over 63 chars (the scalar fallback), non-ASCII
+    pairs, and a slice with a nonzero offset, which the offsets-buffer
+    lengths and the data-buffer gather must honour."""
+    import random
+
+    import numpy as np
+    import pyarrow as pa
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.functions.similarity import (
+        indel_ratio,
+        indel_ratios_codes,
+    )
+
+    rng = random.Random(7)
+    alphabet = "ab\x00c d"
+    strs = ["", "", "a", "a", "\x00", "a\x00b", "a\x00b", "ab", "x" * 64, "x" * 70 + "y",
+            "café", "cafe", "日本語", "naïve a\x00"]
+    strs += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 20)))
+             for _ in range(60)]
+    full = pa.array(["pad"] * 5 + strs + ["tail"], pa.string())
+    table = full.slice(5, len(strs))
+    assert table.offset == 5
+    n = len(strs)
+    a = np.repeat(np.arange(n), n)
+    b = np.tile(np.arange(n), n)
+    got = indel_ratios_codes(table, a, b)
+    want = [indel_ratio(strs[i], strs[j]) for i, j in zip(a.tolist(), b.tolist())]
+    assert got.tolist() == want
+
+
 def test_levenshtein_bulk_bit_exact_with_scalar():
     """The Myers bit-parallel batch kernel must equal the scalar DP on
     every input class: empties, equal strings, ASCII fast path,

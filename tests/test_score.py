@@ -6,6 +6,7 @@ import os
 import random
 
 import numpy as np
+import pyarrow as pa
 
 from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import score
 
@@ -42,13 +43,18 @@ def _nul_rows() -> list:
             for fam in (0, 3)]
 
 
-def _vectors(rows: list) -> list:
+def _vectors(rows: list, chunks: int = 1) -> list:
+    """score_vectors over ``rows``, each column a list or, with
+    ``chunks`` > 1, an Arrow array in that many chunks."""
     cols = list(zip(*rows))
-    got = score.score_vectors(
-        list(cols[0]), list(cols[3]),
-        [score._SEP.join(x) for x in cols[1]], [score._SEP.join(x) for x in cols[4]],
-        [score._SEP.join(x) for x in cols[2]], [score._SEP.join(x) for x in cols[5]],
-        np.asarray(cols[6], dtype=np.int64))
+    packed = [list(cols[0]), list(cols[3]),
+              [score._SEP.join(x) for x in cols[1]], [score._SEP.join(x) for x in cols[4]],
+              [score._SEP.join(x) for x in cols[2]], [score._SEP.join(x) for x in cols[5]]]
+    if chunks > 1:
+        cut = np.linspace(0, len(rows), chunks + 1).astype(int)
+        packed = [pa.chunked_array([pa.array(c[lo:hi], pa.string())
+                                    for lo, hi in zip(cut[:-1], cut[1:])]) for c in packed]
+    got = score.score_vectors(*packed, np.asarray(cols[6], dtype=np.int64))
     return [tuple(v.tolist()) for v in got]
 
 
@@ -86,10 +92,35 @@ def test_score_vectors_equals_per_row_reference():
     assert any(matches) and not all(matches)
 
 
+def test_score_vectors_edge_batches_equal_reference():
+    """score_vectors equals the _score_tuple loop on an author that
+    normalizes to "" inside a packed list, on institutions longer than
+    63 chars (the kernel's scalar fallback) and non-ASCII names, on a
+    batch with no DOI-undecided pair and one where every pair is
+    undecided, and on two-chunk Arrow columns."""
+    rng = random.Random(5)
+    long_insts = ["university of " + "x" * 60, "university of " + "x" * 59 + "y",
+                  "institute of technology and science " * 2, "zürich"]
+    rows = _random_rows(rng, 400)
+    empty_name = [(None, ["", rng.choice(_NAMES)], il, None, ar, ir, fam)
+                  for _, _, il, _, ar, ir, fam in rows[:60]]
+    long = [(None, al, rng.sample(long_insts, 2), None, ar, rng.sample(long_insts, 1), fam)
+            for _, al, _, _, ar, _, fam in rows[:60]]
+    decided = [("10.1/a", al, il, rng.choice(["10.1/a", "10.1/b"]), ar, ir, fam)
+               for _, al, il, _, ar, ir, fam in rows[:50]]
+    undecided = [(None, al, il, rng.choice(_DOIS[:3]), ar, ir, fam)
+                 for _, al, il, _, ar, ir, fam in rows[:200]]
+    for batch in (empty_name, long, decided, undecided, empty_name + long):
+        assert _vectors(batch) == _per_row(batch)
+    assert _vectors(rows, chunks=2) == _per_row(rows)
+    assert _vectors(rows[:1], chunks=2) == _per_row(rows[:1])
+
+
 def test_one_scoring_body():
     """score_vectors has one call site in the package, inside
     _scored_table, the body both the broadcast and the shuffle path
-    run; the deleted scorer variants and scoring memos leave no trace,
+    run, and makes no ``to_pylist`` call; the deleted scorer variants,
+    scoring memos and string-interning helpers leave no trace,
     and pandas' NUL-truncating ``pd.factorize`` is called only by
     functions/minhash.factorize_exact, its NUL-gated wrapper."""
     calls, body, stray = [], None, []
@@ -101,7 +132,8 @@ def test_one_scoring_body():
             with open(path) as fh:
                 src = fh.read()
             for gone in ("aux_metrics", "use_actors", "_AUTH_PAIR_CACHE",
-                         "_INST_PAIR_CACHE", "_RATIO_CACHE", "indel_ratio_cached"):
+                         "_INST_PAIR_CACHE", "_RATIO_CACHE", "indel_ratio_cached",
+                         "_intern_pairs", "_ratios_for_combos"):
                 assert gone not in src, (path, gone)
             tree = ast.parse(src)
             wrapper = [(n.lineno, n.end_lineno) for n in ast.walk(tree)
@@ -117,6 +149,11 @@ def test_one_scoring_body():
                 if isinstance(node, ast.FunctionDef) and node.name == "_scored_table":
                     body = (path, node.lineno, node.end_lineno)
     assert not stray, stray
+    # scoring runs on Arrow columns and integer codes, not Python lists
+    fn = next(n for n in ast.walk(ast.parse(open(score.__file__).read()))
+              if isinstance(n, ast.FunctionDef) and n.name == "score_vectors")
+    assert not [n for n in ast.walk(fn) if isinstance(n, ast.Attribute)
+                and n.attr == "to_pylist"]
     assert len(calls) == 1, calls
     (path, line), = calls
     assert body is not None and path == body[0] and body[1] <= line <= body[2]
