@@ -15,11 +15,11 @@ Scale discipline (the reason this file looks the way it does):
   the band count through the all-to-all exchange (16x at the defaults);
   at 100 TB that is petabytes. Payloads are joined back exactly once,
   for the (much smaller) surviving candidate set.
-- Candidate generation inside a bucket is a vectorized self-merge (one
-  C-level join per coarse bucket via bucketed_map_groups — no per-key
-  Python call), with a deterministic per-band width cap and a logged
-  drop count: a degenerate band (e.g. the empty-document signature)
-  would otherwise go quadratic.
+- Candidate generation inside a bucket enumerates each key's pairs on
+  integer codes (functions.pairs, one numpy pass per coarse bucket via
+  bucketed_map_groups — no per-key Python call), with a deterministic
+  per-band width cap and a logged drop count: a degenerate band (e.g.
+  the empty-document signature) would otherwise go quadratic.
 - Verification joins are hash-partitioned (ops.relational.bucket_join)
   for text payloads; embeddings use the broadcast-Arrow per-worker
   lookup (same pattern as stages/score.py) — documented assumption:
@@ -37,6 +37,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.minhash import MinHasher, band_keys, factorize_exact
+from ..functions.pairs import group_pairs, ranked_codes
 from ..functions.similarity import BoundedCache, ngram_set, set_jaccard
 from .relational import bucket_join, bucketed_map_groups
 
@@ -127,56 +128,65 @@ def exact_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
     return bucketed_map_groups(partials, "content_hash", _combine, num_buckets=64)
 
 
-def candidate_pairs_from_keys(keyed_ds, id_col: str, key_col: str = "band_key",
-                              max_band_width: int = 5000, num_buckets: int = 64,
-                              op_name: str = "lsh", distinct_pairs: bool = True):
-    """(key, id) rows -> distinct candidate (left_id, right_id) pairs.
+def _keyed_pairs(g: pd.DataFrame, key_col: str, id_col: str, max_band_width: int,
+                 op_name: str) -> pd.DataFrame:
+    """Every pair of ids sharing a key in one bucket of (key, id) rows,
+    once, as ``left_id < right_id``, on value-ordered codes
+    (functions.pairs, NUL-exact). A key wider than ``max_band_width``
+    keeps its smallest ids, with one warning naming ``op_name`` (a
+    degenerate band, e.g. the empty document's, would otherwise go
+    quadratic). Any other column rides along as ``{col}_x`` /
+    ``{col}_y``, from one row of each id."""
+    ids = ranked_codes(g[id_col].to_numpy())[0]
+    n = max(len(g), 1)
+    rows = np.unique(ranked_codes(g[key_col].to_numpy())[0] * n + ids)
+    key = rows // n
+    kept = np.arange(len(rows)) - np.searchsorted(key, key) < max_band_width
+    if not kept.all():
+        logger.warning("%s: %d oversized bands truncated to width %d (%d id rows dropped)",
+                       op_name, len(np.unique(key[~kept])), max_band_width,
+                       int((~kept).sum()))
+        rows, key = rows[kept], key[kept]
+    i, j = group_pairs(key)
+    pair = pd.unique(rows[i] % n * n + rows[j] % n)
+    out = {}
+    for col in g.columns.drop(key_col):
+        v = g[col].to_numpy()
+        by_id = np.empty(n, v.dtype)
+        by_id[ids] = v
+        left, right = ("left_id", "right_id") if col == id_col else (f"{col}_x", f"{col}_y")
+        out[left], out[right] = by_id[pair // n], by_id[pair % n]
+    return pd.DataFrame(out)
 
-    One coarse-bucketed shuffle; inside a bucket the pair generation is
-    a single vectorized self-merge. Bands wider than ``max_band_width``
-    are deterministically truncated (smallest ids kept) with the drop
-    logged — the no-silent-caps rule.
 
-    ``distinct_pairs=False`` skips the global candidate dedup shuffle
-    (pairs stay deduped per bucket but can repeat across bands/buckets)
-    — for callers whose verify is cheap and vectorized, verifying the
-    cross-band duplicates costs less than shuffling the full candidate
-    set once more; such callers distinct the (far fewer) survivors."""
-    def _cand(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates()
-        counts = g[key_col].value_counts()
-        wide = counts[counts > max_band_width]
-        if len(wide):
-            in_wide = g[key_col].isin(wide.index)
-            over = g[in_wide].sort_values([key_col, id_col], kind="mergesort")
-            kept = over.groupby(key_col, sort=False).head(max_band_width)
-            logger.warning(
-                "%s: %d oversized bands truncated to width %d (%d id rows dropped)",
-                op_name, len(wide), max_band_width, len(over) - len(kept))
-            g = pd.concat([g[~in_wide], kept], ignore_index=True)
-        m = g.merge(g, on=key_col)
-        lx, ly = f"{id_col}_x", f"{id_col}_y"
-        m = m[m[lx] < m[ly]]
-        out = pd.DataFrame({"left_id": m[lx], "right_id": m[ly]}).drop_duplicates()
-        if out.empty:
-            return pd.DataFrame({"left_id": pd.Series(dtype=g[id_col].dtype),
-                                 "right_id": pd.Series(dtype=g[id_col].dtype)})
-        return out
+def _distinct_keyed_pairs(keyed_ds, id_col: str, key_col: str, max_band_width: int,
+                          num_buckets: int, op_name: str, verify, cols):
+    """:func:`_keyed_pairs` per coarse bucket of keys, ``verify``
+    applied to each bucket's pairs in the same task, then the global
+    distinct over ``cols``: a pair shared by several keys surfaces from
+    each of their buckets (bucketed, as Ray's groupby().aggregate()
+    pays ~0.7 ms per distinct group — minutes at 10^5 pairs)."""
+    from .relational import distinct
 
     sh = _shuffle_args()
     blocks = _shuffle_blocks()
-    pairs = bucketed_map_groups(keyed_ds, key_col, _cand,
-                                num_buckets=num_buckets, ray_remote_args=sh,
-                                max_in_blocks=blocks)
-    if not distinct_pairs:
-        return pairs
-    # a pair can surface from several bands/buckets -> global distinct
-    # (bucketed drop_duplicates: Ray's groupby().aggregate() pays
-    # ~0.7 ms per distinct group — minutes at 10^5 pairs)
-    from .relational import distinct
+    pairs = bucketed_map_groups(
+        keyed_ds, key_col,
+        lambda g: verify(_keyed_pairs(g, key_col, id_col, max_band_width, op_name)),
+        num_buckets=num_buckets, ray_remote_args=sh, max_in_blocks=blocks)
+    return distinct(pairs, cols, num_buckets=num_buckets, ray_remote_args=sh,
+                    max_in_blocks=blocks)
 
-    return distinct(pairs, ["left_id", "right_id"], num_buckets=num_buckets,
-                    ray_remote_args=sh, max_in_blocks=blocks)
+
+def candidate_pairs_from_keys(keyed_ds, id_col: str, key_col: str = "band_key",
+                              max_band_width: int = 5000, num_buckets: int = 64,
+                              op_name: str = "lsh"):
+    """(key, id) rows -> distinct candidate (left_id, right_id) pairs:
+    one coarse-bucketed shuffle that enumerates each key's pairs
+    (:func:`_keyed_pairs`, bands over ``max_band_width`` truncated with
+    the drop logged — the no-silent-caps rule), then the distinct."""
+    return _distinct_keyed_pairs(keyed_ds, id_col, key_col, max_band_width, num_buckets,
+                                 op_name, lambda p: p, ["left_id", "right_id"])
 
 
 def _attach_payload(pairs_ds, payload_ds, id_col: str, payload_col: str,
@@ -627,40 +637,20 @@ def simhash_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
                                         "simhash": h64}))
         return pd.concat(frames, ignore_index=True)
 
-    def _pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(subset=["band_key", id_col])
-        counts = g["band_key"].value_counts()
-        wide = counts[counts > max_band_width]
-        if len(wide):
-            in_wide = g["band_key"].isin(wide.index)
-            over = g[in_wide].sort_values(["band_key", id_col], kind="mergesort")
-            kept = over.groupby("band_key", sort=False).head(max_band_width)
-            logger.warning("simhash: %d oversized sub-key buckets truncated (%d rows dropped)",
-                           len(wide), len(over) - len(kept))
-            g = pd.concat([g[~in_wide], kept], ignore_index=True)
-        m = g.merge(g, on="band_key")
-        m = m[m[f"{id_col}_x"] < m[f"{id_col}_y"]]
-        if m.empty:
-            return pd.DataFrame({"left_id": pd.Series(dtype=g[id_col].dtype),
-                                 "right_id": pd.Series(dtype=g[id_col].dtype),
-                                 "hamming": pd.Series(dtype="int64")})
+    def _near(p: pd.DataFrame) -> pd.DataFrame:
         # vectorized Hamming via uint64 xor + popcount-by-bytes
-        x = m[f"simhash_x"].to_numpy().astype(np.uint64) ^ m[f"simhash_y"].to_numpy().astype(np.uint64)
+        x = p["simhash_x"].to_numpy().astype(np.uint64) ^ p["simhash_y"].to_numpy().astype(np.uint64)
         ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
         keep = ham <= max_hamming
-        return pd.DataFrame({"left_id": m[f"{id_col}_x"].to_numpy()[keep],
-                             "right_id": m[f"{id_col}_y"].to_numpy()[keep],
+        return pd.DataFrame({"left_id": p["left_id"].to_numpy()[keep],
+                             "right_id": p["right_id"].to_numpy()[keep],
                              "hamming": ham[keep].astype("int64")})
 
-    sh = _shuffle_args()
-    pairs = bucketed_map_groups(
-        docs_ds.map_batches(_keys, batch_format="pandas", **sh), "band_key",
-        _pairs_bucket, num_buckets=64, ray_remote_args=sh)
-    out = bucketed_map_groups(
-        pairs, ["left_id", "right_id"],
-        lambda g: g.groupby(["left_id", "right_id"], as_index=False, sort=False)
-                   .agg(hamming=("hamming", "min")),
-        num_buckets=64, ray_remote_args=sh)
+    # every copy of a pair carries the same two simhashes, so a distinct
+    # over (left_id, right_id, hamming) leaves one row per pair
+    out = _distinct_keyed_pairs(
+        docs_ds.map_batches(_keys, batch_format="pandas", **_shuffle_args()), id_col,
+        "band_key", max_band_width, 64, "simhash", _near, ["left_id", "right_id", "hamming"])
     return _typed_or_empty(out, [("left_id", pa.int64()), ("right_id", pa.int64()),
                                  ("hamming", pa.int64())])
 
@@ -1219,11 +1209,11 @@ def setsim_prefix_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
 
     # materialize the (rank, id) prefix rows once (two int64 cols — the
     # same data the candidate shuffle moves) so a CHEAP per-token count
-    # reduce can price the self-merge BEFORE running it: the exact
+    # reduce can price the pair enumeration BEFORE running it: the exact
     # candidate volume is sum C(c_token, 2). Exact prefix joins need
     # prefix RARITY; on a vocab << corpus regime (e.g. 50k-word vocab
     # at 500k docs) "rare" tokens still sit in hundreds of prefixes
-    # and the merge output measured ~1e9 rows — it ran a 252 GB disk
+    # and the candidate set measured ~1e9 rows — it ran a 252 GB disk
     # to the raylet's 95% wall instead of finishing. Fail fast with
     # guidance instead.
     prefix = docs_ds.map_batches(
@@ -1232,11 +1222,11 @@ def setsim_prefix_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
                         num_buckets=num_buckets).to_pandas()
     c = pc["n"].to_numpy(np.float64) if len(pc) else np.zeros(0)
     if max_key_width:
-        # price the merge that will ACTUALLY run: candidate_pairs_from_
+        # price the enumeration that will ACTUALLY run: candidate_pairs_from_
         # keys truncates each bucket to max_key_width (logged drops), so
         # the estimate must clamp per-token counts the same way — else
         # the guard raises (and its own "set max_key_width" guidance
-        # does nothing) even when the capped merge is affordable
+        # does nothing) even when the capped enumeration is affordable
         c = np.minimum(c, float(max_key_width))
     est_pairs = int((c * (c - 1) / 2).sum())
     logger.info("setsim_prefix: %d prefix rows over %d tokens, "
@@ -1371,6 +1361,45 @@ def setsim_prefix_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     return _typed_or_empty(out, out_fields)
 
 
+def _blocked_self_join(ds, key_cols, text_col: str, id_col: str, num_buckets: int,
+                       keep_empty: bool, score, out_field):
+    """The shape of the blocked string self-joins: one coarse bucketed
+    shuffle of (key, id, text) rows — the caller prunes columns at the
+    read; all rows of a key co-locate in ONE bucket (bucketed_map_groups)
+    — whose same-key row pairs are enumerated on one integer code of the
+    key columns (functions.pairs, NUL-exact, no Python call per key) and
+    handed to ``score(text, i, j)``, which returns the pairs it keeps and
+    their values. A row with a null key pairs with none, as pandas'
+    groupby drops null keys. Output: (left_id, right_id, value),
+    left_id < right_id, with ``out_field`` naming and typing the value."""
+    from .relational import bucketed_map_groups
+
+    key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
+
+    def _project(b: pd.DataFrame) -> pd.DataFrame:
+        out = b[key_cols + [id_col, text_col]].copy()
+        out[text_col] = out[text_col].fillna("")
+        return out if keep_empty else out[out[text_col].str.len() > 0]
+
+    def _pairs(g: pd.DataFrame) -> pd.DataFrame:
+        code, valid = np.zeros(len(g), np.int64), np.ones(len(g), bool)
+        for col in key_cols:
+            kc = ranked_codes(g[col].to_numpy())[0]
+            valid &= kc >= 0
+            code = np.unique(code * (len(g) + 1) + kc, return_inverse=True)[1]
+        rows = np.flatnonzero(valid)
+        rows = rows[np.argsort(code[rows], kind="stable")]
+        i, j = group_pairs(code[rows])
+        i, j, value = score(g[text_col], rows[i], rows[j])
+        li, ri = g[id_col].to_numpy(dtype="int64")[i], g[id_col].to_numpy(dtype="int64")[j]
+        return pd.DataFrame({"left_id": np.minimum(li, ri), "right_id": np.maximum(li, ri),
+                             out_field[0]: value})
+
+    out = bucketed_map_groups(ds.map_batches(_project, batch_format="pandas"),
+                              key_cols, _pairs, num_buckets=num_buckets)
+    return _typed_or_empty(out, [("left_id", pa.int64()), ("right_id", pa.int64()), out_field])
+
+
 def edit_distance_self_join(ds, key_cols, text_col: str, id_col: str,
                             max_dist: int = 3, num_buckets: int = 32):
     """Blocked Levenshtein similarity self-join: every pair of records
@@ -1380,10 +1409,8 @@ def edit_distance_self_join(ds, key_cols, text_col: str, id_col: str,
     `check..._openalex.py:163`); public design: Gravano et al. 2001
     (length + blocking pre-filters never drop a true pair).
 
-    Scale shape: the shuffle moves only (key, id, text) rows — the
-    caller prunes columns at the read; all pairs of a key are generated
-    inside ONE coarse bucket (bucketed_map_groups — all rows of a key
-    co-locate), pre-filtered by the length lower bound
+    Scale shape (:func:`_blocked_self_join`): each bucket's same-key
+    pairs are pre-filtered by the length lower bound
     ``|len(a)-len(b)| <= max_dist`` (numpy, no kernel calls), and the
     surviving candidates run through the Myers bit-parallel bulk
     kernel (functions.similarity.levenshtein_bulk — bit-exact with the
@@ -1393,49 +1420,17 @@ def edit_distance_self_join(ds, key_cols, text_col: str, id_col: str,
     scale lever. Output: (left_id, right_id, dist), left_id < right_id.
     """
     from ..functions.similarity import levenshtein_bulk
-    from .relational import bucketed_map_groups
 
-    key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
-    empty = pd.DataFrame({"left_id": pd.Series(dtype="int64"),
-                          "right_id": pd.Series(dtype="int64"),
-                          "dist": pd.Series(dtype="int64")})
+    def _dist(text: pd.Series, i: np.ndarray, j: np.ndarray):
+        lens = text.str.len().to_numpy(dtype="int64")
+        near = np.abs(lens[i] - lens[j]) <= max_dist
+        i, j, texts = i[near], j[near], text.to_numpy()
+        d = np.asarray(levenshtein_bulk(list(zip(texts[i], texts[j]))), dtype="int64")
+        hit = d <= max_dist
+        return i[hit], j[hit], d[hit]
 
-    def _project(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[key_cols + [id_col, text_col]].copy()
-        out[text_col] = out[text_col].fillna("")
-        return out
-
-    def _pairs(g: pd.DataFrame) -> pd.DataFrame:
-        frames = []
-        for _, grp in g.groupby(key_cols, sort=False):
-            n = len(grp)
-            if n < 2:
-                continue
-            ids = grp[id_col].to_numpy(dtype="int64")
-            texts = grp[text_col].to_numpy()
-            lens = grp[text_col].str.len().to_numpy(dtype="int64")
-            ii, jj = np.triu_indices(n, k=1)
-            keep = np.abs(lens[ii] - lens[jj]) <= max_dist
-            ii, jj = ii[keep], jj[keep]
-            if not len(ii):
-                continue
-            d = np.asarray(levenshtein_bulk(
-                list(zip(texts[ii], texts[jj]))), dtype="int64")
-            hit = d <= max_dist
-            if not hit.any():
-                continue
-            li, ri = ids[ii[hit]], ids[jj[hit]]
-            lo = np.minimum(li, ri)
-            hi = np.maximum(li, ri)
-            frames.append(pd.DataFrame({"left_id": lo, "right_id": hi,
-                                        "dist": d[hit]}))
-        return pd.concat(frames, ignore_index=True) if frames else empty
-
-    out = bucketed_map_groups(ds.map_batches(_project, batch_format="pandas"),
-                              key_cols, _pairs, num_buckets=num_buckets)
-    return _typed_or_empty(out, [("left_id", pa.int64()),
-                                 ("right_id", pa.int64()),
-                                 ("dist", pa.int64())])
+    return _blocked_self_join(ds, key_cols, text_col, id_col, num_buckets, True, _dist,
+                              ("dist", pa.int64()))
 
 
 def semantic_dedup(emb_ds, centroids, threshold: float = 0.95,
@@ -1538,59 +1533,25 @@ def jw_self_join(ds, key_cols, text_col: str, id_col: str,
     are excluded here), which makes the emitted float scores
     value-hash oracle-able with NO rounding step.
 
-    Same scale shape as :func:`edit_distance_self_join` — one coarse
-    bucketed shuffle of (key, id, text), in-block pair generation via
-    triu indices. JW admits no sound length prefilter, so every
-    in-block pair is scored; the kernel memoizes on the (unordered)
-    string pair — blocked corpora draw from a bounded name pool, so
-    the per-worker memo collapses most of the quadratic cost."""
-    from ..functions.similarity import BoundedCache, jaro_winkler
-    from .relational import bucketed_map_groups
+    Scale shape (:func:`_blocked_self_join`): JW admits no sound length
+    prefilter, so every in-block pair is scored, but each distinct
+    (unordered) text pair in a bucket is scored once, smaller string
+    first — blocked corpora draw from a bounded name pool, so that
+    collapses most of the quadratic cost."""
+    from ..functions.similarity import jaro_winkler
 
-    key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
-    memo = BoundedCache(max_items=1_000_000)
-    empty = pd.DataFrame({"left_id": pd.Series(dtype="int64"),
-                          "right_id": pd.Series(dtype="int64"),
-                          "jw": pd.Series(dtype="float64")})
+    def _jw(text: pd.Series, i: np.ndarray, j: np.ndarray):
+        code, texts = ranked_codes(text.to_numpy())
+        n = max(len(code), 1)
+        lo, hi = np.minimum(code[i], code[j]), np.maximum(code[i], code[j])
+        uniq, at = np.unique(lo * n + hi, return_inverse=True)
+        sc = np.fromiter((jaro_winkler(texts[a], texts[b]) for a, b in zip(uniq // n, uniq % n)),
+                         dtype="float64", count=len(uniq))[at]
+        hit = sc >= threshold
+        return i[hit], j[hit], sc[hit]
 
-    def _jw(a: str, b: str) -> float:
-        key = (a, b) if a <= b else (b, a)
-        return memo.get_or_build(
-            key, lambda: jaro_winkler(key[0], key[1]),
-            cost=len(a) + len(b))
-
-    def _project(b: pd.DataFrame) -> pd.DataFrame:
-        out = b[key_cols + [id_col, text_col]].copy()
-        out[text_col] = out[text_col].fillna("")
-        return out[out[text_col].str.len() > 0]
-
-    def _pairs(g: pd.DataFrame) -> pd.DataFrame:
-        frames = []
-        for _, grp in g.groupby(key_cols, sort=False):
-            n = len(grp)
-            if n < 2:
-                continue
-            ids = grp[id_col].to_numpy(dtype="int64")
-            texts = grp[text_col].to_numpy()
-            ii, jj = np.triu_indices(n, k=1)
-            sc = np.fromiter((_jw(texts[i], texts[j])
-                              for i, j in zip(ii, jj)),
-                             dtype="float64", count=len(ii))
-            hit = sc >= threshold
-            if not hit.any():
-                continue
-            li, ri = ids[ii[hit]], ids[jj[hit]]
-            frames.append(pd.DataFrame({
-                "left_id": np.minimum(li, ri),
-                "right_id": np.maximum(li, ri),
-                "jw": sc[hit]}))
-        return pd.concat(frames, ignore_index=True) if frames else empty
-
-    out = bucketed_map_groups(ds.map_batches(_project, batch_format="pandas"),
-                              key_cols, _pairs, num_buckets=num_buckets)
-    return _typed_or_empty(out, [("left_id", pa.int64()),
-                                 ("right_id", pa.int64()),
-                                 ("jw", pa.float64())])
+    return _blocked_self_join(ds, key_cols, text_col, id_col, num_buckets, False, _jw,
+                              ("jw", pa.float64()))
 
 
 def substring_duplicate_windows(docs_ds, id_col: str = "doc_id",

@@ -27,6 +27,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..functions.pairs import group_pairs, pairs_before, ranked_codes
+
 
 def broadcast_join(big_ds, small_df: pd.DataFrame, on, how: str = "inner",
                    suffix: str = "_r"):
@@ -854,8 +856,6 @@ def sorted_neighborhood_pairs(ds, key_col: str, id_col: str, window: int = 5,
     shuffle — pair emission never needs a quadratic block or a global
     sort of the pair set. Returns (left_id, right_id, rank_dist) with
     left = lower rank."""
-    import numpy as np
-
     g = int(window) - 1
     if g <= 0:
         raise ValueError("window must be >= 2")
@@ -871,28 +871,19 @@ def sorted_neighborhood_pairs(ds, key_col: str, id_col: str, window: int = 5,
         return pd.concat([own, prev], ignore_index=True)
 
     def _pairs(grp: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"left_id": pd.Series(dtype=object),
-                              "right_id": pd.Series(dtype=object),
-                              "rank_dist": pd.Series(dtype="int64")})
-        out = [empty]
-        for stripe, sg in grp.groupby("__stripe", sort=False):
-            sg = sg.sort_values("rn", kind="mergesort")
-            rn = sg["rn"].to_numpy(dtype="int64")
-            ids = sg[id_col].to_numpy(dtype=object)
-            own_mask = (rn // g) == stripe  # left side must own the stripe
-            # per left row: its successors within rank distance g —
-            # repeat/arange emission, no per-row Python loop
-            hi_idx = np.searchsorted(rn, rn + g, side="right")
-            idx = np.flatnonzero(own_mask)
-            cnt = np.maximum(hi_idx[idx] - idx - 1, 0)
-            if cnt.sum():
-                li = np.repeat(idx, cnt)
-                starts = np.cumsum(cnt) - cnt
-                ri = li + 1 + (np.arange(cnt.sum()) - np.repeat(starts, cnt))
-                out.append(pd.DataFrame({
-                    "left_id": ids[li], "right_id": ids[ri],
-                    "rank_dist": (rn[ri] - rn[li]).astype("int64")}))
-        return pd.concat(out, ignore_index=True)
+        grp = grp.sort_values(["__stripe", "rn"], kind="mergesort")
+        stripe = grp["__stripe"].to_numpy(dtype="int64")
+        rn = grp["rn"].to_numpy(dtype="int64")
+        ids = grp[id_col].to_numpy(dtype=object)
+        # per left row that owns its stripe: its successors within rank
+        # distance g, all stripe groups at once on one monotone axis (a
+        # group's ranks span under 2g, so + 2g per stripe keeps every
+        # window inside its own group)
+        axis = rn + 2 * g * stripe
+        own = (rn // g) == stripe
+        li, ri = pairs_before(np.where(own, np.searchsorted(axis, axis + g, side="right"), 0))
+        return pd.DataFrame({"left_id": ids[li], "right_id": ids[ri],
+                             "rank_dist": (rn[ri] - rn[li]).astype("int64")})
 
     emitted = ranked.map_batches(_emit, batch_format="pandas")
     return bucketed_map_groups(emitted, "__stripe", _pairs,
@@ -943,38 +934,42 @@ def cooccurrence_pairs(ds, group_col: str, item_col: str,
     the number of groups containing BOTH (SQL: distinct (group, item)
     self-joined on group with item_a < item_b, counted). Groups are
     hash-partitioned into coarse buckets (all rows of a group share a
-    bucket), each bucket does one C-level self-merge of its distinct
-    rows, and only per-bucket (pair, partial-count) aggregates ride to
-    the final tiny reduce — the quadratic blow-up is bounded per group
-    (distinct items per group), never global."""
+    bucket); each bucket encodes groups and items as integer codes in
+    value order (functions.pairs.ranked_codes, NUL-exact), enumerates
+    the pairs of its distinct (group, item) codes and counts them, and
+    only per-bucket (pair, partial-count) aggregates ride to the final
+    tiny reduce — the quadratic blow-up is bounded per group (distinct
+    items per group), never global. Null groups form one group of
+    their own; null items pair with nothing."""
 
     def _per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[[group_col, item_col]].drop_duplicates()
-        m = d.merge(d, on=group_col, suffixes=("_a", "_b"))
-        ia, ib = f"{item_col}_a", f"{item_col}_b"
-        m = m[m[ia] < m[ib]]
-        out = (m.groupby([ia, ib], as_index=False, sort=False)
-               .size().rename(columns={"size": "n_part",
-                                       ia: "item_a", ib: "item_b"}))
-        if out.empty:
-            return pd.DataFrame({"item_a": pd.Series(dtype=object),
-                                 "item_b": pd.Series(dtype=object),
-                                 "n_part": pd.Series(dtype="int64")})
-        out["n_part"] = out["n_part"].astype("int64")
-        return out
+        group = ranked_codes(g[group_col].to_numpy())[0]
+        item, items = ranked_codes(g[item_col].to_numpy())
+        n = max(len(g), 1)
+        rows = np.unique((group * n + item)[item >= 0])
+        i, j = group_pairs(rows // n)
+        pair, count = np.unique(rows[i] % n * n + rows[j] % n, return_counts=True)
+        return pd.DataFrame({"item_a": items[pair // n], "item_b": items[pair % n],
+                             "n_part": count.astype("int64")})
 
-    # per-batch distinct is the combiner; cross-batch duplicates of a
-    # (group, item) collapse inside the group's bucket before pairing
-    dedup = ds.map_batches(
-        lambda b: b[[group_col, item_col]].drop_duplicates(),
-        batch_format="pandas")
+    # per-batch distinct is the combiner (Arrow: pandas' multi-column
+    # drop_duplicates would merge items differing only after a NUL);
+    # cross-batch duplicates of a (group, item) collapse inside the
+    # group's bucket before pairing
+    cols = [group_col, item_col]
+    dedup = ds.map_batches(lambda t: t.select(cols).group_by(cols).aggregate([]),
+                           batch_format="pyarrow", zero_copy_batch=True)
+
+    def _total(g: pd.DataFrame) -> pa.Table:
+        # summed by Arrow too, for the same reason
+        t = pa.Table.from_pandas(g, preserve_index=False).group_by(
+            ["item_a", "item_b"]).aggregate([("n_part", "sum")])
+        return t.select(["item_a", "item_b", "n_part_sum"]).rename_columns(
+            ["item_a", "item_b", "n_groups"])
+
     partials = bucketed_map_groups(dedup, group_col, _per_bucket,
                                    num_buckets=num_buckets)
-    out = pre_aggregated(partials, ["item_a", "item_b"], sums=["n_part"],
-                         counts=False, num_buckets=8)
-    return out.map_batches(
-        lambda b: b.rename(columns={"sum_n_part": "n_groups"}),
-        batch_format="pandas")
+    return bucketed_map_groups(partials, ["item_a", "item_b"], _total, num_buckets=8)
 
 
 def _strings_have_nul(s: pd.Series) -> bool:

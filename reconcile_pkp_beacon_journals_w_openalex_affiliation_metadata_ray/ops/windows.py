@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import pandas as pd
 
+from ..functions.pairs import pairs_before
 from .relational import bucketed_map_groups
 
 
@@ -326,13 +327,7 @@ def interval_self_join(events_ds, key: str = "user_id", ts: str = "ts",
                             seg_ends[np.unique(seg_idx)]):
                 hi[s:e] = s + np.searchsorted(
                     t_us[s:e], t_us[s:e] + gap_us, side="right")
-        hi = np.minimum(hi, seg_end_per_row)
-        counts = hi - np.arange(n) - 1
-        counts = np.maximum(counts, 0)
-        left_idx = np.repeat(np.arange(n), counts)
-        offsets = np.concatenate([[0], np.cumsum(counts)])[:-1]
-        right_idx = np.arange(len(left_idx)) - np.repeat(offsets, counts) \
-            + np.repeat(np.arange(n), counts) + 1
+        left_idx, right_idx = pairs_before(np.minimum(hi, seg_end_per_row))
         return pd.DataFrame({key: k[left_idx], "left_id": ids[left_idx],
                              "right_id": ids[right_idx],
                              "gap_us": (t_us[right_idx]

@@ -52,6 +52,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.minhash import MinHasher, band_keys
+from ..functions.pairs import group_pairs
 
 NUM_PERM = 64
 NUM_BANDS = 4
@@ -354,10 +355,7 @@ def _pair_codes(df: pd.DataFrame, max_pairs: int):
     big = (sizes > 500) | (sizes * (sizes - 1) // 2 > max_pairs)
 
     small = np.flatnonzero(~big[kc])
-    pos = np.arange(len(small)) - np.searchsorted(kc[small], kc[small])
-    later = sizes[kc[small]] - 1 - pos
-    i = np.repeat(np.arange(len(small)), later)
-    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    i, j = group_pairs(kc[small])
     i, j = small[i], small[j]
     keep = (fam[kc[i]] == FAMILY_DOI) | ~(doi[i] & doi[j])
     outs = [(rc[i[keep]], rc[j[keep]], kc[i[keep]], np.zeros(keep.sum(), np.int64))]
@@ -423,13 +421,15 @@ def _owned_pairs(df: pd.DataFrame, max_pairs: int, capped=None) -> pa.Table:
     _, first = np.unique(rank, return_index=True)
     has_doi = df["has_doi"].to_numpy(bool)[first]
     lists = pc.split_pattern(pa.array(df["record_keys"].to_numpy()[first], pa.string()), _SEP)
-    lens = pc.list_value_length(lists).to_numpy().astype(np.int64)
+    offsets = lists.offsets.to_numpy().astype(np.int64)
+    owner = pc.list_parent_indices(lists).to_numpy().astype(np.int64)
     enc = pc.list_flatten(lists).dictionary_encode()
-    listed = enc.dictionary
-    codes = np.full((len(ids), lens.max()), -1, dtype=np.int64)
-    owner = np.repeat(np.arange(len(ids)), lens)
-    codes[owner, np.arange(len(owner)) - np.repeat(np.cumsum(lens) - lens, lens)] = \
-        enc.indices.to_numpy()
+    listed, key_code = enc.dictionary, enc.indices.to_numpy().astype(np.int64)
+    codes = np.full((len(ids), np.diff(offsets).max()), -1, dtype=np.int64)
+    codes[owner, np.arange(len(owner)) - offsets[owner]] = key_code
+    # every record's (rank, key code) as one sorted int64: a pair's
+    # right record carries a key when a probe finds it there
+    held = np.sort(owner * len(listed) + key_code)
     fam = _family_bits(listed)
     drops, kept = capped or ({}, ())
     dropped = np.zeros(len(listed) + 1, dtype=np.int64)
@@ -438,9 +438,10 @@ def _owned_pairs(df: pd.DataFrame, max_pairs: int, capped=None) -> pa.Table:
         at = at.to_numpy().astype(np.int64)
         dropped[:-1][at >= 0] = np.array(list(drops.values()), np.int64)[at[at >= 0]]
 
-    lc, rcodes = codes[left], codes[right]
+    lc = codes[left]
+    probe = right[:, None] * len(listed) + lc
     # emits[p, j]: the j-th key of the pair's left record emits the pair
-    emits = ((lc[:, :, None] == rcodes[:, None, :]).any(axis=2) & (lc >= 0)
+    emits = ((held[np.minimum(np.searchsorted(held, probe), len(held) - 1)] == probe) & (lc >= 0)
              & ~((has_doi[left] & has_doi[right])[:, None]
                  & (fam[lc] != FAMILY_DOI)))
     capped_cells = np.nonzero(emits & (dropped[lc] > 0))

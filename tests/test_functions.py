@@ -11,6 +11,7 @@ from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.functions
     doi as doi_fns,
     htmlextract,
     minhash,
+    pairs,
     similarity,
     textnorm,
     timestamps,
@@ -621,3 +622,62 @@ def test_minhash_batch_bit_identical_to_scalar():
             assert (again[i] == sig).all()
 
     check()
+
+
+# ---------- pair enumeration ----------
+
+
+def _combinations_per_group(codes):
+    from itertools import combinations
+
+    rows = {}
+    for r, c in enumerate(codes):
+        rows.setdefault(c, []).append(r)
+    return sorted(p for group in rows.values() for p in combinations(group, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 6), max_size=40))
+def test_group_pairs_equals_combinations_per_group(codes):
+    """The enumerator emits exactly itertools.combinations of every run
+    of equal sorted codes, ordered by left then right row."""
+    codes = np.sort(np.array(codes, dtype=np.int64))
+    i, j = pairs.group_pairs(codes)
+    assert i.dtype == j.dtype == np.int64
+    assert list(zip(i.tolist(), j.tolist())) == _combinations_per_group(codes.tolist())
+
+
+def test_group_pairs_edges():
+    """The empty array, all singletons and one large group."""
+    i, j = pairs.group_pairs(np.array([], dtype=np.int64))
+    assert len(i) == len(j) == 0
+    i, j = pairs.group_pairs(np.arange(50))
+    assert len(i) == len(j) == 0
+    i, j = pairs.group_pairs(np.zeros(300, dtype=np.int64))
+    assert list(zip(i.tolist(), j.tolist())) == _combinations_per_group([0] * 300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-2, 8), max_size=30))
+def test_pairs_before_equals_nested_loops(end):
+    end = [min(e, len(end)) for e in end]
+    i, j = pairs.pairs_before(np.array(end, dtype=np.int64))
+    want = [(a, b) for a in range(len(end)) for b in range(a + 1, len(end)) if b < end[a]]
+    assert list(zip(i.tolist(), j.tolist())) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.sampled_from(
+    ["", "a", "a\x00x", "a\x00y", "b", "\u00e9", "\U0001f600", "z\x00"])), max_size=20))
+def test_ranked_codes_order_whole_strings(values):
+    """Codes follow Python's string order over whole strings (NULs
+    included), equal strings share a code and nulls get -1."""
+    codes, uniq = pairs.ranked_codes(np.array(values, dtype=object))
+    present = sorted({v for v in values if v is not None})
+    assert list(uniq[:len(present)]) == present
+    assert codes.tolist() == [-1 if v is None else present.index(v) for v in values]
+
+
+def test_ranked_codes_integers():
+    codes, uniq = pairs.ranked_codes(np.array([7, -1, 7, 3], dtype=np.int64))
+    assert codes.tolist() == [2, 0, 2, 1] and uniq.tolist() == [-1, 3, 7]

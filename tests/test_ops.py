@@ -413,6 +413,111 @@ def test_candidate_pairs_band_width_cap(rds):
     assert pairs == want_b | {(100, 101)}
 
 
+def test_simhash_pairs_band_width_cap(rds):
+    """Oversized simhash sub-key buckets are truncated like LSH bands:
+    each key keeps its smallest ids, and the pairs equal a brute-force
+    join over those kept ids."""
+    import random
+    from itertools import combinations
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.functions.minhash import (
+        simhash_batch,
+    )
+
+    random.seed(5)
+    vocab = ["".join(random.choice("abcdefgh") for _ in range(5)) for _ in range(200)]
+    hot = " ".join(random.choice(vocab) for _ in range(30))
+    texts = [hot] * 12 + [" ".join(random.choice(vocab) for _ in range(30)) for _ in range(30)]
+    for i in range(12, 40, 4):  # near-dups of the hot text and of each other
+        w = (hot if i < 24 else texts[i]).split()
+        w[5] = random.choice(vocab)
+        texts[i + 1] = " ".join(w)
+    ids = np.random.RandomState(5).permutation(len(texts)).astype(np.int64) * 3
+    cap = 5
+    out = dedup_ops.simhash_pairs(
+        rds.from_pandas(pd.DataFrame({"doc_id": ids, "text": texts})), max_band_width=cap)
+    got = sorted(map(tuple, out.to_pandas()[["left_id", "right_id", "hamming"]]
+                     .to_numpy().tolist()))
+
+    hs = [int(h) for h in simhash_batch(texts)]
+    keys = {}
+    for doc_id, h in zip(ids.tolist(), hs):
+        for b in range(4):  # num_blocks=4, max_hamming=3: one 16-bit block per key
+            keys.setdefault((b, (h >> (16 * b)) & 0xFFFF), []).append(doc_id)
+    assert max(map(len, keys.values())) > cap  # the cap really truncates
+    h_of = dict(zip(ids.tolist(), hs))
+    want = set()
+    for members in keys.values():
+        for a, b in combinations(sorted(set(members))[:cap], 2):
+            d = bin(h_of[a] ^ h_of[b]).count("1")
+            if d <= 3:
+                want.add((a, b, d))
+    assert got == sorted(want)
+
+
+def test_one_pair_enumerator():
+    """Every blocked self-join enumerates its pairs through
+    functions.pairs: no frame is merged with itself under ops/ or
+    stages/, ``np.triu_indices`` is left only in
+    ``_setsim_dense_small_vocab`` (a group x group cross product),
+    edit_distance_self_join and jw_self_join (and the
+    ``_blocked_self_join`` they share) call no groupby, the
+    enumerator's position-in-run arithmetic (``np.arange(...) -
+    np.repeat(...)``) appears once in the package (besides
+    substring_duplicate_windows, which places each document's windows
+    and pairs nothing), and ``distinct_pairs`` is no parameter
+    anywhere."""
+    import ast
+    import os
+
+    pkg = os.path.dirname(os.path.dirname(relational.__file__))
+    self_merges, triu, groupbys, run_positions, params = [], [], [], [], []
+    for root, _, files in os.walk(pkg):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, pkg)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            spans = {n.name: (n.lineno, n.end_lineno) for n in ast.walk(tree)
+                     if isinstance(n, ast.FunctionDef)}
+
+            def inside(node, fn):
+                lo, hi = spans.get(fn, (0, -1))
+                return lo <= node.lineno <= hi
+
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    attr, owner = node.func.attr, node.func.value
+                    if (attr == "merge" and rel.split(os.sep)[0] in ("ops", "stages")
+                            and isinstance(owner, ast.Name) and node.args
+                            and isinstance(node.args[0], ast.Name)
+                            and node.args[0].id == owner.id):
+                        self_merges.append(f"{rel}:{node.lineno}")
+                    if attr == "triu_indices" and not inside(node, "_setsim_dense_small_vocab"):
+                        triu.append(f"{rel}:{node.lineno}")
+                    if attr == "groupby" and any(inside(node, fn) for fn in (
+                            "edit_distance_self_join", "jw_self_join", "_blocked_self_join")):
+                        groupbys.append(f"{rel}:{node.lineno}")
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                        and not inside(node, "substring_duplicate_windows")
+                        and isinstance(node.right, ast.Call)
+                        and getattr(node.right.func, "attr", None) == "repeat"
+                        and any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "arange"
+                                for n in ast.walk(node.left))):
+                    run_positions.append(f"{rel}:{node.lineno}")
+                if ((isinstance(node, ast.arg) and node.arg == "distinct_pairs")
+                        or (isinstance(node, ast.keyword) and node.arg == "distinct_pairs")):
+                    params.append(f"{rel}:{node.lineno}")
+    assert not self_merges, self_merges
+    assert not triu, triu
+    assert not groupbys, groupbys
+    assert len(run_positions) == 1 and run_positions[0].startswith(
+        os.path.join("functions", "pairs.py")), run_positions
+    assert not params, params
+
+
 def test_running_aggregate_high_cardinality(rds):
     """20k distinct keys through the bucketed path — correctness vs a
     pandas oracle (the per-key map_groups this replaced costs ~0.7 ms
@@ -1296,11 +1401,22 @@ def test_collect_set_and_cooccurrence():
            .sort_values("g").reset_index(drop=True))
     assert got["s"].tolist() == ["a|b", "a|c", "a"]
 
-    co = (R.cooccurrence_pairs(ds, "g", "it").to_pandas()
+    # the null group is one group of its own; a null item pairs with nothing
+    df = pd.concat([df, pd.DataFrame({"g": [None, None, "u1"], "it": ["a", "c", None]})],
+                   ignore_index=True)
+    co = (R.cooccurrence_pairs(ray.data.from_pandas(df).repartition(3), "g", "it").to_pandas()
           .sort_values(["item_a", "item_b"]).reset_index(drop=True))
     exp = pd.DataFrame({"item_a": ["a", "a"], "item_b": ["b", "c"],
-                        "n_groups": pd.array([1, 1], dtype="int64")})
+                        "n_groups": pd.array([1, 2], dtype="int64")})
     assert co.reset_index(drop=True).equals(exp)
+
+    # items differing only after a NUL stay apart (sorted by Python,
+    # which compares whole strings; pandas' sort_values stops at a NUL)
+    nul = pd.DataFrame({"g": ["u4", "u4", "u5", "u5", "u6", "u6"],
+                        "it": ["x\x00a", "y", "x\x00b", "y", "x\x00a", "x\x00b"]})
+    co = R.cooccurrence_pairs(ray.data.from_pandas(nul), "g", "it").to_pandas()
+    assert sorted(co.itertuples(index=False, name=None)) == [
+        ("x\x00a", "x\x00b", 1), ("x\x00a", "y", 1), ("x\x00b", "y", 1)]
 
 
 def test_throttle_events_gap_semantics():
@@ -1834,6 +1950,17 @@ def test_embedding_dim_stats_exact(rds):
     assert out["var_pop"].tolist() == [1.0, 0.0]
 
 
+def _whole_string_blocks(df, key):
+    """The rows of ``df`` grouped by ``key`` in a Python dict, which
+    compares whole strings (pandas' groupby stops at a NUL); null keys
+    form no block."""
+    blocks = {}
+    for row in df.itertuples():
+        if getattr(row, key) is not None:
+            blocks.setdefault(getattr(row, key), []).append(row)
+    return list(blocks.values())
+
+
 def test_jw_self_join_vs_bruteforce(rds):
     """Blocked JW join equals the quadratic per-block recompute; empty
     texts are excluded (the DuckDB both-empty convention diverges)."""
@@ -1844,18 +1971,17 @@ def test_jw_self_join_vs_bruteforce(rds):
         dedup,
     )
 
+    # a null key blocks with nothing
     df = pd.DataFrame({
-        "id": np.arange(7, dtype="int64"),
-        "blk": ["a", "a", "a", "b", "b", "b", "b"],
-        "name": ["martha", "marhta", "jones", "dwayne", "duane", "", ""]})
+        "id": np.arange(8, dtype="int64"),
+        "blk": ["a", "a", "a", "b", "b", "b", "b", None],
+        "name": ["martha", "marhta", "jones", "dwayne", "duane", "", "", "martha"]})
     out = dedup.jw_self_join(rds.from_pandas(df), "blk", "name", "id",
                              threshold=0.8)
     got = (out.to_pandas() if not isinstance(out, pd.DataFrame) else out)
     got = got.sort_values(["left_id", "right_id"]).reset_index(drop=True)
     want = []
-    nz = df[df.name.str.len() > 0]
-    for _, g in nz.groupby("blk"):
-        rows = list(g.itertuples())
+    for rows in _whole_string_blocks(df[df.name.str.len() > 0], "blk"):
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 s = jaro_winkler(rows[i].name, rows[j].name)
@@ -1866,6 +1992,10 @@ def test_jw_self_join_vs_bruteforce(rds):
     pd.testing.assert_frame_equal(got, want)
     assert (0, 1) in set(zip(got.left_id, got.right_id))   # martha~marhta
     assert (3, 4) in set(zip(got.left_id, got.right_id))   # dwayne~duane
+    # keys differing only after a NUL are different blocks
+    nul = pd.DataFrame({"id": np.arange(3, dtype="int64"), "blk": ["z", "a\x00x", "a\x00y"],
+                        "name": ["zed", "martha", "martha"]})
+    assert _sorted(dedup.jw_self_join(rds.from_pandas(nul), "blk", "name", "id")).empty
 
 
 def test_ks_drift_known_value(rds):
@@ -2038,18 +2168,18 @@ def test_edit_distance_self_join_vs_bruteforce(rds):
         dedup,
     )
 
+    # a null key blocks with nothing
     df = pd.DataFrame({
-        "id": np.arange(8, dtype="int64"),
-        "blk": ["a", "a", "a", "a", "b", "b", "b", "c"],
+        "id": np.arange(9, dtype="int64"),
+        "blk": ["a", "a", "a", "a", "b", "b", "b", "c", None],
         "name": ["red bolt", "hot bolt", "red bolts", "green widget",
-                 "red bolt", "blue gear", "blue gears", "lone row"]})
+                 "red bolt", "blue gear", "blue gears", "lone row", "red bolt"]})
     out = dedup.edit_distance_self_join(
         rds.from_pandas(df), "blk", "name", "id", max_dist=3)
     got = (out.to_pandas() if not isinstance(out, pd.DataFrame) else out)
     got = got.sort_values(["left_id", "right_id"]).reset_index(drop=True)
     want = []
-    for _, g in df.groupby("blk"):
-        rows = list(g.itertuples())
+    for rows in _whole_string_blocks(df, "blk"):
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 d = levenshtein(rows[i].name, rows[j].name)
@@ -2064,6 +2194,10 @@ def test_edit_distance_self_join_vs_bruteforce(rds):
         rds.from_pandas(df.iloc[0:0]), "blk", "name", "id")
     e = e.to_pandas() if not isinstance(e, pd.DataFrame) else e
     assert list(e.columns) == ["left_id", "right_id", "dist"] and len(e) == 0
+    # keys differing only after a NUL are different blocks
+    nul = pd.DataFrame({"id": np.arange(3, dtype="int64"), "blk": ["z", "a\x00x", "a\x00y"],
+                        "name": ["zed", "red bolt", "red bolt"]})
+    assert _sorted(dedup.edit_distance_self_join(rds.from_pandas(nul), "blk", "name", "id")).empty
 
 
 def test_interval_self_join_vs_bruteforce(rds):
