@@ -108,6 +108,11 @@ def run_bench() -> dict:
         queries[f"reconcile_e2e_run{i}"] = round(runs[-1], 3)
     headline = min(runs)
     queries["reconcile_e2e"] = round(headline, 3)
+    # memory beside time: the summed VmHWM of this process and every Ray
+    # process it started, read right after the headline runs
+    from perfbench.session import peak_rss_mb
+
+    peak_rss = round(peak_rss_mb(), 1)
 
     # headline-only mode: the scaling legs measure the e2e pipeline
     # alone — per-op queries would triple each child's wall time
@@ -122,6 +127,7 @@ def run_bench() -> dict:
             "num_cpus": num_cpus, "pages": n_pages,
             "docs_per_sec": round(n_pages / headline, 1),
             "clusters_rows": n_clusters,
+            "reconcile_peak_rss_mb": peak_rss,
         }
 
     # ---- per-op suite: best-of-N sweeps (default 2) ----
@@ -191,6 +197,7 @@ def run_bench() -> dict:
         "pages": n_pages,
         "docs_per_sec": round(n_pages / headline, 1),
         "clusters_rows": n_clusters,
+        "reconcile_peak_rss_mb": peak_rss,
         "per_op_runs": per_op_runs,
     }
     return result
@@ -257,6 +264,8 @@ def run_scaling() -> dict:
         f"sec_{hi}_runs": [r["value"] for r in runs_hi],
         f"docs_per_sec_{lo}": r_lo["docs_per_sec"],
         f"docs_per_sec_{hi}": r_hi["docs_per_sec"],
+        f"peak_rss_mb_{lo}": r_lo["reconcile_peak_rss_mb"],
+        f"peak_rss_mb_{hi}": r_hi["reconcile_peak_rss_mb"],
         "cpus_lo": lo,
         "cpus_hi": hi,
         "sf": r_lo["sf"],

@@ -48,18 +48,19 @@ def read_works(path: str):
 BROADCAST_OBJECT_STORE_FRACTION = 0.2
 
 
-def choose_scoring_path(records_ds) -> bool:
+def choose_scoring_path(attrs_ds) -> bool:
     """True -> use score_pairs_shuffle (big-big bucketed join); False
-    -> broadcast scoring. Decision input: the MATERIALIZED record
-    table's in-plasma size vs the object-store budget (the packed
-    broadcast table is the same attribute columns, so size_bytes is the
-    right proxy). Falls back to broadcast when resources are unknown
+    -> broadcast scoring. Decision input: the MATERIALIZED packed
+    attribute table's (``score.pack_attrs``) in-plasma size vs the
+    object-store budget -- the very table the broadcast would put, not
+    the records it is packed from (their block-key columns are not
+    broadcast). Falls back to broadcast when resources are unknown
     (local/unit-test sessions)."""
     try:
         import ray
 
         budget = ray.cluster_resources().get("object_store_memory")
-        size = records_ds.size_bytes()
+        size = attrs_ds.size_bytes()
         if budget and size:
             return size > BROADCAST_OBJECT_STORE_FRACTION * float(budget)
     except Exception:
@@ -75,7 +76,8 @@ def _flagship_stages(fdir: str, park, materialize_extracted: bool = False) -> di
     each stage's output lives and returns it: the streaming run calls the
     factory and materializes or not, the checkpointed run hands it to
     ``state.manifest.checkpoint``, which calls it only on a miss. Three
-    stages read the records, so they are materialized on first use; a
+    stages read the records, so they are materialized on first use, less
+    their 0-row blocks (``records.drop_empty_blocks``); a
     fully resumed run never uses them and executes nothing here.
 
     Stage calls go through module attributes resolved at call time, so a
@@ -99,7 +101,7 @@ def _flagship_stages(fdir: str, park, materialize_extracted: bool = False) -> di
 
     def recs():
         if "records" not in out:
-            out["records"] = parked_records.materialize()
+            out["records"] = records.drop_empty_blocks(parked_records.materialize())
         return out["records"]
 
     def pairs_stage():
@@ -110,10 +112,13 @@ def _flagship_stages(fdir: str, park, materialize_extracted: bool = False) -> di
 
     def scored_stage():
         # broadcast, or the bucketed join past the object-store budget;
-        # both emit identical scored rows (tests/test_pipeline.py)
-        if choose_scoring_path(recs()):
-            return score.score_pairs_shuffle(out["pairs"], recs())
-        return score.score_pairs(out["pairs"], score.broadcast_records(recs()))
+        # both emit identical scored rows (tests/test_pipeline.py). The
+        # attributes are packed once: the decision reads the packed
+        # table's size and the chosen path consumes its blocks
+        attrs = score.pack_attrs(recs()).materialize()
+        if choose_scoring_path(attrs):
+            return score.score_pairs_shuffle(out["pairs"], attrs)
+        return score.score_pairs(out["pairs"], score.broadcast_records(attrs))
 
     out["scored"] = park("scored", scored_stage, "left_id", "combined_score")
 

@@ -18,9 +18,14 @@ import os
 # rows per read task when the caller asks for no more tasks: a whole
 # small table (or a checkpoint of many tiny files) is one task
 DEFAULT_TASK_ROWS = 1 << 17
-# rows per task of a heavy scan (pages html): bounds a task's
-# decompressed payload at any corpus size
+# rows per task of a heavy scan (pages html): sets task granularity
+# only (how many blocks the scan emits); a task's memory is bounded by
+# SLICE_BYTES whatever its row count
 SCAN_TASK_ROWS = 16384
+# uncompressed bytes (projected columns, from the row-group footers) of
+# one slice a transforming read task hands its ``fn``: the task's heap
+# holds one slice's decoded rows, not its whole row-group run
+SLICE_BYTES = 4 << 20
 
 
 def parquet_files(path) -> list[str]:
@@ -88,6 +93,16 @@ def _rowgroup_tasks(files: list[str], target_rows: int, min_tasks: int) -> list[
     return tasks
 
 
+def _slice_rows(rg, cols, slice_bytes: int) -> int:
+    """Rows per slice of row group ``rg`` (footer metadata): as many as
+    keep the slice's share of the group's uncompressed bytes in the
+    projected columns (top-level names ``cols``, all when None) within
+    ``slice_bytes``; at least one row, at most the whole group."""
+    nbytes = sum(rg.column(i).total_uncompressed_size for i in range(rg.num_columns)
+                 if cols is None or rg.column(i).path_in_schema.split(".")[0] in cols)
+    return max(1, min(rg.num_rows, slice_bytes * rg.num_rows // max(1, nbytes)))
+
+
 def read_parquet_rowgroups(path, columns=None, fn=None,
                            target_rows: int = DEFAULT_TASK_ROWS,
                            min_tasks: int = 1, schema=None):
@@ -99,13 +114,25 @@ def read_parquet_rowgroups(path, columns=None, fn=None,
     by row count (:func:`_rowgroup_tasks`); the Dataset is
     ``from_items(tasks).map_batches(read)``, so no metadata or sampling
     tasks run and a downstream map fuses into the read task (Ray 2.49
-    never fuses a Read operator with a map). ``fn`` is a per-table
-    transform run inside the read task on each file's slice, so a heavy
-    column it consumes never enters the object store. Rows come in file
-    and row-group order, as ``ray.data.read_parquet`` yields them, with
-    no Hive partition column. With no row groups at all the result is a
-    typed empty Dataset: ``schema`` (an Arrow schema), else the first
-    file's, projected to ``columns`` and passed through ``fn``."""
+    never fuses a Read operator with a map). Each task emits one block.
+
+    ``fn`` is a per-table transform run inside the read task, so a heavy
+    column it consumes never enters the object store. The task streams
+    its row groups (``ParquetFile.iter_batches``) in slices of at most
+    :data:`SLICE_BYTES` uncompressed bytes in the projected columns
+    (rows per slice from each group's footer, at least one row), calls
+    ``fn`` on each slice and concatenates the outputs once, so its heap
+    holds one slice of the heavy column whatever its row count. ``fn``
+    must therefore be ROW-LOCAL: its output for a table is the
+    concatenation of its outputs for any split of that table into
+    consecutive slices. Without ``fn`` (checkpoint reads) a task reads
+    its row groups whole.
+
+    Rows come in file and row-group order, as ``ray.data.read_parquet``
+    yields them, with no Hive partition column. With no row groups at
+    all the result is a typed empty Dataset: ``schema`` (an Arrow
+    schema), else the first file's, projected to ``columns`` and passed
+    through ``fn``."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -122,14 +149,30 @@ def read_parquet_rowgroups(path, columns=None, fn=None,
         if cols is not None:
             empty = empty.select(cols)
         return rd.from_arrow(fn(empty) if fn is not None else empty)
+    slice_bytes = SLICE_BYTES  # bound at build time, shipped with `read`
+
+    def read_file(f: str, groups: list[int]) -> list[pa.Table]:
+        if fn is None:
+            with pq.ParquetFile(f) as pf:
+                return [pf.read_row_groups(groups, columns=cols)]
+        out = []
+        # no pre-buffering: a group's column chunks are read through a
+        # 1 MiB buffer as its slices decode, not loaded whole up front
+        with pq.ParquetFile(f, buffer_size=1 << 20, pre_buffer=False) as pf:
+            for g in groups:
+                rows = _slice_rows(pf.metadata.row_group(g), cols, slice_bytes)
+                out.extend(fn(pa.Table.from_batches([b])) for b in pf.iter_batches(
+                    batch_size=rows, row_groups=[g], columns=cols))
+            if not out:  # zero-row groups only: keep the block typed
+                empty = pf.schema_arrow.empty_table()
+                out.append(fn(empty.select(cols) if cols is not None else empty))
+        return out
 
     def read(batch: pa.Table) -> pa.Table:
         out = []
         for paths, rgs in zip(batch["paths"].to_pylist(), batch["rgs"].to_pylist()):
             for f, groups in zip(paths, rgs):
-                with pq.ParquetFile(f) as pf:
-                    tbl = pf.read_row_groups(groups, columns=cols)
-                out.append(fn(tbl) if fn is not None else tbl)
+                out.extend(read_file(f, groups))
         return pa.concat_tables(out, promote_options="default")
 
     return rd.from_items(tasks, override_num_blocks=len(tasks)).map_batches(

@@ -98,10 +98,14 @@ def read_extract_pages(pages_path: str, target_rows: int = SCAN_TASK_ROWS):
     each task reads its own row groups (columns pruned to
     ``url, lang, html``), at most ``target_rows`` rows and at least
     ~4 tasks per CPU, and emits extracted rows directly; the html bytes
-    never leave the task. Row order equals read_parquet order
-    (file, then row-group order), and the per-row extraction is the
-    same ``extract_batch``, so output is byte-identical to the unfused
-    path (equivalence-tested)."""
+    never leave the task. The task streams its row groups through
+    ``extract_batch`` in slices of at most ``sources.io.SLICE_BYTES``
+    of html, so its memory holds one slice's pages, not its whole
+    row-group run; that is sound because ``extract_batch`` is row-local
+    (each page is parsed on its own, and any ``fn`` given to this reader
+    must be). Row order equals read_parquet order (file, then row-group
+    order), and the per-row extraction is the same ``extract_batch``,
+    so output is byte-identical to the unfused path (equivalence-tested)."""
     # The only page columns extract_batch consumes. The input contract
     # (BASELINE.json input_hint) also carries `text` (a second full-text
     # copy) and `warc_ts`; NOT reading them halves read amplification on

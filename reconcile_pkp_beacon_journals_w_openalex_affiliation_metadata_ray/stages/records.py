@@ -150,3 +150,22 @@ def build_records(extracted_ds, works_ds):
     works = works_ds.map_batches(work_records_batch, batch_format="pyarrow",
                                  zero_copy_batch=True)
     return pages.union(works)
+
+
+def drop_empty_blocks(records_ds):
+    """A MATERIALIZED records Dataset without its 0-row blocks (one is
+    kept when all are empty, so the schema survives). A read task whose
+    pages all lack linkage signal emits a 0-row records block, and every
+    later Ray 2.49 map turns a 0-row block into a schema-less one, which
+    Ray logs as "a RefBundle with a different schema". The blocks already
+    sit in the object store: this only re-lists the non-empty ones, and
+    returns ``records_ds`` itself when none is empty."""
+    import ray.data as rd
+
+    refs, empty = [], []
+    for bundle in records_ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            (refs if meta.num_rows else empty).append(ref)
+    if not empty:
+        return records_ds
+    return rd.from_arrow_refs(refs or empty[:1])

@@ -397,18 +397,18 @@ def score_batch(batch: pa.Table, records_ref=None) -> pa.Table:
     return _scored_table(ids, lt, rt, _families(batch)[keep])
 
 
-def broadcast_records(records_ds):
-    """Broadcast the packed attribute table (:func:`pack_attrs`) as ONE
-    Arrow table in the object store: workers map it zero-copy (no
-    per-worker unpickle of a Python dict — that was measured to
-    serialize the scoring stage) and build only a small id index each.
-    The driver only concatenates the already-packed Arrow blocks
-    (memcpy, no per-row Python)."""
+def broadcast_records(attrs_ds):
+    """Broadcast the packed attribute table (:func:`pack_attrs`, passed
+    MATERIALIZED, so reading its blocks executes nothing) as ONE Arrow
+    table in the object store: workers map it zero-copy (no per-worker
+    unpickle of a Python dict — that was measured to serialize the
+    scoring stage) and build only a small id index each. The driver
+    only concatenates the already-packed Arrow blocks (memcpy, no
+    per-row Python)."""
     import ray
 
     tbl = pa.concat_tables(
-        list(pack_attrs(records_ds).iter_batches(batch_size=65536,
-                                                 batch_format="pyarrow"))
+        list(attrs_ds.iter_batches(batch_size=65536, batch_format="pyarrow"))
     ).combine_chunks()
     return ray.put(tbl)
 
@@ -424,30 +424,30 @@ def score_pairs(pairs_ds, records_ref):
     )
 
 
-def score_pairs_shuffle(pairs_ds, records_ds):
-    """The 10^12-row-corpus scoring path: when the record-attribute
-    table is too large to broadcast to every node, pairs are joined to
-    their two sides' packed attributes with two bucketed hash joins
-    (ops.relational.bucket_join — each side ships only its OWN columns
-    into the exchange) and scored statelessly. Produces EXACTLY the
-    same scored rows as the broadcast path (asserted in tests).
+def score_pairs_shuffle(pairs_ds, attrs_ds):
+    """The 10^12-row-corpus scoring path: when the packed attribute
+    table (:func:`pack_attrs`) is too large to broadcast to every node,
+    pairs are joined to their two sides' attributes with two bucketed
+    hash joins (ops.relational.bucket_join — each side ships only its
+    OWN columns into the exchange) and scored statelessly. Produces
+    EXACTLY the same scored rows as the broadcast path (asserted in
+    tests).
 
     The bucket count scales with the record count
     (``block.adaptive_num_buckets``): this path runs only for the
     largest record tables, where a fixed count serializes the joins
-    into a few tasks. ``records_ds`` is materialized by every caller,
-    so its count is metadata."""
+    into a few tasks. ``attrs_ds`` is materialized by every caller,
+    so its count is metadata and both joins read the same blocks."""
     from ..ops.relational import bucket_join
 
-    num_buckets = block.adaptive_num_buckets(records_ds.count())
-    attrs = pack_attrs(records_ds)
+    num_buckets = block.adaptive_num_buckets(attrs_ds.count())
     pairs_ds = pairs_ds.map_batches(
         lambda t: t.select(_ID_COLS).append_column(
             "families", pa.array(_families(t), pa.int64())),
         batch_format="pyarrow", zero_copy_batch=True)
-    left = bucket_join(pairs_ds, attrs.rename_columns({"record_id": "left_id"}),
+    left = bucket_join(pairs_ds, attrs_ds.rename_columns({"record_id": "left_id"}),
                        on="left_id", num_buckets=num_buckets).materialize()
-    both = bucket_join(left, attrs.rename_columns({"record_id": "right_id"}),
+    both = bucket_join(left, attrs_ds.rename_columns({"record_id": "right_id"}),
                        on="right_id", num_buckets=num_buckets,
                        suffixes=("_l", "_r"))
 

@@ -232,14 +232,15 @@ def test_shuffle_scoring_equals_broadcast(ray_session, fdir, monkeypatch):
         reconcile.read_works(os.path.join(fdir, "reference_works.parquet"))).materialize()
     pairs = block.candidate_pairs(recs).materialize()
 
-    rec_ref = score.broadcast_records(recs)
+    attrs = score.pack_attrs(recs).materialize()
+    rec_ref = score.broadcast_records(attrs)
     key = ["left_id", "right_id"]
     a = (score.score_pairs(pairs, rec_ref).to_pandas()
          .sort_values(key, kind="mergesort").reset_index(drop=True))
     assert len(a) > 0
 
     def shuffle_rows():
-        b = (score.score_pairs_shuffle(pairs, recs).to_pandas()
+        b = (score.score_pairs_shuffle(pairs, attrs).to_pandas()
              .sort_values(key, kind="mergesort").reset_index(drop=True))
         assert len(a) == len(b)
         pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=False)
@@ -392,6 +393,119 @@ def test_choose_scoring_path_auto_switch(ray_session, monkeypatch):
     assert reconcile.choose_scoring_path(recs) is False  # tiny table
     monkeypatch.setattr(reconcile, "BROADCAST_OBJECT_STORE_FRACTION", 0.0)
     assert reconcile.choose_scoring_path(recs) is True
+
+
+def test_scoring_path_decides_on_the_packed_table(ray_session, monkeypatch):
+    """The flagship's scored stage measures the packed attribute table it
+    would broadcast, not the records it is packed from: with the budget
+    fraction between the two sizes the stage still broadcasts."""
+    import ray
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import score
+
+    recs = reconcile.run_reconcile(SF, materialize_pairs=False,
+                                   materialize_scored=False)["records"].materialize()
+    packed = score.pack_attrs(recs).materialize().size_bytes()
+    assert packed < recs.size_bytes()  # the block-key columns are not packed
+    budget = float(ray.cluster_resources()["object_store_memory"])
+    monkeypatch.setattr(reconcile, "BROADCAST_OBJECT_STORE_FRACTION",
+                        (packed + recs.size_bytes()) / 2 / budget)
+    assert reconcile.choose_scoring_path(recs) is True  # records alone would flip it
+    paths = []
+    for name in ("score_pairs", "score_pairs_shuffle"):
+        orig = getattr(score, name)
+        monkeypatch.setattr(score, name, lambda *a, _n=name, _o=orig: paths.append(_n) or _o(*a))
+    assert reconcile.run_reconcile(SF)["scored"].count() > 0
+    assert paths == ["score_pairs"]
+
+
+def _block_rows(ds) -> list[int]:
+    return [meta.num_rows for bundle in ds.iter_internal_ref_bundles()
+            for _, meta in bundle.blocks]
+
+
+def test_drop_empty_blocks(ray_session, executions):
+    """0-row blocks leave a materialized Dataset without an execution;
+    rows, order and schema stay, and an all-empty input keeps one block."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import records
+
+    t = pa.table({"record_id": ["a", "b"], "n": [1, 2]})
+    ds = rd.from_arrow([t, t.slice(0, 0), t.slice(1)]).materialize()
+    executions.clear()
+    got = records.drop_empty_blocks(ds)
+    assert not executions
+    assert _block_rows(got) == [2, 1]
+    assert got.take_all() == ds.take_all()
+    assert records.drop_empty_blocks(got) is got
+    empty = records.drop_empty_blocks(rd.from_arrow([t.slice(0, 0)] * 2).materialize())
+    assert _block_rows(empty) == [0] and empty.schema().names == ["record_id", "n"]
+
+
+def test_noise_only_read_task_leaves_no_schemaless_block(ray_session, fdir, tmp_path):
+    """A read task whose pages all lack linkage signal emits a 0-row
+    records block; a later map turns it schema-less, and Ray logs a
+    "different schema" warning. The flagship stages drop such blocks
+    when they materialize the records, so their maps log none."""
+    import logging
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import (
+        records, score,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages.extract import (
+        read_extract_pages,
+    )
+
+    tier = tmp_path / "tier"
+    tier.mkdir()
+    pages = pq.read_table(os.path.join(fdir, "pages.parquet"), columns=["url", "lang", "html"])
+    noise = pa.table({"url": [f"https://noise.example/{i}" for i in range(45)],
+                      "lang": ["en"] * 45,
+                      "html": pa.array([b"<p>no signal</p>"] * 45, pages.schema.field("html").type)})
+    # three 45-row groups, each its own read task; the last is all noise
+    pq.write_table(pa.concat_tables([pages.slice(0, 90), noise]),
+                   str(tier / "pages.parquet"), row_group_size=45)
+    shutil.copy(os.path.join(fdir, "reference_works.parquet"), tier / "reference_works.parquet")
+    recs = records.build_records(
+        read_extract_pages(str(tier / "pages.parquet")),
+        reconcile.read_works(str(tier / "reference_works.parquet"))).materialize()
+    assert 0 in _block_rows(recs)
+
+    warnings = []
+
+    class _Count(logging.Handler):
+        def emit(self, record):
+            if "different schema" in record.getMessage():
+                warnings.append(record)
+
+    logger = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+    handler, level = _Count(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        score.pack_attrs(recs).materialize()
+        assert warnings  # the map over the 0-row block
+        warnings.clear()
+        out = reconcile._flagship_stages(str(tier), lambda stage, factory, *_: factory())
+        out["clusters"].materialize()
+        assert not warnings
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    assert 0 not in _block_rows(out["records"])
+    assert out["records"].count() == recs.count()
 
 
 def test_connected_components_no_edges_all_singletons(ray_session):

@@ -10,7 +10,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.sources import fixtures
+from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.sources import fixtures, io
 from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.sources.io import (
     parquet_files,
     read_parquet_rowgroups,
@@ -107,6 +107,81 @@ def test_reader_empty_inputs_are_typed(ray_session, tmp_path):
     pq.write_table(schema.empty_table(), f)
     ds = read_parquet_rowgroups(f, columns=["b"])
     assert ds.count() == 0 and ds.schema().names == ["b"]
+    # a file of one 0-row group: no slice, yet fn still types the block
+    ds = read_parquet_rowgroups(f, columns=["b"], fn=lambda t: t.append_column("c", t["b"]))
+    assert ds.count() == 0 and ds.schema().names == ["b", "c"]
+
+
+def _wide_files(tmp_path) -> list[str]:
+    """Two page-like files, read as one task: 5,000-byte rows in
+    300-row groups, then 80,000-byte rows (each over the test bound) in
+    4-row groups. Every row is distinct, so no page dictionary shrinks
+    the footers' uncompressed sizes."""
+    specs = [(900, 300, 2500), (10, 4, 40000)]
+    paths = []
+    for k, (n, group, half_width) in enumerate(specs):
+        path = str(tmp_path / f"wide-{k}.parquet")
+        pq.write_table(pa.table({
+            "url": [f"https://f{k}/{i}" for i in range(n)],
+            "html": [os.urandom(half_width).hex() for _ in range(n)],
+            "warc_ts": list(range(n)),
+        }), path, row_group_size=group)
+        paths.append(path)
+    return paths
+
+
+def _call_log():
+    """An ``fn`` that returns one row per call: the slice's rows, Arrow
+    bytes and first url (nested, so the workers unpickle it by value)."""
+    def log(t: pa.Table) -> pa.Table:
+        return pa.table({"rows": [t.num_rows], "nbytes": [t.nbytes],
+                         "first": [t["url"][0].as_py() if t.num_rows else None]})
+    return log
+
+
+def test_reader_fn_slices_stay_within_the_bound(ordered, monkeypatch, tmp_path):
+    """Every ``fn`` call of a transforming read holds at most SLICE_BYTES
+    of the projected columns, or a single row when one row exceeds it,
+    and the slices cover every row once, in order."""
+    bound = 64 << 10
+    monkeypatch.setattr(io, "SLICE_BYTES", bound)
+    paths = _wide_files(tmp_path)
+    log = _table(read_parquet_rowgroups(paths, columns=["url", "html"], fn=_call_log(),
+                                        target_rows=10**9)).to_pylist()
+    assert len(log) > 3 + 3  # more calls than row groups
+    for call in log:
+        assert call["nbytes"] <= bound or call["rows"] == 1, call
+    assert sum(c["rows"] for c in log if c["nbytes"] > bound) == 10  # the 80 kB rows
+    assert sum(c["rows"] for c in log) == 910
+    want = pa.concat_tables([pq.read_table(p, columns=["url"]) for p in paths])
+    starts, row = [], 0
+    for call in log:
+        starts.append(want["url"][row].as_py())
+        row += call["rows"]
+    assert [c["first"] for c in log] == starts
+
+
+def test_reader_fn_slices_concatenate_to_the_one_shot_read(ordered, monkeypatch, tmp_path):
+    """The sliced outputs of a task spanning two files concatenate to the
+    whole-row-group read, in order, as ONE block per task."""
+    monkeypatch.setattr(io, "SLICE_BYTES", 64 << 10)
+    paths = _wide_files(tmp_path)
+    want = pa.concat_tables([pq.read_table(p, columns=["url", "html"]) for p in paths])
+    for target_rows in (10**9, 600):  # one task over both files / three tasks
+        ds = read_parquet_rowgroups(paths, columns=["url", "html"], fn=lambda t: t,
+                                    target_rows=target_rows).materialize()
+        _assert_same(_table(ds), want)
+        assert ds.num_blocks() == len(io._rowgroup_tasks(paths, target_rows, 1))
+        _assert_same(_table(read_parquet_rowgroups(paths, columns=["url", "html"],
+                                                   target_rows=target_rows)), want)
+
+
+def test_reader_fn_light_rows_one_call_per_row_group(ordered, tmp_path):
+    path = str(tmp_path / "light.parquet")
+    pq.write_table(pa.table({"url": [f"u{i}" for i in range(250)],
+                             "html": ["<p>x</p>"] * 250}), path, row_group_size=100)
+    log = _table(read_parquet_rowgroups(path, fn=_call_log(), target_rows=10**9)).to_pylist()
+    assert [c["rows"] for c in log] == [100, 100, 50]
 
 
 def test_pipeline_layer_never_calls_read_parquet_statically():
