@@ -315,17 +315,16 @@ def _ckpt_stage(checkpoint_dir, stage: str, fp: str, factory,
 
 def _ckpt_done(checkpoint_dir, stage: str, fp: str):
     """Fast path: if the FINAL pair checkpoint for (stage, fp) is
-    complete, return a reader over it (None otherwise). A full resume
-    never touches the corpus at all — mid-run kills of the 400 s-class
-    big-corpus runs no longer repay the signature+shuffle cost."""
+    complete, return a reader over it, planned from its manifest (None
+    otherwise). A full resume never touches the corpus at all — mid-run
+    kills of the 400 s-class big-corpus runs no longer repay the
+    signature+shuffle cost."""
     if not checkpoint_dir:
         return None
     from ..state import manifest as mf
 
-    if not mf.is_complete(checkpoint_dir, stage, fp):
-        return None
-    ds, _ = mf.checkpoint(lambda: None, checkpoint_dir, stage, fp)
-    return ds
+    read = mf.resume(checkpoint_dir, stage, fp)
+    return None if read is None else read()
 
 
 def minhash_lsh_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",

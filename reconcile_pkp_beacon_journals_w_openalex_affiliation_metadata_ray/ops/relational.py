@@ -158,7 +158,15 @@ def _bucket_of(frame: pd.DataFrame, key_cols, num_buckets: int) -> pd.Series:
             if not (frame[c].dtype == object
                     or pd.api.types.is_string_dtype(frame[c]))}
     keyed = frame[key_cols].astype(cast) if cast else frame[key_cols]
-    return (hash_pandas_object(keyed, index=False) % num_buckets).astype("int64")
+    # each value hashed whole (categorize=False): the default factorizes
+    # first, which merges strings that differ only after a NUL, so a
+    # key's bucket depended on which such string its block saw first.
+    # Every null (None, NaN, NA) is made NA so nulls still share a bucket
+    nulls = keyed.isna()
+    if nulls.to_numpy().any():
+        keyed = keyed.mask(nulls, pd.NA)
+    return (hash_pandas_object(keyed, index=False, categorize=False)
+            % num_buckets).astype("int64")
 
 
 def _dtype_map(ds) -> dict:
@@ -538,20 +546,26 @@ def distinct(ds, cols, num_buckets: int = 64,
              ray_remote_args: dict | None = None,
              max_in_blocks: int | None = None):
     """Exact distinct rows over cols: in-batch combiner, then ONE
-    coarse-bucketed shuffle with a vectorized drop_duplicates per
-    bucket. (Both a per-key map_groups head(1) and a Ray
-    groupby().aggregate() pay ~per-distinct-value Python overhead —
-    measured ~0.7 ms/group, i.e. minutes at 10^5 keys; the bucketed
-    path is 64 Python calls total at any cardinality.)"""
+    coarse-bucketed shuffle with a vectorized dedup per bucket. (Both a
+    per-key map_groups head(1) and a Ray groupby().aggregate() pay
+    ~per-distinct-value Python overhead — measured ~0.7 ms/group, i.e.
+    minutes at 10^5 keys; the bucketed path is 64 Python calls total at
+    any cardinality.) Both dedups are Arrow ``group_by(cols)
+    .aggregate([])``: it compares whole strings, where pandas'
+    drop_duplicates merges strings that differ only after a NUL, and it
+    keeps one row per null key (NaN converts to null)."""
     cols = [cols] if isinstance(cols, str) else list(cols)
-    # Arrow-native in-batch combiner: group_by().aggregate([]) measured
-    # 4.6x pandas drop_duplicates on string keys at 1M rows/50k keys
-    # (paired A/B, BASELINE.md §c); null rows group like NaN rows did
-    proj = ds.map_batches(
-        lambda t: t.select(cols).group_by(cols).aggregate([]),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed_map_groups(proj, cols, lambda g: g.drop_duplicates(),
-                               num_buckets=num_buckets,
+
+    def _dedup(t: pa.Table) -> pa.Table:
+        # measured 4.6x pandas drop_duplicates on string keys at 1M
+        # rows/50k keys (paired A/B, BASELINE.md §c)
+        return t.select(cols).group_by(cols).aggregate([])
+
+    def _reduce(g: pd.DataFrame) -> pd.DataFrame:
+        return _dedup(pa.Table.from_pandas(g, preserve_index=False)).to_pandas()
+
+    proj = ds.map_batches(_dedup, batch_format="pyarrow", zero_copy_batch=True)
+    return bucketed_map_groups(proj, cols, _reduce, num_buckets=num_buckets,
                                ray_remote_args=ray_remote_args,
                                max_in_blocks=max_in_blocks)
 

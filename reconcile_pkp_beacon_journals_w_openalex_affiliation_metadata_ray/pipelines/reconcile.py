@@ -14,19 +14,21 @@ stage and materializes the ones its ``materialize_*`` arguments name,
 and returns every intermediate Dataset so callers (``__ray_entry__``
 queries, tests, bench) can consume any stage.
 ``run_reconcile_checkpointed`` parks through ``state.manifest.checkpoint``: a stage lands in
-per-partition Parquet with a lineage manifest, or is read back from one
-without building it. In both, the records are materialized on their
-first downstream use.
+per-partition Parquet with a lineage manifest, or is served from one
+without building it, its reader built only when something reads it. In
+both, the records are materialized on their first downstream use.
 
-Every Parquet read here, checkpoints included, goes through
-``sources.io.read_parquet_rowgroups`` (footers read in the calling
+Every Parquet read here goes through ``sources.io.read_tasks``: inputs
+are planned by ``read_parquet_rowgroups`` (footers read in the calling
 process, row groups grouped into tasks, per-table transforms fused into
-the read). Nothing here calls ``ray.init``.
+the read), checkpoints from their manifests. Nothing here calls
+``ray.init``.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 
 from ..sources.fixtures import ensure_fixtures
 from ..sources.io import cluster_cpus, read_parquet_rowgroups
@@ -68,22 +70,33 @@ def choose_scoring_path(attrs_ds) -> bool:
     return False
 
 
-def _flagship_stages(fdir: str, park, materialize_extracted: bool = False) -> dict:
+def _flagship_stages(fdir: str, park, materialize_extracted: bool = False):
     """The flagship stage sequence, written once: records -> hot keys +
     candidate pairs -> scored -> match edges -> clusters.
 
     ``park(stage, factory, partition_key, histogram_col)`` decides where
-    each stage's output lives and returns it: the streaming run calls the
-    factory and materializes or not, the checkpointed run hands it to
-    ``state.manifest.checkpoint``, which calls it only on a miss. Three
-    stages read the records, so they are materialized on first use, less
-    their 0-row blocks (``records.drop_empty_blocks``); a
-    fully resumed run never uses them and executes nothing here.
+    each stage's output lives and returns a zero-argument reader of it:
+    the streaming run calls the factory and materializes or not, the
+    checkpointed run hands it to ``state.manifest.checkpoint``, which
+    calls it only on a miss and builds a reader only when it is first
+    called. Stages read parked stages through ``read``. Three stages
+    read the records, so they are materialized on first read, less
+    their 0-row blocks (``records.drop_empty_blocks``); a fully resumed
+    run reads no parked stage and builds no reader here.
 
     Stage calls go through module attributes resolved at call time, so a
-    tracer can rebind them (perfbench/trace.py). Returns the parked
-    stages, plus ``extracted`` and ``hot_keys`` when their stage ran."""
-    out = {}
+    tracer can rebind them (perfbench/trace.py). Returns ``(readers,
+    out)``: a reader per parked stage (the records' serves their
+    materialized form once a stage read them), and ``out`` with
+    ``extracted`` and ``hot_keys`` when their stage ran."""
+    out, parked = {}, {}
+
+    def read(stage):
+        if stage != "records":
+            return parked[stage]()
+        if "records" not in out:
+            out["records"] = records.drop_empty_blocks(parked["records"]().materialize())
+        return out["records"]
 
     def records_stage():
         # read fused into the extract task (html never enters the object
@@ -97,40 +110,36 @@ def _flagship_stages(fdir: str, park, materialize_extracted: bool = False) -> di
         out["extracted"] = extracted
         return records.build_records(extracted, works)
 
-    parked_records = park("records", records_stage, "record_id", None)
-
-    def recs():
-        if "records" not in out:
-            out["records"] = records.drop_empty_blocks(parked_records.materialize())
-        return out["records"]
+    parked["records"] = park("records", records_stage, "record_id", None)
 
     def pairs_stage():
-        out["hot_keys"] = block.find_hot_keys(recs())
-        return block.candidate_pairs(recs(), out["hot_keys"])
+        out["hot_keys"] = block.find_hot_keys(read("records"))
+        return block.candidate_pairs(read("records"), out["hot_keys"])
 
-    out["pairs"] = park("pairs", pairs_stage, "left_id", None)
+    parked["pairs"] = park("pairs", pairs_stage, "left_id", None)
 
     def scored_stage():
         # broadcast, or the bucketed join past the object-store budget;
         # both emit identical scored rows (tests/test_pipeline.py). The
         # attributes are packed once: the decision reads the packed
         # table's size and the chosen path consumes its blocks
-        attrs = score.pack_attrs(recs()).materialize()
+        attrs = score.pack_attrs(read("records")).materialize()
         if choose_scoring_path(attrs):
-            return score.score_pairs_shuffle(out["pairs"], attrs)
-        return score.score_pairs(out["pairs"], score.broadcast_records(attrs))
+            return score.score_pairs_shuffle(read("pairs"), attrs)
+        return score.score_pairs(read("pairs"), score.broadcast_records(attrs))
 
-    out["scored"] = park("scored", scored_stage, "left_id", "combined_score")
+    parked["scored"] = park("scored", scored_stage, "left_id", "combined_score")
 
     def clusters_stage():
-        edges = out["scored"].map_batches(
+        edges = read("scored").map_batches(
             lambda t: t.filter(t["is_match"]).select(["left_id", "right_id"]),
             batch_format="pyarrow")
-        return cluster.connected_components_auto(edges, nodes_ds=recs())
+        return cluster.connected_components_auto(edges, nodes_ds=read("records"))
 
-    out["clusters"] = park("clusters", clusters_stage, "record_id", None)
-    out.setdefault("records", parked_records)
-    return out
+    parked["clusters"] = park("clusters", clusters_stage, "record_id", None)
+    if "records" in out:
+        parked["records"] = lambda: out["records"]
+    return parked, out
 
 
 def run_reconcile(sf_dir: str, materialize_extracted: bool = False,
@@ -153,10 +162,28 @@ def run_reconcile(sf_dir: str, materialize_extracted: bool = False,
 
     def park(stage, factory, partition_key, histogram_col):
         ds = factory()
-        return ds.materialize() if materialize.get(stage) else ds
+        ds = ds.materialize() if materialize.get(stage) else ds
+        return lambda: ds
 
-    return {"fixture_dir": fdir,
-            **_flagship_stages(fdir, park, materialize_extracted)}
+    readers, out = _flagship_stages(fdir, park, materialize_extracted)
+    return {"fixture_dir": fdir, **out, **{s: read() for s, read in readers.items()}}
+
+
+class _LazyStages(Mapping):
+    """Read-only view of a checkpointed run's outputs: a stage's reader
+    is built on its first ``[]`` (and the same Dataset returned after)."""
+
+    def __init__(self, fixed: dict, readers: dict):
+        self._fixed, self._readers = fixed, readers
+
+    def __getitem__(self, key):
+        return self._fixed[key] if key in self._fixed else self._readers[key]()
+
+    def __iter__(self):
+        return iter([*self._fixed, *self._readers])
+
+    def __len__(self):
+        return len(self._fixed) + len(self._readers)
 
 
 def run_reconcile_checkpointed(sf_dir: str, workdir: str):
@@ -164,8 +191,10 @@ def run_reconcile_checkpointed(sf_dir: str, workdir: str):
     lineage manifest under ``workdir`` (state.manifest). A rerun with
     unchanged inputs resumes: completed stages are READ and their
     upstream compute never re-executes, so a full resume runs no
-    factory and executes nothing until the caller consumes
-    ``clusters``. Returns (outputs dict, resumed dict: stage -> bool)."""
+    factory, builds only the readers the caller reads, and executes
+    nothing until the caller consumes ``clusters``. Returns (outputs,
+    resumed dict: stage -> bool); outputs is a read-only mapping that
+    builds a stage's reader on its first ``[]``."""
     from ..state import manifest as mf
 
     fdir = ensure_fixtures(sf_dir)
@@ -174,13 +203,13 @@ def run_reconcile_checkpointed(sf_dir: str, workdir: str):
     resumed = {}
 
     def park(stage, factory, partition_key, histogram_col):
-        ds, resumed[stage] = mf.checkpoint(factory, workdir, stage, fp,
-                                           partition_key=partition_key,
-                                           histogram_col=histogram_col)
-        return ds
+        read, resumed[stage] = mf.checkpoint(factory, workdir, stage, fp,
+                                             partition_key=partition_key,
+                                             histogram_col=histogram_col, lazy=True)
+        return read
 
-    out = _flagship_stages(fdir, park)
-    return {"fixture_dir": fdir, **{stage: out[stage] for stage in resumed}}, resumed
+    readers, _ = _flagship_stages(fdir, park)
+    return _LazyStages({"fixture_dir": fdir}, readers), resumed
 
 
 def pipeline_report(out: dict) -> dict:

@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-_FIXTURE_VERSION = "11"
+_FIXTURE_VERSION = "12"
 
 _FILLER_WORDS = (
     "research method analysis data result discussion theory model sample "
@@ -605,7 +605,8 @@ def generate(tier: str, out_dir: str) -> None:
             "authorships": pa.array(rw_rows["authorships"], auth_type),
         }
     )
-    pq.write_table(rw_tbl, os.path.join(out_dir, "reference_works.parquet"))
+    pq.write_table(rw_tbl, os.path.join(out_dir, "reference_works.parquet"),
+                   row_group_size=1024)
 
     pq.write_table(
         pa.table({"oai_url": pa.array(oai_rows, pa.string())}),
@@ -858,7 +859,7 @@ def _generate_shard(tier: str, shard: int, n_shards: int, out_dir: str) -> int:
                                          pa.string()),
             "authorships": pa.array(rw_rows["authorships"], auth_type),
         }),
-        os.path.join(out_dir, "reference_works.parquet", tag))
+        os.path.join(out_dir, "reference_works.parquet", tag), row_group_size=1024)
     pq.write_table(
         pa.table({
             "left_id": pa.array(lp["left_id"], pa.string()),

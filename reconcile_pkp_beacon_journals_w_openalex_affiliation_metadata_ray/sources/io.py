@@ -1,7 +1,9 @@
 """Source readers (SURVEY.md §2.1 S1-S4).
 
-Parquet: :func:`read_parquet_rowgroups` is the one Parquet reader of the
-pipeline layer (inputs, shard directories and stage checkpoints alike).
+Parquet: :func:`read_tasks` is the one Parquet read body of the pipeline
+layer. :func:`read_parquet_rowgroups` plans its tasks from the footers of
+inputs and shard directories; stage checkpoints plan theirs from their
+manifests (``state.manifest``).
 
 The reference reads CSV with DictReader + required-column validation
 (`get_journal...py:42-46`, `check...openalex.py:51-82`) and streams
@@ -64,26 +66,35 @@ def scan_tasks() -> int:
     return max(8, 4 * cluster_cpus())
 
 
-def _rowgroup_tasks(files: list[str], target_rows: int, min_tasks: int) -> list[dict]:
-    """Group the files' row groups, in order, into read tasks of about
-    ``min(target_rows, total / min_tasks)`` rows. A task may span files,
-    so a directory of many tiny files is read by one task. Each task is
-    ``{"paths": [file, ...], "rgs": [[row group, ...], ...]}``."""
+def _footer_pieces(files: list[str]) -> list[tuple]:
+    """The footer pass: ``(file, row group, rows)`` for every row group
+    of ``files``, in order, read in the calling process."""
     import pyarrow.parquet as pq
 
     pieces = []
     for f in files:
         md = pq.read_metadata(f)
         pieces.extend((f, i, md.row_group(i).num_rows) for i in range(md.num_row_groups))
+    return pieces
+
+
+def group_tasks(pieces, target_rows: int = DEFAULT_TASK_ROWS,
+                min_tasks: int = 1) -> list[dict]:
+    """Group ``(file, row group, rows)`` pieces, in order, into read
+    tasks of about ``min(target_rows, total / min_tasks)`` rows. A task
+    may span files, so a directory of many tiny files is read by one
+    task. A piece whose row group is None stands for its whole file (a
+    checkpoint file planned from its manifest). Each task is
+    ``{"paths": [file, ...], "rgs": [[row group, ...] or None, ...]}``."""
     total = sum(n for _, _, n in pieces)
     target = max(1, min(target_rows, -(-total // max(1, min_tasks))))
     tasks, cur, cur_rows = [], {"paths": [], "rgs": []}, 0
     for f, i, n in pieces:
-        if cur["paths"] and cur["paths"][-1] == f:
+        if i is not None and cur["paths"] and cur["paths"][-1] == f:
             cur["rgs"][-1].append(i)
         else:
             cur["paths"].append(f)
-            cur["rgs"].append([i])
+            cur["rgs"].append(None if i is None else [i])
         cur_rows += n
         if cur_rows >= target:
             tasks.append(cur)
@@ -91,6 +102,11 @@ def _rowgroup_tasks(files: list[str], target_rows: int, min_tasks: int) -> list[
     if cur["paths"]:
         tasks.append(cur)
     return tasks
+
+
+def _rowgroup_tasks(files: list[str], target_rows: int, min_tasks: int) -> list[dict]:
+    """Read tasks over the files' row groups, planned from their footers."""
+    return group_tasks(_footer_pieces(files), target_rows, min_tasks)
 
 
 def _slice_rows(rg, cols, slice_bytes: int) -> int:
@@ -111,10 +127,24 @@ def read_parquet_rowgroups(path, columns=None, fn=None,
 
     ``path`` is anything :func:`parquet_files` accepts. The footers are
     read in the calling process and the row groups grouped into tasks
-    by row count (:func:`_rowgroup_tasks`); the Dataset is
-    ``from_items(tasks).map_batches(read)``, so no metadata or sampling
-    tasks run and a downstream map fuses into the read task (Ray 2.49
-    never fuses a Read operator with a map). Each task emits one block.
+    by row count (:func:`_rowgroup_tasks`), which :func:`read_tasks`
+    reads. With no row groups at all the result is typed by ``schema``
+    (an Arrow schema), else by the first file's."""
+    import pyarrow.parquet as pq
+
+    files = parquet_files(path)
+    tasks = _rowgroup_tasks(files, target_rows, min_tasks)
+    if not tasks and schema is None and files:
+        schema = pq.read_schema(files[0])
+    return read_tasks(tasks, columns, fn, schema)
+
+
+def read_tasks(tasks: list[dict], columns=None, fn=None, schema=None):
+    """The one Parquet read body: planned read tasks (:func:`group_tasks`)
+    -> Dataset. It is ``from_items(tasks).map_batches(read)``, so no
+    metadata or sampling tasks run and a downstream map fuses into the
+    read task (Ray 2.49 never fuses a Read operator with a map). Each
+    task emits one block.
 
     ``fn`` is a per-table transform run inside the read task, so a heavy
     column it consumes never enters the object store. The task streams
@@ -128,21 +158,17 @@ def read_parquet_rowgroups(path, columns=None, fn=None,
     consecutive slices. Without ``fn`` (checkpoint reads) a task reads
     its row groups whole.
 
-    Rows come in file and row-group order, as ``ray.data.read_parquet``
-    yields them, with no Hive partition column. With no row groups at
-    all the result is a typed empty Dataset: ``schema`` (an Arrow
-    schema), else the first file's, projected to ``columns`` and passed
-    through ``fn``."""
+    Rows come in task, file and row-group order, as
+    ``ray.data.read_parquet`` yields them, with no Hive partition
+    column. With no tasks the result is a typed empty Dataset:
+    ``schema`` projected to ``columns`` and passed through ``fn``
+    (untyped when ``schema`` is None)."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
 
     cols = list(columns) if columns is not None else None
-    files = parquet_files(path)
-    tasks = _rowgroup_tasks(files, target_rows, min_tasks)
     if not tasks:
-        if schema is None and files:
-            schema = pq.read_schema(files[0])
         if schema is None:
             return rd.from_items([])
         empty = schema.empty_table()
@@ -151,15 +177,16 @@ def read_parquet_rowgroups(path, columns=None, fn=None,
         return rd.from_arrow(fn(empty) if fn is not None else empty)
     slice_bytes = SLICE_BYTES  # bound at build time, shipped with `read`
 
-    def read_file(f: str, groups: list[int]) -> list[pa.Table]:
+    def read_file(f: str, groups: list[int] | None) -> list[pa.Table]:
         if fn is None:
             with pq.ParquetFile(f) as pf:
-                return [pf.read_row_groups(groups, columns=cols)]
+                return [pf.read(columns=cols) if groups is None
+                        else pf.read_row_groups(groups, columns=cols)]
         out = []
         # no pre-buffering: a group's column chunks are read through a
         # 1 MiB buffer as its slices decode, not loaded whole up front
         with pq.ParquetFile(f, buffer_size=1 << 20, pre_buffer=False) as pf:
-            for g in groups:
+            for g in range(pf.num_row_groups) if groups is None else groups:
                 rows = _slice_rows(pf.metadata.row_group(g), cols, slice_bytes)
                 out.extend(fn(pa.Table.from_batches([b])) for b in pf.iter_batches(
                     batch_size=rows, row_groups=[g], columns=cols))

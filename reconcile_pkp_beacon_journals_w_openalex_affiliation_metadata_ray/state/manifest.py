@@ -12,30 +12,37 @@ exists completely (manifest written last) or not at all.
 
 Layout:
     {root}/{stage}/part=N/*.parquet     hash-partitioned rows
-    {root}/{stage}/MANIFEST.json        stage fingerprint, Arrow schema +
-                                        per-partition {rows, files,
+    {root}/{stage}/MANIFEST.json        layout version, stage fingerprint,
+                                        Arrow schema + per-partition
+                                        {rows, files, file_rows,
                                         (optional) histogram}
 
 Resume contract: ``checkpoint(...)`` recomputes iff no manifest exists
 OR the stored fingerprint differs from the caller's input fingerprint
-(inputs or parameters changed). Otherwise it returns a reader over the
-existing Parquet without touching the pipeline — stage-level
-idempotence. Partitions are hash(key)%P so a future partial-resume can
-recompute a single partition from the same input slice.
+(inputs or parameters changed), or the manifest predates the current
+``LAYOUT`` (it lacks the per-file row counts the reader is planned
+from). Otherwise it returns a reader over the existing Parquet without
+touching the pipeline — stage-level idempotence. Partitions are
+hash(key)%P so a future partial-resume can recompute a single partition
+from the same input slice.
 
-Reader: a checkpoint is read with the pipeline's one Parquet reader,
-``sources.io.read_parquet_rowgroups``: the footers are read in the
-calling process and the row groups of every ``part=N/`` file grouped
-into tasks by row count, so a stage of dozens of tiny files is one read
-task with no metadata or sampling tasks. Building the reader executes nothing;
-the ``part`` directory name never surfaces as a column. A zero-row
-stage writes no files and resumes as a typed empty Dataset from the
-manifest's schema.
+Reader: a checkpoint is read with the pipeline's one Parquet read
+body, ``sources.io.read_tasks``, planned from the manifest alone: its
+files, in partition then file-name order, are grouped into tasks by the
+row counts ``file_rows`` records, so building the reader walks no
+directory and reads no footer, and a stage of dozens of tiny files is
+one read task with no metadata or sampling tasks. Building the reader
+executes nothing, but it creates two Datasets (each a round trip to Ray
+Data's stats actor), so a hit hands out a memoized zero-argument reader
+(:func:`resume`) that is built on its first call. The ``part``
+directory name never surfaces as a column. A zero-row stage writes no
+files and resumes as a typed empty Dataset from the manifest's schema.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import os
@@ -43,7 +50,11 @@ import shutil
 
 import pandas as pd
 
-from ..sources.io import parquet_files, read_parquet_rowgroups
+from ..sources.io import group_tasks, parquet_files, read_tasks
+
+# manifest layout version: 2 added the per-file row counts (`file_rows`)
+# that plan a checkpoint read; an older manifest is not complete
+LAYOUT = 2
 
 
 def fingerprint_inputs(*parts) -> str:
@@ -77,27 +88,46 @@ def _complete_manifest(stage_dir: str, fingerprint: str) -> dict | None:
             man = json.load(f)
     except (OSError, json.JSONDecodeError):
         return None
-    if man.get("fingerprint") != fingerprint:
+    if man.get("fingerprint") != fingerprint or man.get("layout") != LAYOUT:
         return None
-    for part in man.get("partitions", {}):
+    for part, info in man.get("partitions", {}).items():
+        if len(info.get("file_rows", ())) != len(info.get("files", ())):
+            return None
         if not os.path.isdir(os.path.join(stage_dir, f"part={part}")):
             return None
     return man
 
 
-def is_complete(root: str, stage: str, fingerprint: str) -> bool:
-    return _complete_manifest(os.path.join(root, stage), fingerprint) is not None
-
-
 def _reader(stage_dir: str, man: dict):
-    """Reader over a published stage; the manifest's schema (base64
-    Arrow IPC) types it when the stage has no rows."""
+    """Reader over a published stage, planned from its manifest: the
+    files in partition then file-name order (the sorted-path order of a
+    directory read), grouped into tasks by ``file_rows``. The manifest's
+    schema (base64 Arrow IPC) types it when the stage has no rows."""
     import pyarrow as pa
 
     schema = man.get("schema")
     if schema is not None:
         schema = pa.ipc.read_schema(pa.py_buffer(base64.b64decode(schema)))
-    return read_parquet_rowgroups(stage_dir, schema=schema)
+    parts = man["partitions"]
+    pieces = [(os.path.join(stage_dir, f"part={p}", f), None, n)
+              for p in sorted(parts)
+              for f, n in zip(parts[p]["files"], parts[p]["file_rows"])]
+    return read_tasks(group_tasks(pieces), schema=schema)
+
+
+def _lazy_reader(stage_dir: str, man: dict):
+    """Zero-argument reader over a published stage, built on its first
+    call and the same Dataset on every later one."""
+    return functools.cache(lambda: _reader(stage_dir, man))
+
+
+def resume(root: str, stage: str, fingerprint: str):
+    """A complete checkpoint's lazy reader (:func:`_lazy_reader`), or
+    None when the stage has no complete checkpoint for ``fingerprint``.
+    Costs one manifest read and a stat per partition."""
+    stage_dir = os.path.join(root, stage)
+    man = _complete_manifest(stage_dir, fingerprint)
+    return None if man is None else _lazy_reader(stage_dir, man)
 
 
 def _arrow_schema(ds):
@@ -121,21 +151,30 @@ def _arrow_schema(ds):
 
 def checkpoint(ds_factory, root: str, stage: str, fingerprint: str,
                partition_key: str | None = None, num_partitions: int = 16,
-               histogram_col: str | None = None):
+               histogram_col: str | None = None, lazy: bool = False):
     """Materialize a stage to a checkpointed Parquet layout, or resume.
 
     ds_factory: zero-arg callable returning the stage's Dataset — only
     invoked on a checkpoint MISS, so a resumed run never re-executes
     the upstream pipeline for this stage.
     Returns (dataset, resumed: bool); dataset is a fresh read over the
-    checkpoint files (lineage-free, bounded memory).
+    checkpoint files (lineage-free, bounded memory). With ``lazy`` the
+    first element is the memoized zero-argument reader instead
+    (:func:`_lazy_reader`), so a stage nothing reads costs no reader.
     """
-    stage_dir = os.path.join(root, stage)
-    man = _complete_manifest(stage_dir, fingerprint)
-    if man is not None:
-        return _reader(stage_dir, man), True
+    read = resume(root, stage, fingerprint)
+    resumed = read is not None
+    if not resumed:
+        read = _land(ds_factory(), root, stage, fingerprint, partition_key,
+                     num_partitions, histogram_col)
+    return (read if lazy else read()), resumed
 
-    ds = ds_factory()
+
+def _land(ds, root: str, stage: str, fingerprint: str, partition_key,
+          num_partitions: int, histogram_col):
+    """Write ``ds`` as the stage's checkpoint, publish it with its
+    manifest, and return its lazy reader."""
+    stage_dir = os.path.join(root, stage)
     tmp_dir = stage_dir + ".tmp"
     shutil.rmtree(tmp_dir, ignore_errors=True)
     shutil.rmtree(stage_dir, ignore_errors=True)
@@ -162,20 +201,23 @@ def checkpoint(ds_factory, root: str, stage: str, fingerprint: str,
 
     import pyarrow.parquet as pq
 
-    # build lineage: per-partition row counts (+ optional histogram)
+    # build lineage: per-partition and per-file row counts (+ optional
+    # histogram); the file footers also carry the schema
     partitions = {}
+    schema = None
     for entry in sorted(os.listdir(tmp_dir)):
         if not entry.startswith("part="):
             continue
         pdir = os.path.join(tmp_dir, entry)
-        rows = 0
-        files = []
+        files, file_rows = [], []
         hist = None
         for fname in sorted(os.listdir(pdir)):
             if fname.endswith(".parquet"):
-                fpath = os.path.join(pdir, fname)
-                rows += pq.read_metadata(fpath).num_rows
+                md = pq.read_metadata(os.path.join(pdir, fname))
+                if schema is None:
+                    schema = md.schema.to_arrow_schema()
                 files.append(fname)
+                file_rows.append(md.num_rows)
         if histogram_col is not None:
             try:
                 tbl = pq.read_table(pdir, columns=[histogram_col])
@@ -184,16 +226,17 @@ def checkpoint(ds_factory, root: str, stage: str, fingerprint: str,
                 hist = {str(int(k) * 10): int(v) for k, v in hist.items()}
             except Exception:
                 hist = None
-        info = {"rows": rows, "files": files}
+        info = {"rows": sum(file_rows), "files": files, "file_rows": file_rows}
         if hist is not None:
             info["score_histogram"] = hist
         partitions[entry.split("=", 1)[1]] = info
 
-    # the files carry the schema; a zero-row stage writes none, and
-    # only then is the (empty) stage executed again to learn it
-    written = parquet_files(tmp_dir)
-    schema = pq.read_schema(written[0]) if written else _arrow_schema(ds)
+    # a zero-row stage writes no files, and only then is the (empty)
+    # stage executed again to learn its schema
+    if schema is None:
+        schema = _arrow_schema(ds)
     manifest = {
+        "layout": LAYOUT,
         "stage": stage,
         "fingerprint": fingerprint,
         "num_partitions": num_partitions,
@@ -206,7 +249,7 @@ def checkpoint(ds_factory, root: str, stage: str, fingerprint: str,
     with open(_manifest_path(tmp_dir), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
     os.rename(tmp_dir, stage_dir)  # atomic publish: manifest travels with data
-    return _reader(stage_dir, manifest), False
+    return _lazy_reader(stage_dir, manifest)
 
 
 def read_manifest(root: str, stage: str) -> dict | None:

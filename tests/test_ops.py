@@ -2606,3 +2606,41 @@ def test_setsim_dense_edge_cases(rds):
     # tokenless docs never pair
     assert not ((dense.left_id >= 100) & (dense.left_id <= 102)).any()
     assert not ((dense.right_id >= 100) & (dense.right_id <= 102)).any()
+
+
+def test_distinct_nul_and_null_keys(rds):
+    """relational.distinct compares whole strings in its bucket reduce
+    as in its in-batch combiner: ("x\\x00a", 1) and ("x\\x00b", 1) stay
+    two rows, from one block or with their duplicates in other blocks
+    (a key's bucket does not depend on its block-mates). Null and NaN
+    keys keep one row per null key."""
+    def rows(df):
+        return sorted((tuple(None if pd.isna(v) else v for v in r)
+                       for r in df.itertuples(index=False)), key=repr)
+
+    for blocks in ([["x\x00a", "x\x00b"]],
+                   [["x\x00a"], ["x\x00b", "x\x00a"], ["x\x00b"]]):
+        nul = [pd.DataFrame({"s": b, "n": [1] * len(b)}) for b in blocks]
+        got = relational.distinct(rds.from_pandas(nul), ["s", "n"], num_buckets=4).to_pandas()
+        assert rows(got) == [("x\x00a", 1), ("x\x00b", 1)], blocks
+
+    nulls = [pd.DataFrame({"s": [None, "y"], "v": [1.0, np.nan]}),
+             pd.DataFrame({"s": [None, "y", "y"], "v": [1.0, np.nan, 2.0]}),
+             pd.DataFrame({"s": [None], "v": [np.nan]})]
+    got = relational.distinct(rds.from_pandas(nulls), ["s", "v"], num_buckets=4).to_pandas()
+    assert rows(got) == sorted([(None, 1.0), ("y", None), ("y", 2.0), (None, None)], key=repr)
+
+
+def test_bucket_of_ignores_block_mates():
+    """A key's bucket depends on the key alone: strings that differ only
+    after a NUL hash apart whatever else their frame holds, and every
+    null representation (None, NaN, NA, string dtype) shares one bucket."""
+    def bucket(vals, **kw):
+        frame = pd.DataFrame({"k": pd.Series(vals, **kw), "n": [1] * len(vals)})
+        return relational._bucket_of(frame, ["k", "n"], 64).tolist()[-1]
+
+    assert bucket(["x\x00a"]) == bucket(["x\x00b", "x\x00a"])
+    assert bucket(["x\x00b"]) == bucket(["x\x00a", "x\x00b"])
+    nulls = {bucket([None]), bucket([np.nan], dtype=object), bucket([pd.NA], dtype=object),
+             bucket(["y", None]), bucket(["y", None], dtype="string")}
+    assert len(nulls) == 1

@@ -498,14 +498,20 @@ def test_noise_only_read_task_leaves_no_schemaless_block(ray_session, fdir, tmp_
         score.pack_attrs(recs).materialize()
         assert warnings  # the map over the 0-row block
         warnings.clear()
-        out = reconcile._flagship_stages(str(tier), lambda stage, factory, *_: factory())
-        out["clusters"].materialize()
+        parked = {}
+
+        def park(stage, factory, *_):
+            parked[stage] = factory()
+            return lambda: parked[stage]
+
+        readers, _ = reconcile._flagship_stages(str(tier), park)
+        readers["clusters"]().materialize()
         assert not warnings
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
-    assert 0 not in _block_rows(out["records"])
-    assert out["records"].count() == recs.count()
+    assert 0 not in _block_rows(readers["records"]())
+    assert readers["records"]().count() == recs.count()
 
 
 def test_connected_components_no_edges_all_singletons(ray_session):

@@ -89,7 +89,7 @@ def test_partial_checkpoint_not_trusted(ray_session, workdir):
     man = mf.read_manifest(workdir, "st")
     part = next(iter(man["partitions"]))
     shutil.rmtree(os.path.join(stage_dir, f"part={part}"))
-    assert not mf.is_complete(workdir, "st", "fp")
+    assert mf.resume(workdir, "st", "fp") is None
     # crash-simulated .tmp leftover is ignored entirely
     os.makedirs(stage_dir + ".tmp", exist_ok=True)
     ds, resumed = mf.checkpoint(lambda: rd.range(10), workdir, "st", "fp")
@@ -303,3 +303,112 @@ def test_checkpointed_scoring_follows_choose_scoring_path(ray_session, workdir, 
     b = checkpointed.sort_values(key, kind="mergesort").reset_index(drop=True)
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b[a.columns])
+
+
+_SORT_KEYS = {"records": ["record_id"], "pairs": ["left_id", "right_id"],
+              "scored": ["left_id", "right_id"], "clusters": ["record_id"]}
+
+
+def _sorted_rows(ds, stage):
+    import pyarrow as pa
+
+    tbl = pa.concat_tables(list(ds.iter_batches(batch_size=None, batch_format="pyarrow")))
+    return tbl.sort_by([(k, "ascending") for k in _SORT_KEYS[stage]])
+
+
+def test_full_resume_reads_no_footer_and_builds_one_reader(ray_session, workdir, monkeypatch):
+    """A full resume plans its reads from the manifests: the driver
+    opens no Parquet footer, and only the stage the caller reads
+    (``clusters``) gets a reader."""
+    import pyarrow.parquet as pq
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.state import (
+        manifest as mf,
+    )
+
+    sf = "sf0.001"  # fixture tier, synthesized by ensure_fixtures
+    fresh = _cluster_map(reconcile.run_reconcile_checkpointed(sf, workdir)[0]["clusters"])
+
+    opened, built = [], []
+
+    def counting(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            opened.append(name)
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("read_metadata", "read_schema", "read_table", "ParquetFile"):
+        counting(pq, name)
+    counting(pq.core, "ParquetFile")
+    orig_reader = mf._reader
+
+    def counting_reader(*args):
+        built.append(args[0])
+        return orig_reader(*args)
+
+    monkeypatch.setattr(mf, "_reader", counting_reader)
+    out, resumed = reconcile.run_reconcile_checkpointed(sf, workdir)
+    assert all(resumed.values()), resumed
+    assert _cluster_map(out["clusters"]) == fresh
+    assert opened == []
+    assert built == [os.path.join(workdir, "clusters")]
+
+
+def test_full_resume_serves_every_stage(ray_session, workdir):
+    """Every stage a full resume serves, read through the returned
+    mapping, holds the cold run's rows."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+
+    sf = "sf0.001"  # fixture tier, synthesized by ensure_fixtures
+    stages = ("records", "pairs", "scored", "clusters")
+    cold, _ = reconcile.run_reconcile_checkpointed(sf, workdir)
+    want = {s: _sorted_rows(cold[s], s) for s in stages}
+    out, resumed = reconcile.run_reconcile_checkpointed(sf, workdir)
+    assert resumed == dict.fromkeys(stages, True)
+    assert list(out) == ["fixture_dir", *stages]
+    assert out["pairs"] is out["pairs"]  # one reader per stage
+    for s in stages:
+        got = _sorted_rows(out[s], s)
+        assert got.num_rows == want[s].num_rows > 0, s
+        assert got.equals(want[s]), s
+
+
+@pytest.mark.parametrize("damage", ["strip_file_rows", "delete_manifest"])
+def test_damaged_manifest_recomputes_its_stage(ray_session, workdir, damage):
+    """A manifest without the per-file row counts (an older layout) is
+    not complete, like a missing one: that stage alone recomputes, lands
+    a current manifest, and the clusters are unchanged."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.state import (
+        manifest as mf,
+    )
+
+    sf = "sf0.001"  # fixture tier, synthesized by ensure_fixtures
+    fresh = _cluster_map(reconcile.run_reconcile_checkpointed(sf, workdir)[0]["clusters"])
+    path = os.path.join(workdir, "scored", "MANIFEST.json")
+    if damage == "delete_manifest":
+        os.remove(path)
+    else:
+        man = mf.read_manifest(workdir, "scored")
+        man.pop("layout")
+        for info in man["partitions"].values():
+            info.pop("file_rows")
+        with open(path, "w") as f:
+            json.dump(man, f)
+
+    out, resumed = reconcile.run_reconcile_checkpointed(sf, workdir)
+    assert resumed == {"records": True, "pairs": True, "scored": False, "clusters": True}
+    man = mf.read_manifest(workdir, "scored")
+    assert man["layout"] == mf.LAYOUT
+    assert all(len(p["file_rows"]) == len(p["files"]) for p in man["partitions"].values())
+    assert sum(r for p in man["partitions"].values() for r in p["file_rows"]) == man["total_rows"] > 0
+    assert _cluster_map(out["clusters"]) == fresh

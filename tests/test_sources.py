@@ -137,3 +137,25 @@ def test_sharded_generator_contract(ray_session, tmp_path, monkeypatch):
     f1 = reconcile.pairwise_f1(
         out["clusters"], os.path.join(fdir, "labeled_pairs.parquet"))
     assert f1["f1"] == 1.0, f1
+
+
+def test_works_fixture_row_groups_split(tmp_path, monkeypatch):
+    """reference_works is written in row groups of at most 1024 rows, as
+    pages are, so ``read_works`` can spread it over several read tasks:
+    the sf0.001 fixture, and a 1000-entity tier (1100 works) that splits
+    into more than one group."""
+    import pyarrow.parquet as pq
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.sources import (
+        fixtures as fx,
+    )
+
+    def groups(fdir):
+        md = pq.read_metadata(os.path.join(fdir, "reference_works.parquet"))
+        return [md.row_group(i).num_rows for i in range(md.num_row_groups)]
+
+    assert max(groups(fx.ensure_fixtures("sf0.001"))) <= 1024
+    monkeypatch.setitem(fx.TIER_ENTITIES, "sf_rg", 1000)
+    fx.generate("sf_rg", str(tmp_path))
+    big = groups(str(tmp_path))
+    assert len(big) > 1 and max(big) <= 1024
