@@ -191,6 +191,13 @@ class _TreeBuilder(HTMLParser):
 # tokenizer (marked-tag search + subn), 127 us per-token work, 196 us
 # whitespace collapse (crawl seeds 101-105, every 5th page, min of 3
 # timings per page, one core of a shared 4-vCPU VM, CPython 3.11).
+#
+# The mentions-only mode (`text=False`, what the flagship's records
+# read) keeps no data token: a stretch is only validated, by one
+# `_STRETCH_RE.fullmatch` (no subn, no split, no collapse), and a
+# region's data feeds only the span collectors. Whole pages, min of 5
+# passes on one pinned vCPU: crawl seed 101 (2,099 pages) 326 -> 142
+# us/page, 3,250 sf0.1 pages 135 -> 48, dense_names seed 101 37 -> 32.
 
 _TAG_RE = re.compile(
     r"<(/?)([a-z][a-z0-9-]*)"
@@ -209,6 +216,10 @@ _BARE_TAG_RE = re.compile(
 )
 # a region's next token: the data before a tag, then the tag
 _DATA_TAG_RE = re.compile(r"([^<]*)" + _TAG_RE.pattern)
+# a stretch outside every region whose every '<' starts a strict tag:
+# the mentions-only mode's validation, accepting exactly the stretches
+# whose `_BARE_TAG_RE.subn` leaves no '<' of their own
+_STRETCH_RE = re.compile(r"[^<]*+(?:%s[^<]*+)*+" % _BARE_TAG_RE.pattern)
 _ATTR_RE = re.compile(
     r"([a-z][a-z0-9_:.-]*)(?:\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s>'\"=`]+)))?"
 )
@@ -238,9 +249,11 @@ def _run_tokens(run):
     return run.split("<")
 
 
-def _fast_extract(html: str):
+def _fast_extract(html: str, text: bool = True):
     """Fast-path extractor: computes :func:`extract_page`'s result
-    without a DOM. Returns the page dict, or None when any token falls
+    without a DOM (without its ``"text"`` when ``text`` is False: no data
+    token is then collapsed or kept, and a stretch outside every region
+    is only validated). Returns the page dict, or None when any token falls
     outside the strict shapes or the answer would depend on elements
     the fast path does not track; the caller then runs the stdlib
     `_TreeBuilder` path, the reference this one is equivalence-tested
@@ -314,7 +327,7 @@ def _fast_extract(html: str):
             else:
                 data, close, tag, attrtext, selfclose = mt.groups()
             if data:
-                if not nskip:
+                if text and not nskip:
                     texts.append(" ".join(data.split()))
                 if li_idx >= 0:
                     if type(li_name) is list:
@@ -330,11 +343,14 @@ def _fast_extract(html: str):
         else:
             m = _MARKED_RE.search(html, pos)
             end = len(html) if m is None else m.start()
-            run, n = _BARE_TAG_RE.subn("<", html[pos:end])
-            tokens = _run_tokens(run)
-            if len(tokens) != n + 1:
+            if text:
+                run, n = _BARE_TAG_RE.subn("<", html[pos:end])
+                tokens = _run_tokens(run)
+                if len(tokens) != n + 1:
+                    return None  # a '<' that starts no strict tag
+                texts += tokens
+            elif _STRETCH_RE.fullmatch(html, pos, end) is None:
                 return None  # a '<' that starts no strict tag
-            texts += tokens
             if m is None:
                 break
             mt = _TAG_RE.match(html, end)
@@ -441,14 +457,16 @@ def _fast_extract(html: str):
             doi = content
     if current_author is not None:
         pairs.append((current_author, current_insts, "meta"))
-    return {
+    page = {
         "mentions": merge_mentions(pairs, ul_pairs),
         "doi": doi,
-        "text": "\n".join(filter(None, texts)),
         "has_author_tag": has_author_tag,
         "has_inst_tag": has_inst_tag,
         "has_ul_authors": bool(ul_pairs),
     }
+    if text:
+        page["text"] = "\n".join(filter(None, texts))
+    return page
 
 
 def parse_html(html):
@@ -570,10 +588,12 @@ def extract_text(builder) -> str:
     return "\n".join(parts)
 
 
-def extract_page(html):
+def extract_page(html, text: bool = True):
     """Full per-page extraction: returns a dict with
     ``mentions``: [(author, institution, source)], ``doi``, ``text``,
-    ``has_author_tag``, ``has_inst_tag``, ``has_ul_authors``.
+    ``has_author_tag``, ``has_inst_tag``, ``has_ul_authors``. With
+    ``text=False`` the dict has no ``text`` and the page's text is never
+    built (mentions-only mode); every other key is the same.
 
     This single function is the unit of determinism: the Ray stage maps
     it over rows, the oracle calls it in a plain loop — outputs must be
@@ -582,7 +602,7 @@ def extract_page(html):
         html = bytes(html).decode("utf-8", errors="ignore")
     if isinstance(html, str):
         try:
-            page = _fast_extract(html)
+            page = _fast_extract(html, text)
         except Exception:
             page = None
         if page is not None:
@@ -590,11 +610,13 @@ def extract_page(html):
     builder = parse_html(html)
     meta_pairs, has_author, has_inst, doi = extract_meta_pairs(builder)
     ul_pairs = extract_ul_pairs(builder)
-    return {
+    page = {
         "mentions": merge_mentions(meta_pairs, ul_pairs),
         "doi": doi,
-        "text": extract_text(builder),
         "has_author_tag": has_author,
         "has_inst_tag": has_inst,
         "has_ul_authors": bool(ul_pairs),
     }
+    if text:
+        page["text"] = extract_text(builder)
+    return page

@@ -44,23 +44,18 @@ _NON_ALNUM_RE = re.compile(r"[^a-z0-9\s]")
 def ascii_fold(text: str) -> str:
     """Deterministic ASCII transliteration (unidecode-lite).
 
-    NFKD-decompose, drop combining marks, then map the frozen specials
-    table; any remaining non-ASCII codepoint is dropped (matches
+    Map the frozen specials table, NFKD-decompose, then drop every
+    non-ASCII codepoint: the combining marks NFKD splits off (all of
+    them non-ASCII) and any untransliterable leftover (matches
     unidecode's behavior of omitting untransliterable characters).
+    Each step runs in C; an ASCII string is returned as is.
     """
     if not text:
         return ""
+    if text.isascii():
+        return text
     text = _SPECIALS_RE.sub(lambda m: _SPECIALS[m.group(0)], text)
-    decomposed = unicodedata.normalize("NFKD", text)
-    out = []
-    for ch in decomposed:
-        if unicodedata.combining(ch):
-            continue
-        o = ord(ch)
-        if o < 128:
-            out.append(ch)
-        # non-ASCII leftovers are dropped
-    return "".join(out)
+    return unicodedata.normalize("NFKD", text).encode("ascii", "ignore").decode()
 
 
 def normalize_text(text) -> str:

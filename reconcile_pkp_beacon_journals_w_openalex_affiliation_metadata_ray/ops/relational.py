@@ -402,25 +402,31 @@ def pre_aggregated(ds, keys, sums=(), counts=True, num_buckets: int = 64):
     bucketed vectorized sum over the partials (key cardinality is
     unbounded in general — see the per-group cost note on
     :func:`distinct`). Returns columns ``sum_{col}`` for each col in
-    sums and ``n`` when counts."""
+    sums and ``n`` when counts. Rows with a null or NaN key are dropped
+    (pandas groupby semantics); a sum over nulls only is 0. Both sums
+    are Arrow ``group_by``, which compares whole strings (pandas' merges
+    strings that differ only after a NUL)."""
+    import pyarrow.compute as pc
+
     keys = [keys] if isinstance(keys, str) else list(keys)
     sums = list(sums)
+
+    def _sums(cols: list[str]) -> list[tuple]:
+        # built in the task: compute options do not pickle
+        return [(c, "sum", pc.ScalarAggregateOptions(min_count=0)) for c in cols]
 
     def _partial(batch: pa.Table) -> pa.Table:
         # Arrow-native combiner: pa group_by measured 3.3x the pandas
         # groupby-sum on string keys at 1M rows/50k keys (paired A/B,
-        # BASELINE.md §c). Null keys are dropped to match pandas
-        # groupby semantics; sums cast so the partial schema matches
-        # the typed-empty branch exactly (int sums never drift float).
-        import pyarrow.compute as pc
-
+        # BASELINE.md §c). Sums cast so the partial schema matches the
+        # typed-empty branch exactly (int sums never drift float).
         t = batch.select(list(dict.fromkeys(keys + sums)))
         sum_types = {c: (pa.int64() if pa.types.is_integer(t.schema.field(c).type)
                          else pa.float64()) for c in sums}
         if t.num_rows:
             mask = None
             for k in keys:
-                v = pc.is_valid(t[k])
+                v = pc.invert(pc.is_null(t[k], nan_is_null=True))
                 mask = v if mask is None else pc.and_(mask, v)
             t = t.filter(mask)
         if t.num_rows == 0:
@@ -430,7 +436,7 @@ def pre_aggregated(ds, keys, sums=(), counts=True, num_buckets: int = 64):
             if counts:
                 cols["n"] = pa.array([], pa.int64())
             return pa.table(cols)
-        aggs = [(c, "sum") for c in sums]
+        aggs = _sums(sums)
         if counts:
             aggs.append(([], "count_all"))
         g = t.group_by(keys).aggregate(aggs)
@@ -441,12 +447,13 @@ def pre_aggregated(ds, keys, sums=(), counts=True, num_buckets: int = 64):
             cols["n"] = pc.cast(g["count_all"], pa.int64())
         return pa.table(cols)
 
-    agg_cols = {f"sum_{c}": (f"sum_{c}", "sum") for c in sums}
-    if counts:
-        agg_cols["n"] = ("n", "sum")
+    out_cols = [f"sum_{c}" for c in sums] + (["n"] if counts else [])
 
     def _reduce(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(keys, as_index=False, sort=False).agg(**agg_cols)
+        t = pa.Table.from_pandas(g, preserve_index=False)
+        r = t.group_by(keys).aggregate(_sums(out_cols))
+        return pa.table({**{k: r[k] for k in keys},
+                         **{c: r[f"{c}_sum"] for c in out_cols}}).to_pandas()
 
     partials = ds.map_batches(_partial, batch_format="pyarrow",
                               zero_copy_batch=True)

@@ -1,7 +1,7 @@
 """The flagship record-linkage pipeline (SURVEY.md §7.1):
 
-pages.parquet ──row-group read + EXTRACT (one fused task per row-group
-chunk, html never in plasma)──┐
+pages.parquet ──row-group read + mentions-only EXTRACT (one fused task
+per row-group chunk, html never in plasma)──┐
 reference_works.parquet ──row-group read + work records (fused)──┴──►
 records (+ block keys) ──► BLOCK (hot-key count + refine + groupby pair-gen) ──►
 SCORE (broadcast attrs, or a bucketed join past the object-store
@@ -33,7 +33,12 @@ from collections.abc import Mapping
 from ..sources.fixtures import ensure_fixtures
 from ..sources.io import cluster_cpus, read_parquet_rowgroups
 from ..stages import block, cluster, records, score
-from ..stages.extract import mentions_from_extracted, read_extract_pages
+from ..stages.extract import (
+    mentions_from_extracted,
+    plan_pages,
+    read_extract_pages,
+    read_page_mentions,
+)
 
 
 def read_works(path: str):
@@ -99,15 +104,25 @@ def _flagship_stages(fdir: str, park, materialize_extracted: bool = False):
         return out["records"]
 
     def records_stage():
+        from ray.data.dataset import MaterializedDataset
+
         # read fused into the extract task (html never enters the object
         # store — Ray 2.49 won't fuse a Read with a downstream map). Built
         # first: a session's first Dataset starts Ray Data's stats actor
         # (~1-2 s on one CPU), a cost that belongs to the first stage.
-        extracted = read_extract_pages(os.path.join(fdir, "pages.parquet"))
+        pages_path = os.path.join(fdir, "pages.parquet")
+        plan = plan_pages(pages_path)
+        extracted = read_extract_pages(pages_path, plan=plan)
         works = read_works(os.path.join(fdir, "reference_works.parquet"))
         if materialize_extracted:
             extracted = extracted.materialize()
         out["extracted"] = extracted
+        # the records read each page's url, doi and mentions only: unless
+        # the full extraction is already materialized, they read the
+        # pages through the mentions-only kernel, which builds no page's
+        # text; the lazy out["extracted"] runs only if a caller reads it
+        if not isinstance(extracted, MaterializedDataset):
+            extracted = read_page_mentions(plan)
         return records.build_records(extracted, works)
 
     parked["records"] = park("records", records_stage, "record_id", None)

@@ -1,7 +1,7 @@
 """Source readers (SURVEY.md §2.1 S1-S4).
 
 Parquet: :func:`read_tasks` is the one Parquet read body of the pipeline
-layer. :func:`read_parquet_rowgroups` plans its tasks from the footers of
+layer. :func:`plan_rowgroups` plans its tasks from the footers of
 inputs and shard directories; stage checkpoints plan theirs from their
 manifests (``state.manifest``).
 
@@ -119,23 +119,29 @@ def _slice_rows(rg, cols, slice_bytes: int) -> int:
     return max(1, min(rg.num_rows, slice_bytes * rg.num_rows // max(1, nbytes)))
 
 
-def read_parquet_rowgroups(path, columns=None, fn=None,
-                           target_rows: int = DEFAULT_TASK_ROWS,
-                           min_tasks: int = 1, schema=None):
-    """Parquet file(s) -> Dataset, each read task opening its own row
-    groups.
-
-    ``path`` is anything :func:`parquet_files` accepts. The footers are
-    read in the calling process and the row groups grouped into tasks
-    by row count (:func:`_rowgroup_tasks`), which :func:`read_tasks`
-    reads. With no row groups at all the result is typed by ``schema``
-    (an Arrow schema), else by the first file's."""
+def plan_rowgroups(path, target_rows: int = DEFAULT_TASK_ROWS,
+                   min_tasks: int = 1, schema=None) -> tuple[list[dict], object]:
+    """The plan ``(tasks, schema)`` of a read of ``path`` (anything
+    :func:`parquet_files` accepts): the footers are read in the calling
+    process and the row groups grouped into tasks by row count
+    (:func:`_rowgroup_tasks`). ``schema`` types a read with no row
+    groups at all: the given Arrow schema, else the first file's. One
+    plan can feed several :func:`read_tasks` reads of the same files."""
     import pyarrow.parquet as pq
 
     files = parquet_files(path)
     tasks = _rowgroup_tasks(files, target_rows, min_tasks)
     if not tasks and schema is None and files:
         schema = pq.read_schema(files[0])
+    return tasks, schema
+
+
+def read_parquet_rowgroups(path, columns=None, fn=None,
+                           target_rows: int = DEFAULT_TASK_ROWS,
+                           min_tasks: int = 1, schema=None):
+    """Parquet file(s) -> Dataset, each read task opening its own row
+    groups: :func:`read_tasks` over :func:`plan_rowgroups`' plan."""
+    tasks, schema = plan_rowgroups(path, target_rows, min_tasks, schema)
     return read_tasks(tasks, columns, fn, schema)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import pyarrow as pa
 
 from ..functions.htmlextract import extract_page
-from ..sources.io import SCAN_TASK_ROWS, read_parquet_rowgroups, scan_tasks
+from ..sources.io import SCAN_TASK_ROWS, plan_rowgroups, read_tasks, scan_tasks
 
 EXTRACTED_SCHEMA = pa.schema(
     [
@@ -37,6 +37,25 @@ EXTRACTED_SCHEMA = pa.schema(
         ("parse_error", pa.string()),
     ]
 )
+PAGE_MENTIONS_SCHEMA = pa.schema([EXTRACTED_SCHEMA.field(name) for name in (
+    "url", "doi", "mention_authors", "mention_insts")])
+
+
+# what a page whose extraction raised contributes (parse_error says why)
+_FAILED_PAGE = {"mentions": [], "doi": "", "text": "", "has_author_tag": False,
+                "has_inst_tag": False, "has_ul_authors": False}
+
+
+def _extract_each(htmls, text: bool = True):
+    """``(page, parse_error)`` per html, in order (``extract_page(html,
+    text)``). A page's failure never fails the batch: it yields
+    :data:`_FAILED_PAGE` and its error (record-level never-fatal
+    contract)."""
+    for html in htmls:
+        try:
+            yield extract_page(html, text), ""
+        except Exception as exc:
+            yield _FAILED_PAGE, f"extract error: {exc}"
 
 
 def extract_batch(batch: pa.Table) -> pa.Table:
@@ -45,16 +64,8 @@ def extract_batch(batch: pa.Table) -> pa.Table:
     inference); everything around it stays Arrow."""
     urls = batch["url"].to_pylist()
     langs = batch["lang"].to_pylist() if "lang" in batch.column_names else [""] * len(urls)
-    htmls = batch["html"].to_pylist()
     out = {name: [] for name in EXTRACTED_SCHEMA.names}
-    for url, lang, html in zip(urls, langs, htmls):
-        err = ""
-        try:
-            page = extract_page(html)
-        except Exception as exc:  # record-level never-fatal contract
-            page = {"mentions": [], "doi": "", "text": "", "has_author_tag": False,
-                    "has_inst_tag": False, "has_ul_authors": False}
-            err = f"extract error: {exc}"
+    for url, lang, (page, err) in zip(urls, langs, _extract_each(batch["html"].to_pylist())):
         out["url"].append(url)
         out["lang"].append(lang or "")
         out["doi"].append(page["doi"])
@@ -67,6 +78,20 @@ def extract_batch(batch: pa.Table) -> pa.Table:
         out["has_ul_authors"].append(page["has_ul_authors"])
         out["parse_error"].append(err)
     return pa.Table.from_pydict(out, schema=EXTRACTED_SCHEMA)
+
+
+def mentions_batch(batch: pa.Table) -> pa.Table:
+    """Per-batch mentions-only kernel: :func:`extract_batch`'s ``url``,
+    ``doi``, ``mention_authors`` and ``mention_insts``, the only page
+    columns ``records.page_records_batch`` reads, with no page's text
+    ever built (``extract_page(html, text=False)``)."""
+    out = {name: [] for name in PAGE_MENTIONS_SCHEMA.names}
+    out["url"] = batch["url"].to_pylist()
+    for page, _ in _extract_each(batch["html"].to_pylist(), text=False):
+        out["doi"].append(page["doi"])
+        out["mention_authors"].append([m[0] for m in page["mentions"]])
+        out["mention_insts"].append([m[1] for m in page["mentions"]])
+    return pa.Table.from_pydict(out, schema=PAGE_MENTIONS_SCHEMA)
 
 
 def extract_pages(pages_ds, batch_size: int = 256):
@@ -84,21 +109,30 @@ def extract_pages(pages_ds, batch_size: int = 256):
     )
 
 
-def read_extract_pages(pages_path: str, target_rows: int = SCAN_TASK_ROWS):
+def plan_pages(pages_path: str, target_rows: int = SCAN_TASK_ROWS):
+    """The read plan of a pages parquet (file or shard directory), its
+    footers read once, here (``sources.io.plan_rowgroups``): tasks of at
+    most ``target_rows`` rows and at least ~4 per CPU. Every read of
+    the pages below takes one."""
+    return plan_rowgroups(pages_path, target_rows, scan_tasks())
+
+
+def read_extract_pages(pages_path: str, target_rows: int = SCAN_TASK_ROWS, plan=None):
     """pages parquet (file or shard directory) -> extracted Dataset,
-    with the read FUSED into the extract task.
+    with the read FUSED into the extract task. ``plan`` is the pages'
+    :func:`plan_pages` when the caller already holds it (its footers are
+    then not read again).
 
     Ray 2.49 never fuses a Read operator with a downstream map, so
     ``read_parquet(...) |> extract_pages`` ships every raw HTML block
     through the object store (serialize + plasma write + read) just to
     parse it once and drop it — measured 9.5-10.6 s for the sf0.1
     extract-only leg vs 2.7-4.0 s fused (the html column is ~3x the
-    extracted output). This is the repo's one row-group reader
-    (``sources.io.read_parquet_rowgroups``) with ``fn=extract_batch``:
+    extracted output). This is the repo's one read body
+    (``sources.io.read_tasks``) with ``fn=extract_batch``:
     each task reads its own row groups (columns pruned to
-    ``url, lang, html``), at most ``target_rows`` rows and at least
-    ~4 tasks per CPU, and emits extracted rows directly; the html bytes
-    never leave the task. The task streams its row groups through
+    ``url, lang, html``) and emits extracted rows directly; the html
+    bytes never leave the task. The task streams its row groups through
     ``extract_batch`` in slices of at most ``sources.io.SLICE_BYTES``
     of html, so its memory holds one slice's pages, not its whole
     row-group run; that is sound because ``extract_batch`` is row-local
@@ -113,9 +147,18 @@ def read_extract_pages(pages_path: str, target_rows: int = SCAN_TASK_ROWS):
     # deserializes only 3 fields, main.rs:69-84). Paths that need
     # `warc_ts` (canonical keep-latest) read pages.parquet directly with
     # their own projection.
-    return read_parquet_rowgroups(
-        pages_path, columns=["url", "lang", "html"], fn=extract_batch,
-        target_rows=target_rows, min_tasks=scan_tasks())
+    tasks, schema = plan or plan_pages(pages_path, target_rows)
+    return read_tasks(tasks, ["url", "lang", "html"], extract_batch, schema)
+
+
+def read_page_mentions(plan):
+    """The pages of a :func:`plan_pages` plan -> one row per page with
+    only the columns the page records read (:func:`mentions_batch`,
+    fused into the read task like :func:`read_extract_pages`). The same
+    projection as the reference's Rust filter, one step further: no
+    ``lang`` is read and no page's text is built."""
+    tasks, schema = plan
+    return read_tasks(tasks, ["url", "html"], mentions_batch, schema)
 
 
 def explode_mentions(batch: pa.Table) -> pa.Table:

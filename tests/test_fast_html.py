@@ -6,7 +6,8 @@ The fast path must either produce the EXACT page dict the stdlib
 return None and let the stdlib path run. These tests pin both halves:
 equality on the whole sf0.001 fixture corpus plus structured fuzz, and
 explicit fallback triggers for every tolerance feature the strict
-shapes exclude.
+shapes exclude. The mentions-only mode (``text=False``) must give the
+same dict minus ``text``, and fall back on exactly the same documents.
 """
 
 from __future__ import annotations
@@ -46,9 +47,25 @@ def dom_extract(html: str) -> dict:
     }
 
 
+def assert_mentions_mode_equivalent(html: str):
+    """Mentions-only mode = the full extraction minus ``text``, through
+    the public entry and on the fast path, which it takes on exactly the
+    documents the full mode takes it on."""
+    full = hx.extract_page(html)
+    del full["text"]
+    assert hx.extract_page(html, text=False) == full, html[:200]
+    fe, fm = hx._fast_extract(html), hx._fast_extract(html, text=False)
+    assert (fe is None) == (fm is None), html[:200]
+    if fe is not None:
+        del fe["text"]
+        assert fm == fe, html[:200]
+
+
 def assert_extract_equivalent(html: str):
     """If the fast path accepts the document, its page dict must equal
-    the DOM-path extraction exactly."""
+    the DOM-path extraction exactly (and the mentions-only mode its
+    projection)."""
+    assert_mentions_mode_equivalent(html)
     fe = hx._fast_extract(html)
     if fe is None:
         return False
@@ -75,6 +92,7 @@ def test_tolerance_features_fall_back(doc):
     # and the public entry still parses them (stdlib path)
     page = hx.extract_page(doc)
     assert isinstance(page["text"], str)
+    assert_mentions_mode_equivalent(doc)
 
 
 def test_charref_fallback_unescapes():
@@ -149,6 +167,7 @@ def test_fuzz_arbitrary_text_public_api_consistent(doc):
     """extract_page through the public entry (fast-or-fallback) must
     equal a forced-stdlib extraction for ANY input."""
     assert hx.extract_page(doc) == dom_extract(doc)
+    assert_mentions_mode_equivalent(doc)
 
 
 def test_fast_extract_fixture_corpus_all_fast_and_identical():
@@ -309,6 +328,7 @@ def test_crawl_shaped_page_takes_fast_path():
     assert page == dom_extract(html)
     assert page["has_ul_authors"] and page["has_author_tag"]
     assert "Topic 259" in page["text"] and "var t1" not in page["text"]
+    assert_mentions_mode_equivalent(html)
 
 
 _quoted_values = st.text(alphabet=st.sampled_from(list("ab <>/='\" x")), max_size=8)
@@ -358,6 +378,27 @@ def test_bare_tag_re_matches_the_strict_tags(lt, name, rest):
         m = None
     b = hx._BARE_TAG_RE.match(s)
     assert (b and b.end()) == (m and m.end())
+
+
+_stretches = st.lists(st.sampled_from(
+    ["<", ">", "</", "/>", "<p>", "</p>", "<br/>", "<a b='<'>", '<a b="x>y">', "</p a>",
+     "<B>", "<p", "x", " ", "\n", "=", "'", '"', "a", "-", "1", "<!--", "&"]),
+    max_size=12).map("".join)
+
+
+@given(_stretches, _stretches, _stretches)
+@settings(max_examples=500, deadline=None)
+def test_stretch_validation_matches_subn_count(head, stretch, tail):
+    """The mentions-only mode validates a stretch outside every region
+    with one ``_STRETCH_RE.fullmatch``; the full mode blanks it with
+    ``_BARE_TAG_RE.subn`` and falls back when a '<' is left over. Both
+    accept exactly the same stretches, also inside a longer document."""
+    run, n = hx._BARE_TAG_RE.subn("<", stretch)
+    want = run.count("<") == n
+    assert (hx._STRETCH_RE.fullmatch(stretch) is not None) == want
+    doc = head + stretch + tail
+    pos, end = len(head), len(head) + len(stretch)
+    assert (hx._STRETCH_RE.fullmatch(doc, pos, end) is not None) == want
 
 
 def test_bytes_decode_drops_undecodable_bytes():

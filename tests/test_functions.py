@@ -30,6 +30,39 @@ def test_normalize_basic():
     assert textnorm.normalize_text("A.B.  C!!") == "ab c"
 
 
+def _ascii_fold_loop(text: str) -> str:
+    """The per-character fold ``textnorm.ascii_fold`` replaced, kept as
+    its reference: specials, NFKD, then drop combining marks and every
+    other non-ASCII character one at a time."""
+    import unicodedata
+
+    if not text:
+        return ""
+    text = textnorm._SPECIALS_RE.sub(lambda m: textnorm._SPECIALS[m.group(0)], text)
+    out = []
+    for ch in unicodedata.normalize("NFKD", text):
+        if unicodedata.combining(ch):
+            continue
+        if ord(ch) < 128:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_ascii_fold_equals_the_per_character_loop():
+    """Every non-surrogate code point alone and all of them in one
+    string, and every specials key alone, before a combining mark and
+    inside a word: the C-speed fold returns the loop's string."""
+    chars = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+    for ch in chars:
+        assert textnorm.ascii_fold(ch) == _ascii_fold_loop(ch), hex(ord(ch))
+    assert textnorm.ascii_fold("".join(chars)) == _ascii_fold_loop("".join(chars))
+    for key in textnorm._SPECIALS:
+        for s in (key, key + "\u0301", f"Gro{key}e Stra{key}e"):
+            assert textnorm.ascii_fold(s) == _ascii_fold_loop(s), repr(s)
+    assert textnorm.ascii_fold("") == "" and textnorm.ascii_fold(None) == ""
+    assert textnorm.ascii_fold("plain ascii") == "plain ascii"
+
+
 @given(st.text(max_size=80))
 def test_normalize_idempotent(s):
     once = textnorm.normalize_text(s)

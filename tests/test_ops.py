@@ -2631,6 +2631,64 @@ def test_distinct_nul_and_null_keys(rds):
     assert rows(got) == sorted([(None, 1.0), ("y", None), ("y", 2.0), (None, None)], key=repr)
 
 
+def _pre_agg(ds, **kw):
+    """pre_aggregated's output: (columns, dtypes, rows sorted by repr)."""
+    df = relational.pre_aggregated(ds, **kw).to_pandas()
+    rows = sorted((tuple(None if pd.isna(v) else v for v in r)
+                   for r in df.itertuples(index=False)), key=repr)
+    return list(df.columns), [str(t) for t in df.dtypes], rows
+
+
+def test_pre_aggregated_null_keys_and_dtypes(rds):
+    """Null keys are dropped whatever builds them: None in a pandas
+    string column, null or NaN in an Arrow float column, one null part
+    of a two-column key. Sums keep their kind (int64 / float64), ``n`` is
+    int64 and a sum over nulls only is 0. The rows and dtypes are those
+    the pandas bucket reduce gave, but for the last case, whose all-null
+    int group turned that reduce's whole column float."""
+    import pyarrow as pa
+
+    pages = [pd.DataFrame({"s": [None, "y", "y"], "v": [1.0, np.nan, 2.0]}),
+             pd.DataFrame({"s": [None, "y"], "v": [3.0, 4.0]})]
+    assert _pre_agg(rds.from_pandas(pages), keys="s", sums=["v"], num_buckets=4) == (
+        ["s", "sum_v", "n"], ["object", "float64", "int64"], [("y", 6.0, 3)])
+    nan_keys = [pa.table({"k": [1.0, float("nan"), 1.0], "v": [1, 2, 3]}),
+                pa.table({"k": [float("nan"), 2.0], "v": [5, 6]})]
+    assert _pre_agg(rds.from_arrow(nan_keys), keys="k", sums=["v"], num_buckets=4) == (
+        ["k", "sum_v", "n"], ["float64", "int64", "int64"], [(1.0, 4, 2), (2.0, 6, 1)])
+    null_keys = pa.table({"k": pa.array([1.0, None, 1.0]), "v": [1, 2, 3]})
+    assert _pre_agg(rds.from_arrow(null_keys), keys="k", sums=["v"], num_buckets=4)[2] == [
+        (1.0, 4, 2)]
+    two = pd.DataFrame({"a": ["p", "p", None, "q"], "b": [1, 2, 1, 1], "v": [1.5, 2.5, 3.5, 4.5]})
+    assert _pre_agg(rds.from_pandas(two), keys=["a", "b"], sums=["v"], num_buckets=4) == (
+        ["a", "b", "sum_v", "n"], ["object", "int64", "float64", "int64"],
+        [("p", 1, 1.5, 1), ("p", 2, 2.5, 1), ("q", 1, 4.5, 1)])
+    three = pa.table({"s": ["a", "a", "b"], "v": [1, 2, 3], "w": [0.5, 0.5, 1.0]})
+    assert _pre_agg(rds.from_arrow(three), keys="s", sums=["v", "w"], counts=False,
+                    num_buckets=4) == (["s", "sum_v", "sum_w"], ["object", "int64", "float64"],
+                                       [("a", 3, 1.0), ("b", 3, 1.0)])
+    assert _pre_agg(rds.from_arrow([three, three.slice(0, 1)]), keys="s",
+                    num_buckets=4)[2] == [("a", 3), ("b", 1)]
+    null_vals = [pa.table({"s": ["a", "b"], "v": pa.array([1, None], pa.int64())}),
+                 pa.table({"s": ["b", "c"], "v": pa.array([None, 7], pa.int64())})]
+    assert _pre_agg(rds.from_arrow(null_vals), keys="s", sums=["v"], num_buckets=1) == (
+        ["s", "sum_v", "n"], ["object", "int64", "int64"], [("a", 1, 1), ("b", 0, 2), ("c", 7, 1)])
+
+
+def test_pre_aggregated_nul_keys_stay_apart(rds):
+    """Strings that differ only after a NUL are two groups even when they
+    share a bucket (num_buckets=1) and when their partials come from
+    different blocks."""
+    import pyarrow as pa
+
+    for blocks in ([["x\x00a", "x\x00b"]], [["x\x00a"], ["x\x00b", "x\x00a"]]):
+        ds = rds.from_arrow([pa.table({"s": b, "v": [1] * len(b)}) for b in blocks])
+        want = sorted((s, sum(1 for b in blocks for t in b if t == s),
+                       sum(1 for b in blocks for t in b if t == s)) for s in ("x\x00a", "x\x00b"))
+        for num_buckets in (1, 64):
+            assert _pre_agg(ds, keys="s", sums=["v"], num_buckets=num_buckets)[2] == want
+
+
 def test_bucket_of_ignores_block_mates():
     """A key's bucket depends on the key alone: strings that differ only
     after a NUL hash apart whatever else their frame holds, and every

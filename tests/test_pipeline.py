@@ -579,6 +579,100 @@ def test_read_extract_pages_shard_directory(ray_session, fdir, tmp_path):
         assert got.equals(base)
 
 
+def _rows_by_id(ds) -> list[dict]:
+    return sorted(ds.take_all(), key=lambda r: r["record_id"])
+
+
+def _full_extraction_records(fdir):
+    """The records built from the full, unfused extraction."""
+    import ray.data as rd
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import records
+
+    return records.build_records(
+        extract_pages(rd.read_parquet(os.path.join(fdir, "pages.parquet"))),
+        reconcile.read_works(os.path.join(fdir, "reference_works.parquet")))
+
+
+def test_flagship_records_equal_full_extraction_records(ray_session, fdir):
+    """The e2e configuration builds its page records through the
+    mentions-only kernel; every column of every record equals the
+    records built from the full extraction."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+
+    out = reconcile.run_reconcile(SF, materialize_pairs=False, materialize_scored=False)
+    want = _full_extraction_records(fdir)
+    assert out["records"].schema() == want.schema()
+    assert _rows_by_id(out["records"]) == _rows_by_id(want)
+
+
+def test_records_stage_reads_pages_without_text(ray_session, fdir, executions, monkeypatch):
+    """Building the records stage executes nothing. The Dataset it hands
+    ``build_records`` reads ``url`` and ``html`` only, and its per-task
+    transform emits ``url``, ``doi`` and the mention lists, no ``text``
+    (checked on a typed empty slice of the pages). ``out["extracted"]``
+    reads the same task list, so the footers are planned once."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import (
+        extract,
+        records,
+    )
+
+    reads, seen = {}, []
+    read_tasks = extract.read_tasks
+
+    def recording_read(tasks, columns=None, fn=None, schema=None):
+        ds = read_tasks(tasks, columns, fn, schema)
+        reads[id(ds)] = (tasks, columns, fn)
+        return ds
+
+    monkeypatch.setattr(extract, "read_tasks", recording_read)
+    monkeypatch.setattr(records, "build_records", lambda pages, works: seen.append(pages))
+    executions.clear()
+    _, out = reconcile._flagship_stages(
+        fdir, lambda stage, factory, *_: factory() if stage == "records" else None)
+    assert not executions
+    (pages,) = seen
+    tasks, columns, fn = reads[id(pages)]
+    assert columns == ["url", "html"]
+    empty = pq.read_schema(os.path.join(fdir, "pages.parquet")).empty_table().select(columns)
+    assert fn(empty).schema.names == ["url", "doi", "mention_authors", "mention_insts"]
+    full_tasks, _, full_fn = reads[id(out["extracted"])]
+    assert full_tasks is tasks and "text" in full_fn(empty).schema.names
+
+
+def test_materialized_extraction_feeds_the_records(ray_session, fdir, monkeypatch):
+    """With ``materialize_extracted=True`` (the queries memo) the records
+    are built from the materialized full extraction, so each page is
+    parsed once: no mentions-only read is built, and the records equal
+    those of the full extraction."""
+    from ray.data.dataset import MaterializedDataset
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import records
+
+    mention_reads, seen = [], []
+    build = records.build_records
+    monkeypatch.setattr(reconcile, "read_page_mentions", mention_reads.append)
+    monkeypatch.setattr(records, "build_records",
+                        lambda pages, works: seen.append(pages) or build(pages, works))
+    out = reconcile.run_reconcile(SF, materialize_extracted=True, materialize_pairs=False,
+                                  materialize_scored=False)
+    assert not mention_reads
+    assert isinstance(out["extracted"], MaterializedDataset)
+    assert len(seen) == 1 and seen[0] is out["extracted"]
+    assert _rows_by_id(out["records"]) == _rows_by_id(_full_extraction_records(fdir))
+
+
 def test_flagship_execution_counts(ray_session, executions, tmp_path):
     """Ray Data executions per run, the caller's read of ``clusters``
     included: the flagship e2e configuration 6, ``run_reconcile``'s
