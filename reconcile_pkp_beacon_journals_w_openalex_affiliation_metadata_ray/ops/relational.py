@@ -10,8 +10,8 @@ into B buckets on the key, co-grouped with one shuffle, merged
 per-bucket with pandas (an explicit partitioned hash join; salt count
 B is the documented partitioning assumption).
 
-Every keyed shuffle is ONE groupby over hash buckets
-(:func:`_shuffle_buckets`): :func:`bucketed_map_groups` is its
+Every keyed shuffle is ONE sort over hash buckets, each sort partition
+mapped whole (:func:`_shuffle_buckets`): :func:`bucketed_map_groups` is its
 one-sided entry, :func:`cogroup` the two-sided one behind
 :func:`bucket_join`, :func:`asof_join`, :func:`range_join` and
 :func:`set_op`.
@@ -201,13 +201,23 @@ def _merged_dtypes(ldt: dict, rdt: dict, keys, suffixes) -> dict:
     return out
 
 
-def _shuffle_buckets(tagged, per_bucket, max_in_blocks, ray_remote_args):
+def _shuffle_buckets(tagged, fn, max_in_blocks, ray_remote_args,
+                     batch_format: str = "pandas"):
     """The one keyed shuffle behind every bucketed operator: ``tagged``
-    carries a ``__bucket`` column, and ``per_bucket`` runs once per
-    non-empty bucket on all of its rows.
+    carries a ``__bucket`` column, is sorted by it, and each sort
+    partition is mapped whole (``map_batches(batch_size=None)``, the
+    shape of Ray's own ``map_groups`` less its per-group format
+    conversion). A range partition never splits a bucket, so it holds
+    one or more complete buckets. ``fn`` gets rows without
+    ``__bucket``: with ``batch_format="pandas"`` once per non-empty
+    bucket (the partition is split at bucket boundaries), with
+    ``"pyarrow"`` once per non-empty partition, as a Table: the format
+    also picks the call granularity. The bucket count therefore sets
+    the sort sampler's and the partitions' granularity; only the pandas
+    form calls ``fn`` once per bucket.
 
-    ``max_in_blocks`` bounds the block count entering the groupby's
-    Sort: Ray's sort emits one range partition PER INPUT BLOCK, so an
+    ``max_in_blocks`` bounds the block count entering the Sort: Ray's
+    sort emits one range partition PER INPUT BLOCK, so an
     iterative caller whose round output feeds the next round's input
     sees block counts COMPOUND round over round (889 -> 1776 -> 2000+
     at sf1), and a union's block count is the SUM of its sides' —
@@ -216,12 +226,26 @@ def _shuffle_buckets(tagged, per_bucket, max_in_blocks, ray_remote_args):
     shuffle=False repartition is a cheap coalesce (split/concat, no key
     exchange) that caps the sort fan-out; bounded-depth callers don't
     need it. ``ray_remote_args`` (e.g. num_cpus from
-    context.shuffle_task_cpus) applies to the per-bucket reduce tasks —
-    the bandwidth-heavy leg."""
+    context.shuffle_task_cpus) applies to the partition maps — the
+    bandwidth-heavy leg."""
     if max_in_blocks is not None:
         tagged = tagged.repartition(max_in_blocks, shuffle=False)
-    return tagged.groupby("__bucket").map_groups(per_bucket, batch_format="pandas",
-                                                 **(ray_remote_args or {}))
+
+    def _partition(batch):
+        if not len(batch):
+            return
+        if batch_format == "pyarrow":
+            yield fn(batch.drop_columns(["__bucket"]))
+            return
+        bucket = batch["__bucket"].to_numpy()
+        cuts = (np.flatnonzero(bucket[1:] != bucket[:-1]) + 1).tolist()
+        rows = batch.drop(columns="__bucket")
+        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+            yield fn(rows.iloc[lo:hi].reset_index(drop=True))
+
+    return tagged.sort("__bucket").map_batches(
+        _partition, batch_size=None, batch_format=batch_format,
+        **(ray_remote_args or {}))
 
 
 def cogroup(left_ds, right_ds, on, fn, num_buckets: int,
@@ -230,7 +254,7 @@ def cogroup(left_ds, right_ds, on, fn, num_buckets: int,
     """Co-partition two Datasets on ``on`` and call ``fn(left_df,
     right_df)`` once per non-empty bucket. Each side is hashed into
     num_buckets buckets and side-tagged per batch BEFORE the union, so
-    no batch ever hashes keys the union NaN-padded; one groupby over
+    no batch ever hashes keys the union NaN-padded; one sort over
     the buckets follows (:func:`_shuffle_buckets`).
 
     ``fn`` gets each side in its own columns, cast back to the dtypes
@@ -371,30 +395,62 @@ def range_join(left_ds, right_ds, by, left_on, right_start, right_end,
     return cogroup(left_ds, right_ds, by, _merge_bucket, num_buckets)
 
 
+def _arrow_bucket_of(t: pa.Table, key_cols, num_buckets: int) -> pa.Array:
+    """:func:`_bucket_of`'s buckets for the rows of Arrow table ``t``. A
+    single key column is dictionary-encoded (whole strings, NUL-exact)
+    and each distinct key hashed once, nulls as one more key; several
+    key columns are hashed as :func:`_bucket_of` hashes the pandas
+    frame."""
+    if len(key_cols) != 1:
+        return pa.array(_bucket_of(t.select(key_cols).to_pandas(), key_cols,
+                                   num_buckets).to_numpy())
+    enc = t[key_cols[0]].combine_chunks().dictionary_encode()
+    values = enc.dictionary
+    if enc.null_count:
+        values = pa.concat_arrays([values, pa.nulls(1, values.type)])
+    if not len(values):
+        return pa.array([], pa.int64())
+    each = _bucket_of(pa.table({key_cols[0]: values}).to_pandas(), key_cols, num_buckets)
+    return pa.array(each.to_numpy()).take(enc.indices.fill_null(len(values) - 1))
+
+
 def bucketed_map_groups(ds, key_cols, fn, num_buckets: int = 64,
                         max_in_blocks: int | None = None,
-                        ray_remote_args: dict | None = None):
+                        ray_remote_args: dict | None = None,
+                        batch_format: str = "pandas"):
     """Keyed shuffle with COARSE partitions: rows are hashed into
-    num_buckets buckets on key_cols (stable pandas hashing), the
-    groupby runs over buckets (B Python calls total, not one per key),
-    and ``fn`` receives each bucket as a DataFrame to process per-key
-    with vectorized pandas internally. All rows of a key land in one
-    bucket. This is the antidote to per-tiny-group map_groups overhead
-    at high key cardinality. ``max_in_blocks`` and ``ray_remote_args``
-    are those of :func:`_shuffle_buckets` (an iterative caller such as
+    num_buckets buckets on key_cols (stable pandas hashing), the sort
+    runs over buckets, and ``fn`` processes its rows per key with
+    vectorized code internally. All rows of a key land in one bucket.
+    This is the antidote to per-tiny-group map_groups overhead at high
+    key cardinality.
+
+    ``batch_format`` picks two things at once, the batch format and the
+    call granularity. ``"pandas"``: ``fn`` gets each non-empty bucket as
+    a DataFrame, one call per bucket. ``"pyarrow"``: the rows are tagged
+    in Arrow (each batch's distinct keys hashed once, into the buckets
+    the pandas form uses) and ``fn`` gets each non-empty sort partition
+    — one or more complete buckets — as a Table, one call per
+    partition. A bucket holds many keys, so ``fn`` groups by its real
+    key itself in either form.
+    ``max_in_blocks`` and ``ray_remote_args`` are those of
+    :func:`_shuffle_buckets` (an iterative caller such as
     connected_components needs the coalesce)."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
 
-    def _tag(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = _bucket_of(b, key_cols, num_buckets)
-        return b
+    if batch_format == "pyarrow":
+        def _tag(t: pa.Table) -> pa.Table:
+            return t.append_column("__bucket", _arrow_bucket_of(t, key_cols, num_buckets))
 
-    def _per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return fn(g.drop(columns="__bucket"))
+        tagged = ds.map_batches(_tag, batch_format="pyarrow", zero_copy_batch=True)
+    else:
+        def _tag(b: pd.DataFrame) -> pd.DataFrame:
+            b = b.copy()
+            b["__bucket"] = _bucket_of(b, key_cols, num_buckets)
+            return b
 
-    return _shuffle_buckets(ds.map_batches(_tag, batch_format="pandas"),
-                            _per_bucket, max_in_blocks, ray_remote_args)
+        tagged = ds.map_batches(_tag, batch_format="pandas")
+    return _shuffle_buckets(tagged, fn, max_in_blocks, ray_remote_args, batch_format)
 
 
 def pre_aggregated(ds, keys, sums=(), counts=True, num_buckets: int = 64):
@@ -449,15 +505,17 @@ def pre_aggregated(ds, keys, sums=(), counts=True, num_buckets: int = 64):
 
     out_cols = [f"sum_{c}" for c in sums] + (["n"] if counts else [])
 
-    def _reduce(g: pd.DataFrame) -> pd.DataFrame:
-        t = pa.Table.from_pandas(g, preserve_index=False)
+    def _reduce(t: pa.Table) -> pa.Table:
+        # the partials stay Arrow end to end: a pandas round trip would
+        # turn a NaN partial into a null the sum skips
         r = t.group_by(keys).aggregate(_sums(out_cols))
         return pa.table({**{k: r[k] for k in keys},
-                         **{c: r[f"{c}_sum"] for c in out_cols}}).to_pandas()
+                         **{c: r[f"{c}_sum"] for c in out_cols}})
 
     partials = ds.map_batches(_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return bucketed_map_groups(partials, keys, _reduce, num_buckets=num_buckets)
+    return bucketed_map_groups(partials, keys, _reduce, num_buckets=num_buckets,
+                               batch_format="pyarrow")
 
 
 def rollup_aggregate(ds, keys, sums=(), counts=True, sentinel: str = "ALL",

@@ -232,7 +232,9 @@ def pipeline_report(out: dict) -> dict:
     atomic counters + run summaries, `main.rs:86-144,812-823`): row
     counts, hot keys, and the capped blocks with the pairs their caps
     dropped (:func:`stages.block.block_caps`) — every cap the blocking
-    stage applied is visible here, never silent."""
+    stage applied is visible here, never silent. The caps are read off
+    the pair stage's plan, which ``out["hot_keys"]`` carries, so they
+    cost no pass over the records."""
     from ray.data.aggregate import Sum
 
     caps = block.block_caps(out["records"], out["hot_keys"])

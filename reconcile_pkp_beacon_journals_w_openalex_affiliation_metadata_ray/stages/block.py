@@ -35,13 +35,16 @@ Execution shape: MinHash and the key rules run ONCE per record, in
 the records stage (:func:`with_block_keys`); the keys ride on the
 records as a list column, and later passes only count them
 (:func:`find_hot_keys`) and refine them (:func:`key_rows`) with Arrow.
-The hot set is a plain frozenset argument. Pair generation is ONE
-coarse bucketed shuffle of the key rows (ops.relational.
-bucketed_map_groups: O(num_buckets) Python calls, pairs enumerated on
-integer codes inside), and each pair is emitted only by its owner block, so no
-second shuffle deduplicates pairs several blocks share. Shuffles carry
-only (key, record_id, has_doi, the record's key list) — never the
-heavy record payloads.
+The counting pass is also the block plan (:func:`find_hot_keys`): one
+Arrow group_by per batch by (key, refinement suffix) yields the hot set
+and the capped blocks together, and the hot set is a frozenset argument
+that carries them (:class:`HotKeys`). Pair generation is ONE coarse
+bucketed shuffle of the key rows (ops.relational.bucketed_map_groups
+in its Arrow form: one Python call per sort partition, pairs
+enumerated on integer codes inside), and each pair is emitted only by
+its owner block, so no second shuffle deduplicates pairs several
+blocks share. Shuffles carry only (key, record_id, has_doi, the
+record's key list) — never the heavy record payloads.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ NUM_PERM = 64
 NUM_BANDS = 4
 DEFAULT_HOT_THRESHOLD = 256
 DEFAULT_MAX_PAIRS_PER_BLOCK = 20_000
+# keys never refined by the hot set: DOI and URL-path keys, and host
+# keys, which carry their refinement from with_block_keys
+_NEVER_REFINED = "^(doi|path|host):"
 
 
 def adaptive_num_buckets(n_records: int, records_per_bucket: int = 1_000,
@@ -66,8 +72,8 @@ def adaptive_num_buckets(n_records: int, records_per_bucket: int = 1_000,
     shuffle scoring), scaled to the record count. The PARALLELISM of a
     bucketed_map_groups stage — and of everything Ray fuses onto its
     output, which in the flagship e2e configuration includes the whole
-    scoring kernel — is bounded by the bucket count:
-    groupby().map_groups tasks follow the sort's range partitions. A
+    scoring kernel — is bounded by the bucket count: the shuffle's
+    map tasks follow the sort's range partitions. A
     fixed 32 serialized sf1's 120M-candidate stream into ~28 tasks of
     4M+ pairs each (pair-gen 12.5 min, then a since-removed pair-dedup
     shuffle + scoring 11.5 min with a 5-minute single-task tail —
@@ -83,7 +89,12 @@ def adaptive_num_buckets(n_records: int, records_per_bucket: int = 1_000,
     210- vs 420-bucket paired A/B is a wash (29.5-34 s, inside host
     noise), so fine buckets cost nothing where 32 was already one
     wave. The floor keeps tiny tiers at the historical 32; the ceiling
-    bounds per-bucket Python overhead. Bucket count never changes
+    bounds the sampler's work.
+
+    The count sets the sampler's and the partitions' granularity, not
+    the number of Python calls: the pair shuffle calls its function
+    once per sort partition, whatever buckets it holds
+    (ops.relational._shuffle_buckets). Bucket count never changes
     output rows (the bucket key is a pure function of the group key),
     only task granularity."""
     return max(lo, min(hi, int(n_records) // records_per_bucket))
@@ -153,7 +164,7 @@ def key_rows(t: pa.Table, hot_keys=frozenset(), record_keys: bool = False) -> pa
     key = pc.list_flatten(keys)
     if hot_keys:
         hot = pc.and_(pc.is_in(key, value_set=pa.array(list(hot_keys), pa.string())),
-                      pc.invert(pc.match_substring_regex(key, "^(doi|path|host):")))
+                      pc.invert(pc.match_substring_regex(key, _NEVER_REFINED)))
         key = pc.if_else(hot, pc.binary_join_element_wise(
             key, pc.take(t["key_suffix"], parent), "~"), key)
     out = pa.table({"block_key": key,
@@ -199,77 +210,160 @@ def _pack_keys(key, parent, n: int) -> pa.Array:
         pa.array(offsets, pa.int32()), rows["k"].combine_chunks()), _SEP)
 
 
-def _summed(partials_ds, cols) -> pa.Table | None:
-    """The per-batch partials of ``partials_ds`` summed by block key in
-    the calling process (Arrow groups by whole strings; pandas' hashing
-    stops at a NUL); ``None`` when there are none."""
-    parts = list(partials_ds.iter_batches(batch_size=None, batch_format="pyarrow"))
-    if not parts:
-        return None
-    return pa.concat_tables(parts).group_by("block_key").aggregate(
-        [(c, "sum") for c in cols])
+class HotKeys(frozenset):
+    """:func:`find_hot_keys`' hot set, carrying the plan of the blocks
+    it refines: ``caps`` maps each capped block key to the pairs its cap
+    drops, at ``max_pairs`` pairs per block, in the records it was
+    planned on (another Dataset needs its own plan). A plain frozenset
+    in every other respect (``len``, ``==``, ``in``; equality ignores
+    the caps)."""
+
+    def __new__(cls, keys=(), caps=None, max_pairs=None):
+        self = super().__new__(cls, keys)
+        self.caps, self.max_pairs = dict(caps or {}), max_pairs
+        return self
+
+
+def _plan_partials(t: pa.Table, sampled: bool, cut: int) -> pa.Table:
+    """One batch's block-plan partials, one row per (unrefined key,
+    ``key_suffix``): ``n``, the key's occurrences (a record's repeated
+    key counts each time) among the hash-sampled records when
+    ``sampled``; ``m`` / ``d``, the distinct records that pair in the
+    key's blocks / that only pair with those (DOI carriers outside a
+    ``doi:`` block, see :func:`_pair_codes`). Record ids are taken to be
+    unique, so per-batch distinct counts sum to global ones."""
+    keys = t["block_keys"].combine_chunks()
+    parent = pc.list_parent_indices(keys)
+    key = pc.list_flatten(keys)
+    if sampled:
+        from pandas.util import hash_pandas_object
+
+        weight = (hash_pandas_object(t["record_id"].to_pandas(), index=False)
+                  % 10_000 < cut).to_numpy().astype(np.int64)
+    else:
+        weight = np.ones(len(t), np.int64)
+    pairing = pc.or_(pc.starts_with(key, "doi:"),
+                     pc.equal(t["doi_norm"].combine_chunks(), "").take(parent))
+    none = pa.nulls(len(key), parent.type)
+    distinct = pc.CountOptions(mode="only_valid")
+    return pa.table({
+        "key": key, "key_suffix": t["key_suffix"].combine_chunks().take(parent),
+        "n": pc.take(pa.array(weight), parent),
+        "m": pc.if_else(pairing, parent, none), "d": pc.if_else(pairing, none, parent),
+    }).group_by(["key", "key_suffix"]).aggregate(
+        [("n", "sum"), ("m", "count_distinct", distinct), ("d", "count_distinct", distinct)]
+    ).rename_columns(["key", "key_suffix", "n", "m", "d"])
+
+
+def _plan(partials: pa.Table, hot, max_pairs: int, threshold=None) -> pa.Table:
+    """The block plan from :func:`_plan_partials` rows that hold every
+    row of their keys: the blocks a ``max_pairs`` cap samples, refined
+    by ``hot`` — or, when it is None, by the keys whose summed ``n``
+    exceeds ``threshold``, which are then found. A hot key that is
+    refinable (not ``doi:``, ``path:`` or ``host:``) has one block per
+    ``key_suffix``, sized from its (key, suffix) rows; any other key is
+    one block, sized from its summed rows. Returns (``block_key``,
+    ``hot``, ``dropped``) rows: one per found hot key, one per capped
+    block with the pairs its cap drops."""
+    keyed = partials.group_by("key").aggregate([("n", "sum"), ("m", "sum"), ("d", "sum")])
+    found = None
+    if hot is None:
+        found = hot = keyed["key"].filter(pc.greater(keyed["n_sum"], threshold))
+    else:
+        hot = pa.array(list(hot), pa.string())
+    refined = pc.filter(hot, pc.invert(pc.match_substring_regex(hot, _NEVER_REFINED)))
+    split = partials.filter(pc.is_in(partials["key"], value_set=refined)).group_by(
+        ["key", "key_suffix"]).aggregate([("m", "sum"), ("d", "sum")])
+    whole = keyed.filter(pc.invert(pc.is_in(keyed["key"], value_set=refined)))
+    block_keys = pa.chunked_array(
+        whole["key"].chunks
+        + pc.binary_join_element_wise(split["key"], split["key_suffix"], "~").chunks,
+        pa.string())
+    total = _virtual_pairs(
+        np.concatenate([whole["m_sum"].to_numpy(), split["m_sum"].to_numpy()]),
+        np.concatenate([whole["d_sum"].to_numpy(), split["d_sum"].to_numpy()]))
+    over = np.flatnonzero(total > max_pairs)
+    plan = pa.table({
+        "block_key": block_keys.take(over),
+        "hot": pa.array(np.zeros(len(over), bool)),
+        "dropped": pa.array([int(t - len(_pair_sample(t, max_pairs))) for t in total[over]],
+                            pa.int64()),
+    })
+    if found is None:
+        return plan
+    return pa.concat_tables([pa.table({
+        "block_key": found, "hot": pa.array(np.ones(len(found), bool)),
+        "dropped": pa.array(np.zeros(len(found), np.int64))}), plan])
 
 
 def find_hot_keys(records_ds, threshold=DEFAULT_HOT_THRESHOLD,
                   sample_frac: float = 0.1, sample_min_rows: int = 50_000,
-                  driver_merge_rows: int = 500_000):
+                  driver_merge_rows: int = 5_000_000, hot_keys=None,
+                  max_pairs=None) -> HotKeys:
     """The set of oversized unrefined block keys, counted off the
     records' ``block_keys`` lists (a record's repeated key counts each
-    time). No shuffle: each batch emits its per-key value_counts, the
-    driver sums the partials (O(distinct keys) rows). Above
-    sample_min_rows records the pass runs on a DETERMINISTIC
-    content-hash sample (stable pandas row-hash of record_id — the same
-    records are sampled at ANY partitioning / parallelism, unlike
-    ``random_sample`` whose draw depends on block boundaries, which
-    made the hot set — and therefore refined keys and pair counts —
-    drift between runs) with the threshold scaled down; hot keys are by
-    definition massively over threshold, so sampling detects them
-    reliably at a tenth the cost."""
+    time), carrying the blocks the per-block cap samples: the block plan
+    that :func:`candidate_pairs` and :func:`block_caps` read instead of
+    sizing the blocks again. ``hot_keys`` fixes the hot set instead of
+    counting it; ``max_pairs`` defaults to DEFAULT_MAX_PAIRS_PER_BLOCK,
+    read at call time.
+
+    One pass, no shuffle up to ``driver_merge_rows`` records: each batch
+    emits its :func:`_plan_partials`, the calling process sums them
+    (Arrow groups by whole strings; pandas' hashing stops at a NUL) and
+    plans (:func:`_plan`). Past that the partials are reduced
+    distributed, by unrefined key (ops.relational.bucketed_map_groups),
+    and only the plan rows reach the calling process. The 5M-record
+    default keeps every tier up to sf1 (3.16M records, ~20M partial
+    rows) on the calling process, with no AllToAll barrier; the
+    distributed reduce is for inputs past that.
+
+    The caps describe the blocks of ``records_ds`` as counted here:
+    they hold for pair generation over these same records only, not
+    over a filtered or re-read Dataset.
+
+    Above ``sample_min_rows`` records the hot keys are counted on a
+    DETERMINISTIC content-hash sample (stable pandas row-hash of
+    record_id — the same records are sampled at ANY partitioning /
+    parallelism, unlike ``random_sample`` whose draw depends on block
+    boundaries, which made the hot set — and therefore refined keys and
+    pair counts — drift between runs) with the threshold scaled down;
+    hot keys are by definition massively over threshold, so sampling
+    detects them reliably. Block sizes count every record.
+
+    A refined key ``{key}~{suffix}`` that equals another record's
+    unrefined key is planned as two blocks where pair generation sees
+    one; normalized names (stages.records) hold no ``~``, so records
+    built there never emit such a pair of keys."""
+    if max_pairs is None:
+        max_pairs = DEFAULT_MAX_PAIRS_PER_BLOCK
     n = records_ds.count()
-    sampled = n > sample_min_rows
+    sampled = hot_keys is None and n > sample_min_rows
     cut = int(sample_frac * 10_000)
     eff_threshold = max(8, int(threshold * sample_frac * 0.5)) if sampled else threshold
+    partials_ds = records_ds.map_batches(
+        _plan_partials, batch_format="pyarrow", zero_copy_batch=True,
+        fn_kwargs={"sampled": sampled, "cut": cut})
 
-    def _partial_counts(t: pa.Table) -> pa.Table:
-        if sampled:
-            from pandas.util import hash_pandas_object
+    def _plan_rows(t: pa.Table) -> pa.Table:
+        return _plan(t, hot_keys, max_pairs, eff_threshold)
 
-            t = t.filter(pa.array((hash_pandas_object(
-                t["record_id"].to_pandas(), index=False) % 10_000 < cut).to_numpy()))
-        vc = pc.value_counts(pc.list_flatten(t["block_keys"]))
-        return pa.table({"block_key": vc.field("values"), "n": vc.field("counts")})
+    if n <= driver_merge_rows:
+        parts = list(partials_ds.iter_batches(batch_size=None, batch_format="pyarrow"))
+        plans = [_plan_rows(pa.concat_tables(parts))] if parts else []
+    else:
+        from ..ops.relational import bucketed_map_groups
 
-    partials_ds = records_ds.map_batches(_partial_counts, batch_format="pyarrow")
-
-    if not sampled or n * sample_frac <= driver_merge_rows:
-        # bounded key volume (small input, or a sample capped at
-        # driver_merge_rows records ≈ 8x that many partial key rows): a
-        # driver-side sum of the per-batch partials is cheaper than an
-        # AllToAll — this removes the hot-key pre-pass's ONLY shuffle
-        # barrier for every tier up to ~5M records (sf1 inclusive),
-        # identical hot set either way (same partials, same sum, same
-        # threshold)
-        totals = _summed(partials_ds, ["n"])
-        if totals is None:
-            return frozenset()
-        return frozenset(totals["block_key"].filter(
-            pc.greater(totals["n_sum"], eff_threshold)).to_pylist())
-
-    from ..ops.relational import bucketed_map_groups
-
-    def _sum_counts(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("block_key", as_index=False, sort=False).agg(n=("n", "sum"))
-
-    # large input: reduce + filter DISTRIBUTED, collect only the hot
-    # keys — the driver sees O(hot keys) rows, not one per distinct
-    # sampled block key
-    totals = bucketed_map_groups(partials_ds, "block_key", _sum_counts,
-                                 num_buckets=32)
-    hot = totals.map_batches(lambda b: b[b["n"] > eff_threshold],
-                             batch_format="pandas").to_pandas()
-    if hot.empty:
-        return frozenset()
-    return frozenset(hot["block_key"])
+        plans = list(bucketed_map_groups(partials_ds, "key", _plan_rows, num_buckets=32,
+                                         batch_format="pyarrow")
+                     .iter_batches(batch_size=None, batch_format="pyarrow"))
+    if not plans:
+        return HotKeys(hot_keys or (), {}, max_pairs)
+    plan = pa.concat_tables(plans)
+    found, capped = plan.filter(plan["hot"]), plan.filter(pc.invert(plan["hot"]))
+    return HotKeys(found["block_key"].to_pylist() if hot_keys is None else hot_keys,
+                   zip(capped["block_key"].to_pylist(), capped["dropped"].to_pylist()),
+                   max_pairs)
 
 
 FAMILY_DOI = 1
@@ -321,9 +415,9 @@ def _pair_sample(total: int, max_pairs: int):
     return np.unique(np.linspace(0, total - 1, max_pairs).astype(np.int64))
 
 
-def _pair_codes(df: pd.DataFrame, max_pairs: int):
-    """Every block's own pairs in a bucket of key rows, on integer
-    codes. Returns the key dictionary, the record ids in sorted order,
+def _pair_codes(t: pa.Table, max_pairs: int):
+    """Every block's own pairs in key rows (an Arrow table of one or
+    more whole blocks), on integer codes. Returns the key dictionary, the record ids in sorted order,
     each row's record rank in that order (so ``left_id < right_id`` is
     an int compare), the keys' family bits (:func:`_family_bits`) and
     the pairs as (left rank, right rank, key code, dropped pairs)
@@ -340,8 +434,8 @@ def _pair_codes(df: pd.DataFrame, max_pairs: int):
     co-block under the doi: key; different DOIs are a definite
     non-match) — this prunes the dominant both-authoritative share of
     fuzzy blocks without losing a single undecided pair."""
-    key = pa.array(df["block_key"].to_numpy(), pa.string()).dictionary_encode()
-    rid = pa.array(df["record_id"].to_numpy(), pa.string()).dictionary_encode()
+    key = t["block_key"].combine_chunks().dictionary_encode()
+    rid = t["record_id"].combine_chunks().dictionary_encode()
     order = pc.sort_indices(rid.dictionary)
     n_keys, n_ids = len(key.dictionary), len(order)
     ranks = np.empty(n_ids, dtype=np.int64)
@@ -350,7 +444,7 @@ def _pair_codes(df: pd.DataFrame, max_pairs: int):
     fam = _family_bits(key.dictionary)
     rows, first = np.unique(key.indices.to_numpy().astype(np.int64) * n_ids + rank,
                             return_index=True)
-    kc, rc, doi = rows // n_ids, rows % n_ids, df["has_doi"].to_numpy(bool)[first]
+    kc, rc, doi = rows // n_ids, rows % n_ids, t["has_doi"].to_numpy()[first]
     sizes = np.bincount(kc, minlength=n_keys)
     big = (sizes > 500) | (sizes * (sizes - 1) // 2 > max_pairs)
 
@@ -391,16 +485,19 @@ def _pair_frame(ids, keys, left, right, kc, dropped, families) -> pa.Table:
                      "families": families})
 
 
-def _pairs_for_bucket(df: pd.DataFrame, max_pairs: int) -> pd.DataFrame:
-    """Every block key's own pairs in a bucket of key rows, each with
+def _pairs_for_bucket(t: pa.Table, max_pairs: int) -> pd.DataFrame:
+    """Every block key's own pairs in key rows, each with
     its block's ``dropped_pairs`` and family bit (:func:`_pair_codes`)."""
-    keys, ids, _, fam, (left, right, pk, dropped) = _pair_codes(df, max_pairs)
+    keys, ids, _, fam, (left, right, pk, dropped) = _pair_codes(t, max_pairs)
     return _pair_frame(ids, keys, left, right, pk, dropped, fam[pk]).to_pandas()
 
 
-def _owned_pairs(df: pd.DataFrame, max_pairs: int, capped=None) -> pa.Table:
-    """The pairs of a bucket's blocks (:func:`_pair_codes`) that each
-    block OWNS, as an Arrow table (scoring reads Arrow batches). The blocks that emit a pair are the keys both its
+def _owned_pairs(t: pa.Table, max_pairs: int, capped=None) -> pa.Table:
+    """The pairs of the key rows' blocks (:func:`_pair_codes`) that each
+    block OWNS, as an Arrow table (scoring reads Arrow batches). The
+    rows may hold any number of whole blocks: a sort partition of the
+    pair shuffle holds one or more buckets. The blocks that emit a pair
+    are the keys both its
     records carry, less the non-``doi:`` keys when both carry a DOI and
     the capped keys whose sample dropped the pair; the smallest of them
     owns it. The owner's row gets the OR of their family bits and the
@@ -412,15 +509,15 @@ def _owned_pairs(df: pd.DataFrame, max_pairs: int, capped=None) -> pa.Table:
     Record ids are taken to be unique (page URLs and work ids are, in
     every input here): a repeated id keeps the first key list its
     bucket sees."""
-    keys, ids, rank, _, (left, right, pk, none) = _pair_codes(df, max_pairs)
+    keys, ids, rank, _, (left, right, pk, none) = _pair_codes(t, max_pairs)
     if not len(left):
         return _pair_frame(ids, keys, left, right, pk, none, none)
     # one key-code list per record (rank), from its first row: its
     # packed keys split once and encoded once, padded with -1, which
     # indexes the sentinel appended to every per-key array
     _, first = np.unique(rank, return_index=True)
-    has_doi = df["has_doi"].to_numpy(bool)[first]
-    lists = pc.split_pattern(pa.array(df["record_keys"].to_numpy()[first], pa.string()), _SEP)
+    has_doi = t["has_doi"].to_numpy()[first]
+    lists = pc.split_pattern(t["record_keys"].combine_chunks().take(first), _SEP)
     offsets = lists.offsets.to_numpy().astype(np.int64)
     owner = pc.list_parent_indices(lists).to_numpy().astype(np.int64)
     enc = pc.list_flatten(lists).dictionary_encode()
@@ -458,33 +555,6 @@ def _owned_pairs(df: pd.DataFrame, max_pairs: int, capped=None) -> pa.Table:
                        np.bitwise_or.reduce(np.where(emits, fam[lc], 0), axis=1)[own])
 
 
-def _capped_blocks(records_ds, hot_keys, max_pairs: int) -> dict:
-    """Capped block key -> pairs its cap drops, from block sizes. One
-    shuffle-free pass over the records' :func:`key_rows` counts each
-    batch's pairing and DOI-carrying records per key after the
-    (block_key, record_id) dedup of :func:`_pairs_for_bucket`; the
-    calling process sums the partials and runs them through that
-    function's cap (:func:`_pair_sample`)."""
-
-    def _sizes(t: pa.Table) -> pa.Table:
-        t = key_rows(t, hot_keys).group_by(["block_key", "record_id", "has_doi"]).aggregate([])
-        # a doi: block pairs all its records (see _pairs_for_bucket)
-        pairing = pc.or_(pc.starts_with(t["block_key"], "doi:"), pc.invert(t["has_doi"]))
-        return pa.table({
-            "block_key": t["block_key"],
-            "m": pc.cast(pairing, pa.int64()),
-            "d": pc.cast(pc.invert(pairing), pa.int64()),
-        }).group_by("block_key").aggregate([("m", "sum"), ("d", "sum")])
-
-    sizes = _summed(records_ds.map_batches(_sizes, batch_format="pyarrow"), ["m_sum", "d_sum"])
-    if sizes is None:
-        return {}
-    total = _virtual_pairs(sizes["m_sum_sum"].to_numpy(), sizes["d_sum_sum"].to_numpy())
-    over = total > max_pairs
-    return {key: int(t - len(_pair_sample(t, max_pairs)))
-            for key, t in zip(sizes["block_key"].filter(pa.array(over)).to_pylist(), total[over])}
-
-
 def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None,
                     num_buckets: int | None = None):
     """records -> candidate pairs (left_id < right_id), one row per pair:
@@ -495,20 +565,23 @@ def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None,
     defaults to DEFAULT_MAX_PAIRS_PER_BLOCK, read at call time as
     :func:`block_caps` reads it.
 
-    ONE shuffle: the :func:`key_rows` group by block key in coarse hash
-    buckets (ops.relational.bucketed_map_groups, so Python-per-group
-    overhead is O(num_buckets), not O(num_keys)), and each bucket emits
-    only the pairs its blocks own (:func:`_owned_pairs`). A pair is
-    tested at its smallest shared key, the way a prefix-filter
-    similarity join checks a pair only at its first common prefix token,
-    so no shuffle is needed to deduplicate pairs that several blocks
-    share.
+    ONE shuffle: the :func:`key_rows` sorted by coarse hash bucket of
+    block key (ops.relational.bucketed_map_groups in its Arrow form), and
+    each sort partition emits only the pairs its blocks own
+    (:func:`_owned_pairs`, one call per partition). A pair is tested at
+    its smallest shared key, the way a prefix-filter similarity join
+    checks a pair only at its first common prefix token, so no shuffle
+    is needed to deduplicate pairs that several blocks share.
 
     Whether a capped block kept a pair is not local to the other blocks
-    of the pair, so capped blocks are found first, by the shuffle-free
-    size pass of :func:`block_caps`. Only when a block is capped are the
-    capped blocks' key rows collected and their kept pairs computed
-    here; they ship with the bucket function to every owner test."""
+    of the pair, so capped blocks are planned first: ``hot_keys`` from
+    :func:`find_hot_keys` carries them at the default cap, and a plain
+    set or another cap runs :func:`find_hot_keys` once. Carried caps are
+    trusted as they are: ``hot_keys`` must have been planned on these
+    same ``records_ds``. Only when a block
+    is capped are the capped blocks' key rows collected and their kept
+    pairs computed here; they ship with the partition function to every
+    owner test."""
     from ..ops.relational import bucketed_map_groups
 
     if max_pairs_per_block is None:
@@ -519,20 +592,29 @@ def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None,
         # from_pandas datasets where it is also free.
         num_buckets = adaptive_num_buckets(records_ds.count())
     capped = None
-    drops = _capped_blocks(records_ds, hot_keys, max_pairs_per_block)
+    drops = _caps(records_ds, hot_keys, max_pairs_per_block)
     if drops:
         names = pa.array(list(drops), pa.string())
-        rows = key_rows_ds(records_ds, hot_keys).map_batches(
+        rows = pa.concat_tables(key_rows_ds(records_ds, hot_keys).map_batches(
             lambda t: t.filter(pc.is_in(t["block_key"], value_set=names)),
-            batch_format="pyarrow").to_pandas()
+            batch_format="pyarrow").iter_batches(batch_size=None, batch_format="pyarrow"))
         kept = _pairs_for_bucket(rows, max_pairs_per_block)
         capped = ({_escape(k): n for k, n in drops.items()},
                   set(zip(kept["block_key"].map(_escape), kept["left_id"],
                           kept["right_id"])))
     return bucketed_map_groups(
         key_rows_ds(records_ds, hot_keys, record_keys=True), "block_key",
-        lambda df: _owned_pairs(df, max_pairs_per_block, capped),
-        num_buckets=num_buckets)
+        lambda t: _owned_pairs(t, max_pairs_per_block, capped),
+        num_buckets=num_buckets, batch_format="pyarrow")
+
+
+def _caps(records_ds, hot_keys, max_pairs: int) -> dict:
+    """Capped block key -> pairs its cap drops: read off ``hot_keys``
+    when :func:`find_hot_keys` planned it at ``max_pairs``, else planned
+    once for this hot set and cap."""
+    if not (isinstance(hot_keys, HotKeys) and hot_keys.max_pairs == max_pairs):
+        hot_keys = find_hot_keys(records_ds, hot_keys=hot_keys, max_pairs=max_pairs)
+    return hot_keys.caps
 
 
 def block_caps(records_ds, hot_keys=frozenset()) -> dict:
@@ -543,6 +625,9 @@ def block_caps(records_ds, hot_keys=frozenset()) -> dict:
     Computed from block sizes, not read off the pairs: a pair keeps the
     smallest of its block keys but the largest ``dropped_pairs`` of its
     blocks, so grouping pairs by key credits a capped block's drops to
-    every smaller key that co-blocks one of its sampled pairs. The size
-    pass is the one :func:`candidate_pairs` runs."""
-    return _capped_blocks(records_ds, hot_keys, DEFAULT_MAX_PAIRS_PER_BLOCK)
+    every smaller key that co-blocks one of its sampled pairs. The sizes
+    are :func:`find_hot_keys`': read off :func:`find_hot_keys`' result, so
+    a report over a run's hot keys executes nothing more. As in
+    :func:`candidate_pairs`, carried caps hold only when ``hot_keys``
+    was planned on these same ``records_ds``."""
+    return _caps(records_ds, hot_keys, DEFAULT_MAX_PAIRS_PER_BLOCK)

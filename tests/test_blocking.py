@@ -132,7 +132,7 @@ def test_pair_cap_logs_dropped():
         "has_doi": [False] * n,
         "ftok": ["x"] * n,
     })
-    out = block._pairs_for_bucket(df, max_pairs=1000)
+    out = block._pairs_for_bucket(pa.Table.from_pandas(df, preserve_index=False), max_pairs=1000)
     total = n * (n - 1) // 2
     assert len(out) <= 1000
     assert out.dropped_pairs.max() == total - len(out)  # no silent cap
@@ -145,14 +145,16 @@ def test_doi_decided_pairs_pruned():
         "has_doi": [True, True, False, False],
         "ftok": ["x", "x", "y", "y"],
     })
-    out = block._pairs_for_bucket(df, max_pairs=10_000)
+    out = block._pairs_for_bucket(pa.Table.from_pandas(df, preserve_index=False),
+                                  max_pairs=10_000)
     pairs = set(zip(out.left_id, out.right_id))
     # both-doi pair (a,b) must be pruned; pairs involving a no-doi side kept
     assert ("a", "b") not in pairs
     assert {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")} == pairs
     # doi-family blocks keep all pairs
     df2 = df.assign(block_key="doi:10.1/x")
-    out2 = block._pairs_for_bucket(df2, max_pairs=10_000)
+    out2 = block._pairs_for_bucket(pa.Table.from_pandas(df2, preserve_index=False),
+                                   max_pairs=10_000)
     assert len(out2) == 6
 
 
@@ -181,6 +183,29 @@ def test_find_hot_keys_driver_merge_equals_distributed(ray_session):
     hot_dist = block.find_hot_keys(ds, driver_merge_rows=0, **common)
     assert hot_driver == hot_dist
     assert "an:wei wang" in hot_driver
+    # the plan's caps too (frozenset equality ignores them): the refined
+    # 600-record block has 179,700 pairs, past the default cap
+    assert hot_driver.caps == hot_dist.caps
+    assert "an:wei wang~wei wang" in hot_driver.caps
+
+    # four first authors split the hot name key into 150-record blocks;
+    # planned at a forced cap with the hot set found (refined split) and
+    # with it fixed (a plain set), both reduces give the same caps
+    split = rds.from_pandas(recs.assign(authors_norm=[[f"s{i % 4}", "wei wang"]
+                                                      for i in range(n)]),
+                            override_num_blocks=4).map_batches(
+        block.with_block_keys, batch_format="pyarrow")
+    per_block = 11_175 - len(block._pair_sample(11_175, 1000))
+    for hot_keys in (None, frozenset(["an:wei wang"])):
+        plans = [block.find_hot_keys(split, driver_merge_rows=rows, hot_keys=hot_keys,
+                                     max_pairs=1000, **common) for rows in (10_000, 0)]
+        assert plans[0] == plans[1] and plans[0].caps == plans[1].caps
+        assert plans[0].max_pairs == 1000
+        assert {f"an:wei wang~s{i}" for i in range(4)} <= set(plans[0].caps)
+        assert {plans[0].caps[f"an:wei wang~s{i}"] for i in range(4)} == {per_block}
+        assert "an:wei wang" not in plans[0].caps
+    assert plans[0] == frozenset(["an:wei wang"])
+    assert {f"an:s{i}" for i in range(4)} <= set(plans[0].caps)
 
 
 def test_adaptive_num_buckets():
@@ -229,8 +254,7 @@ def _reference_pairs(recs, max_pairs):
     ``_pairs_for_bucket`` over all key rows, then per pair the smallest
     block key, the largest ``dropped_pairs`` and the OR of the family
     bits (the rows the old pair-dedup shuffle produced)."""
-    keys = block.key_rows(recs).to_pandas()
-    own = block._pairs_for_bucket(keys, max_pairs)
+    own = block._pairs_for_bucket(block.key_rows(recs), max_pairs)
     for bit in (1, 2, 4, 8):
         own[f"b{bit}"] = (own["families"] & bit) // bit
     g = own.groupby(["left_id", "right_id"], as_index=False).agg(
@@ -322,6 +346,85 @@ def test_candidate_pairs_capped_equal_reference(ray_session):
     # co-blocked pairs whose smallest key sampled them away
     assert (want["dropped_pairs"] > 0).sum() > 10
     assert (want["families"] & (want["families"] - 1)).astype(bool).any()
+
+
+def _sf0001_records():
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import reconcile
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.sources import fixtures
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import records
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages.extract import (
+        read_extract_pages,
+    )
+
+    fdir = fixtures.ensure_fixtures("sf0.001")
+    return records.build_records(
+        read_extract_pages(os.path.join(fdir, "pages.parquet")),
+        reconcile.read_works(os.path.join(fdir, "reference_works.parquet"))).materialize()
+
+
+def test_plan_caps_equal_brute_force_sizes(ray_session):
+    """``find_hot_keys``' one pass equals a brute-force reference on sf0.001
+    records: the hot set is every unrefined key seen more than the
+    threshold (repeats counted), and the caps are every refined block's
+    virtual pair space (its distinct pairing records with each other
+    and with its DOI carriers) past 3 / 50 / 300 pairs, less the pairs
+    ``_pair_sample`` keeps. ``candidate_pairs`` and ``block_caps`` read
+    the plan's caps instead of planning again."""
+    import collections
+
+    recs = _sf0001_records()
+    table = pa.concat_tables(recs.iter_batches(batch_size=None, batch_format="pyarrow"))
+    seen = collections.Counter(k for keys in table["block_keys"].to_pylist() for k in keys)
+    threshold = 2
+    hot = frozenset(k for k, n in seen.items() if n > threshold)
+    assert hot and any(not k.startswith(("doi:", "path:", "host:")) for k in hot)
+    blocks = collections.defaultdict(dict)
+    for key, rid, doi in zip(*block.key_rows(table, hot).to_pydict().values()):
+        blocks[key][rid] = doi
+    for cap in (3, 50, 300):
+        want = {}
+        for key, members in blocks.items():
+            m = sum(1 for doi in members.values() if key.startswith("doi:") or not doi)
+            total = m * (m - 1) // 2 + m * (len(members) - m)
+            if total > cap:
+                want[key] = total - len(block._pair_sample(total, cap))
+        plan = block.find_hot_keys(recs, max_pairs=cap, threshold=threshold)
+        assert plan == hot and plan.max_pairs == cap
+        assert plan.caps == want and (want or cap > 3), cap
+        assert block.find_hot_keys(recs, hot_keys=hot, max_pairs=cap).caps == want
+    assert block.find_hot_keys(recs, threshold=threshold).caps == {}
+
+
+def test_candidate_pairs_reads_the_plan(ray_session, executions):
+    """With ``find_hot_keys``' result, pair generation and ``block_caps``
+    run no size pass of their own: the pairs are one execution, the caps
+    none."""
+    recs = _sf0001_records()
+    hot = block.find_hot_keys(recs, threshold=2)
+    executions.clear()
+    block.candidate_pairs(recs, hot).materialize()
+    assert len(executions) == 1, executions
+    executions.clear()
+    assert block.block_caps(recs, hot) == {}
+    assert not executions
+
+
+def test_candidate_pairs_small_blocks_equal_reference(ray_session):
+    """A pair shuffle partition reaches its function as one block: with
+    Ray Data's target block size at 4 KiB, far below one partition, the
+    pairs still equal the per-block reference."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    size = ctx.target_max_block_size
+    ctx.target_max_block_size = 4096
+    try:
+        recs = _sf0001_records()
+        assert recs.num_blocks() > 4
+        _assert_pairs_match_reference(recs, 3)
+        _assert_pairs_match_reference(recs, block.DEFAULT_MAX_PAIRS_PER_BLOCK)
+    finally:
+        ctx.target_max_block_size = size
 
 
 def test_candidate_pairs_is_one_shuffle():
@@ -421,8 +524,9 @@ def test_pair_enumerator_equals_brute_force():
     rng.shuffle(rows)
     df = pd.DataFrame(rows, columns=["block_key", "record_id", "has_doi", "record_keys"])
 
+    rows_t = pa.Table.from_pandas(df, preserve_index=False)
     want = _brute_block_pairs(df, max_pairs)
-    assert _tuples(block._pairs_for_bucket(df, max_pairs)) == sorted(want)
+    assert _tuples(block._pairs_for_bucket(rows_t, max_pairs)) == sorted(want)
     sizes = {}
     for _, _, key, dropped, _ in want:
         sizes[key] = dropped
@@ -432,8 +536,9 @@ def test_pair_enumerator_equals_brute_force():
     capped = ({block._escape(k): d for k, d in sizes.items() if d},
               {(block._escape(k), left, right) for left, right, k, d, _ in want if sizes[k]})
     owned = _brute_owned_pairs(want)
-    assert _tuples(block._owned_pairs(df, max_pairs, capped).to_pandas()) == owned
+    assert _tuples(block._owned_pairs(rows_t, max_pairs, capped).to_pandas()) == owned
     bucket = df["block_key"].map(lambda k: zlib.crc32(k.encode()) % 32)
-    split = pa.concat_tables([block._owned_pairs(g, max_pairs, capped)
-                              for _, g in df.groupby(bucket)])
+    split = pa.concat_tables([
+        block._owned_pairs(pa.Table.from_pandas(g, preserve_index=False), max_pairs, capped)
+        for _, g in df.groupby(bucket)])
     assert _tuples(split.to_pandas()) == owned

@@ -4,6 +4,8 @@ independent pandas/numpy oracles."""
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.ops import (
     dedup as dedup_ops,
@@ -117,8 +119,9 @@ def test_chained_left_bucket_join_matches_pandas(rds):
 
 
 def test_relational_has_one_shuffle_and_one_side_tag():
-    """Every keyed shuffle in the package is the one groupby in
-    ops.relational._shuffle_buckets, and only cogroup tags sides."""
+    """Every keyed shuffle in the package is the one sort by bucket in
+    ops.relational._shuffle_buckets, nothing groups by bucket, and only
+    cogroup tags sides."""
     import ast
     import os
 
@@ -131,7 +134,8 @@ def test_relational_has_one_shuffle_and_one_side_tag():
             path = os.path.join(root, name)
             with open(path) as fh:
                 src = fh.read()
-            shuffles.extend([path] * src.count('groupby("__bucket")'))
+            shuffles.extend([path] * src.count('sort("__bucket")'))
+            assert 'groupby("__bucket")' not in src, path
             tree = ast.parse(src)
             allowed = set()
             if path == relational.__file__:
@@ -2687,6 +2691,41 @@ def test_pre_aggregated_nul_keys_stay_apart(rds):
                        sum(1 for b in blocks for t in b if t == s)) for s in ("x\x00a", "x\x00b"))
         for num_buckets in (1, 64):
             assert _pre_agg(ds, keys="s", sums=["v"], num_buckets=num_buckets)[2] == want
+
+
+def test_pre_aggregated_nan_sum_independent_of_blocks(rds):
+    """A float sum over a NaN is NaN however the rows are split into
+    blocks: the partials reach the reduce as Arrow, where a NaN partial
+    stays NaN (a pandas round trip made it a null the sum skipped)."""
+    import pyarrow as pa
+
+    rows = pa.table({"s": ["a", "a"], "v": [float("nan"), 1.0]})
+    for blocks in ([rows], [rows.slice(0, 1), rows.slice(1)]):
+        got = relational.pre_aggregated(rds.from_arrow(blocks), "s", sums=["v"],
+                                        num_buckets=4).to_pandas()
+        assert got["s"].tolist() == ["a"] and got["n"].tolist() == [2], blocks
+        assert np.isnan(got["sum_v"].iloc[0]), blocks
+
+
+_KEYS = st.one_of(st.none(), st.sampled_from(["x", "x\x00a", "x\x00b", "", "\x00"]),
+                  st.text(st.characters(blacklist_categories=("Cs",)), max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_KEYS, max_size=12), min_size=1, max_size=3),
+       st.integers(min_value=1, max_value=64))
+def test_arrow_buckets_equal_pandas_buckets(chunks, num_buckets):
+    """The Arrow tag puts every key in the bucket ``_bucket_of`` gives it
+    in the pandas form: arbitrary strings, keys that differ only after a
+    NUL, nulls, over a chunked column; and for a two-column key."""
+    import pyarrow as pa
+
+    t = pa.concat_tables([pa.table({"k": pa.array(c, pa.string()),
+                                    "n": pa.array(range(len(c)), pa.int64())})
+                          for c in chunks])
+    for cols in (["k"], ["k", "n"]):
+        want = relational._bucket_of(t.to_pandas(), cols, num_buckets).tolist()
+        assert relational._arrow_bucket_of(t, cols, num_buckets).to_pylist() == want
 
 
 def test_bucket_of_ignores_block_mates():

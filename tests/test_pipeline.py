@@ -675,27 +675,44 @@ def test_materialized_extraction_feeds_the_records(ray_session, fdir, monkeypatc
 
 def test_flagship_execution_counts(ray_session, executions, tmp_path):
     """Ray Data executions per run, the caller's read of ``clusters``
-    included: the flagship e2e configuration 6, ``run_reconcile``'s
-    defaults 8 (pairs and scored parked), a cold checkpointed run 10 and a
-    full resume 1. A run that builds pairs executes the pair stage's
-    block-size pass (block._capped_blocks) on its own; with no capped
-    block that is its only extra execution."""
+    included: the flagship e2e configuration 5, ``run_reconcile``'s
+    defaults 7 (pairs and scored parked), a cold checkpointed run 9 and a
+    full resume 1. The pair stage sizes its blocks in the hot-key pass
+    (block.find_hot_keys), so with no capped block it executes only that
+    pass and the pair shuffle."""
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
         reconcile,
     )
 
     workdir = str(tmp_path / "ckpt")
     runs = [
-        (6, lambda: reconcile.run_reconcile(SF, materialize_pairs=False,
+        (5, lambda: reconcile.run_reconcile(SF, materialize_pairs=False,
                                             materialize_scored=False)),
-        (8, lambda: reconcile.run_reconcile(SF)),
-        (10, lambda: reconcile.run_reconcile_checkpointed(SF, workdir)[0]),
+        (7, lambda: reconcile.run_reconcile(SF)),
+        (9, lambda: reconcile.run_reconcile_checkpointed(SF, workdir)[0]),
         (1, lambda: reconcile.run_reconcile_checkpointed(SF, workdir)[0]),
     ]
     for want, run in runs:
         executions.clear()
         run()["clusters"].materialize()
         assert len(executions) == want, executions
+
+
+def test_pipeline_report_reads_caps_off_the_plan(ray_session, executions):
+    """``pipeline_report`` reads the capped blocks off the run's hot keys
+    (``block.find_hot_keys`` plans them) instead of sizing the blocks
+    again: over ``run_reconcile``'s defaults it executes only the match
+    count, one execution fewer than with its own size pass."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+
+    out = reconcile.run_reconcile(SF)
+    out["clusters"] = out["clusters"].materialize()
+    executions.clear()
+    report = reconcile.pipeline_report(out)
+    assert len(executions) == 1, executions
+    assert report["capped_blocks"] == 0 and report["dropped_pairs_total"] == 0
 
 
 def test_one_flagship_stage_sequence():
