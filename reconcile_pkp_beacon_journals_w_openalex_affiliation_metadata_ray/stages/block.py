@@ -31,8 +31,9 @@ a million-record block never materializes its cross product.
 Pair pruning: in non-DOI blocks, pairs where both records carry a DOI
 are skipped — their outcome is already decided by the DOI key family.
 
-Execution shape: MinHash and the key rules run ONCE per record, in
-the records stage (:func:`with_block_keys`); the keys ride on the
+Execution shape: the key rules run in the records stage
+(:func:`with_block_keys`), once per record batch, MinHash and the band
+hashes once per distinct name blob of the batch; the keys ride on the
 records as a list column, and later passes only count them
 (:func:`find_hot_keys`) and refine them (:func:`key_rows`) with Arrow.
 The counting pass is also the block plan (:func:`find_hot_keys`): one
@@ -104,6 +105,11 @@ def adaptive_num_buckets(n_records: int, records_per_bucket: int = 1_000,
 _MINHASHER: MinHasher | None = None
 
 
+def _strings(col) -> pa.Array:
+    """A string column as one string array, nulls as ``""``."""
+    return pc.fill_null(col.combine_chunks().cast(pa.string()), "")
+
+
 def with_block_keys(t: pa.Table) -> pa.Table:
     """Records ``t`` plus each record's block keys, before hot-key
     refinement, as ``block_keys`` (list<string>, duplicates kept) and
@@ -111,39 +117,61 @@ def with_block_keys(t: pa.Table) -> pa.Table:
     else the DOI, else ``_``. The keys, in order: ``doi:``, ``path:``,
     ``host:{host}~{suffix}``, ``an:`` for the first three authors, then
     the LSH bands of the name blob. ``records.build_records`` adds them
-    in each side's per-batch map, so MinHash runs once per record and
-    every later pass (:func:`find_hot_keys`, :func:`key_rows`) reads the
-    columns."""
+    in each side's per-batch map, and every later pass
+    (:func:`find_hot_keys`, :func:`key_rows`) reads the columns.
+
+    MinHash and the band hashes run once per distinct non-empty name
+    blob of the batch; everything else is Arrow. Each key family is one
+    string column (a slot), and the key lists are one ``take`` over the
+    slots in key order."""
     global _MINHASHER
     if _MINHASHER is None:
         _MINHASHER = MinHasher(num_perm=NUM_PERM)
-    blobs = t["name_blob"].to_pylist()
-    # whole-batch vectorized MinHash (one reduceat pass, bit-identical
-    # to per-row signature(); empty blobs cost nothing)
-    sigs = _MINHASHER.signatures(blobs)
-    keys, suffixes = [], []
-    for doi, path, host, names, blob, sig in zip(
-            t["doi_norm"].to_pylist(), t["path_key"].to_pylist(),
-            t["host_key"].to_pylist(), t["authors_norm"].to_pylist(), blobs, sigs):
-        suffix = names[0] if names else (doi or "_")
-        ks = ["doi:" + doi] if doi else []
-        if path:
-            ks.append("path:" + path)
-        if host:
-            # host equality alone is the reference's SEMI-JOIN key, not
-            # a pair key — for pair generation it is ALWAYS refined by
-            # the first author name (else mega-hosts go quadratic)
-            ks.append(f"host:{host}~{suffix}")
-        # exact normalized author-name keys: cheap, tiny blocks, catch
-        # cross-host records whose name normalizes identically (first
-        # three authors bound the fanout)
-        ks += ["an:" + name for name in names[:3]]
-        if blob:
-            ks += band_keys(sig, NUM_BANDS)
-        keys.append(ks)
-        suffixes.append(suffix)
-    return (t.append_column("block_keys", pa.array(keys, pa.list_(pa.string())))
-            .append_column("key_suffix", pa.array(suffixes, pa.string())))
+    n = len(t)
+    doi, path, host = (_strings(t[c]) for c in ("doi_norm", "path_key", "host_key"))
+    names = t["authors_norm"].combine_chunks()
+    n_names = pc.fill_null(pc.list_value_length(names), 0).to_numpy(zero_copy_only=False)
+    first = np.cumsum(n_names) - n_names  # each record's first name in `flat`
+    flat = pc.list_flatten(names).cast(pa.string())
+    suffix = pc.coalesce(flat.take(pa.array(first, mask=n_names == 0)),
+                         pc.if_else(pc.equal(doi, ""), "_", doi))
+    blobs = pc.dictionary_encode(_strings(t["name_blob"]))
+    distinct = blobs.dictionary.to_pylist()
+    hashed = [j for j, blob in enumerate(distinct) if blob]
+    bands = [k for sig in _MINHASHER.signatures([distinct[j] for j in hashed])
+             for k in band_keys(sig, NUM_BANDS)]
+    band_of = np.full(len(distinct), -1)
+    band_of[hashed] = np.arange(len(hashed)) * NUM_BANDS
+    band_of = band_of[blobs.indices.to_numpy(zero_copy_only=False)]
+
+    # slot values, concatenated: doi, path, host (n each), an, bands
+    slots = pa.concat_arrays([
+        pc.binary_join_element_wise("doi:", doi, ""),
+        pc.binary_join_element_wise("path:", path, ""),
+        # host equality alone is the reference's SEMI-JOIN key, not a
+        # pair key — for pair generation it is ALWAYS refined by the
+        # first author name (else mega-hosts go quadratic)
+        pc.binary_join_element_wise(pc.binary_join_element_wise("host:", host, ""),
+                                    suffix, "~"),
+        pc.binary_join_element_wise("an:", flat, ""),
+        pa.array(bands, pa.string())])
+    row = np.arange(n)
+    pick = np.full((n, 6 + NUM_BANDS), -1)  # each record's slot positions
+    for slot, col in enumerate((doi, path, host)):
+        pick[:, slot] = np.where(pc.not_equal(col, "").to_numpy(zero_copy_only=False),
+                                 slot * n + row, -1)
+    # exact normalized author-name keys: cheap, tiny blocks, catch
+    # cross-host records whose name normalizes identically (first three
+    # authors bound the fanout)
+    for j in range(3):
+        pick[:, 3 + j] = np.where(n_names > j, 3 * n + first + j, -1)
+    base = 3 * n + len(flat)
+    for b in range(NUM_BANDS):
+        pick[:, 6 + b] = np.where(band_of >= 0, base + band_of + b, -1)
+    valid = pick >= 0
+    offsets = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])
+    keys = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), slots.take(pick[valid]))
+    return t.append_column("block_keys", keys).append_column("key_suffix", suffix)
 
 
 def key_rows(t: pa.Table, hot_keys=frozenset(), record_keys: bool = False) -> pa.Table:
