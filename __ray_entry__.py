@@ -284,7 +284,7 @@ def q_priority_revenue_bucket_join(sf_dir: str):
     orders = _tbl(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
     orders = orders.map_batches(
         lambda b: b.rename(columns={"o_orderkey": "l_orderkey"}), batch_format="pandas")
-    joined = relational.bucket_join(line, orders, on="l_orderkey", num_buckets=32)
+    joined = relational.bucket_join(line, orders, on="l_orderkey")
 
     def _partial(b: pd.DataFrame) -> pd.DataFrame:
         b = b.assign(rev=b.l_extendedprice * (1 - b.l_discount))
@@ -403,7 +403,7 @@ def q_event_type_hll(sf_dir: str):
     out = hll_distinct_grouped(ds, "event_type", "user_id", p=12)
     exact = relational.pre_aggregated(
         relational.distinct(ds, ["event_type", "user_id"]),
-        "event_type", counts=True, num_buckets=8).to_pandas()
+        "event_type", counts=True).to_pandas()
     out = out.merge(exact.rename(columns={"n": "n_exact"}), on="event_type")
     out["hll_estimate"] = [_round_half_away(v, 4) for v in out["estimate"]]
     out["n_exact"] = out["n_exact"].astype("int64")
@@ -822,7 +822,7 @@ def q_split_leakage(sf_dir: str):
     fps = ds.map_batches(text_ops.fingerprints, batch_format="pandas").map_batches(
         lambda b: b[["doc_id", "md5"]], batch_format="pandas")
     splits = ds.map_batches(text_ops.hash_split, batch_format="pandas")
-    joined = relational.bucket_join(fps, splits, on="doc_id", num_buckets=16)
+    joined = relational.bucket_join(fps, splits, on="doc_id")
 
     def _reduce(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("md5").agg(n_splits=("split", "nunique"),
@@ -832,7 +832,7 @@ def q_split_leakage(sf_dir: str):
                           "n_splits": pd.Series(dtype="int64"),
                           "n_copies": pd.Series(dtype="int64")})
 
-    out = relational.bucketed_map_groups(joined, "md5", _reduce, num_buckets=16)
+    out = relational.bucketed_map_groups(joined, "md5", _reduce)
     out = out.materialize()
     if out.count() == 0:
         return pd.DataFrame({"md5": pd.Series(dtype=object),
@@ -1320,7 +1320,7 @@ def q_top_types_per_user(sf_dir: str):
     tie-break). Oracle: row_number() window over SQL counts."""
     ds = _tbl(sf_dir, "events", columns=["user_id", "event_type"])
     counts = relational.pre_aggregated(ds, ["user_id", "event_type"],
-                                       counts=True, num_buckets=32)
+                                       counts=True)
     top = relational.topk_per_group(counts, "user_id", "n", k=2,
                                     descending=True,
                                     tie_break="event_type").to_pandas()
@@ -1352,8 +1352,7 @@ def q_value_cdf(sf_dir: str):
             v.to_numpy(dtype="float64") * 100).astype("int64")})
 
     counts = relational.pre_aggregated(
-        ds.map_batches(_vh, batch_format="pandas"), "vh", counts=True,
-        num_buckets=32)
+        ds.map_batches(_vh, batch_format="pandas"), "vh", counts=True)
     scanned = relational.ordered_cumsum(counts, order_col="vh",
                                         value_col="n",
                                         out_col="cum_before")
@@ -2344,7 +2343,7 @@ def q_phonetic_blocks(sf_dir: str):
         lambda t: _explode(t.select(["record_id", "authors_norm"])),
         batch_format="pyarrow")
     res = relational.bucketed_map_groups(
-        exploded, "phon_key", _per_key, num_buckets=32).to_pandas()
+        exploded, "phon_key", _per_key).to_pandas()
     if res.empty:
         return pd.DataFrame({"phonetic_key": pd.Series(dtype=object),
                              "n_records": pd.Series(dtype="int64"),
@@ -2415,12 +2414,11 @@ def q_token_blocks(sf_dir: str):
         _toks, batch_format="pyarrow").materialize()
     dfc = relational.pre_aggregated(
         toks.map_batches(lambda b: b[["token"]], batch_format="pandas"),
-        "token", counts=True, num_buckets=32)
+        "token", counts=True)
     allowed = dfc.map_batches(
         lambda b: b[(b["n"] >= 2) & (b["n"] <= 10)].rename(columns={"n": "df"}),
         batch_format="pandas")
-    joined = relational.bucket_join(toks, allowed, on="token",
-                                    num_buckets=32).to_pandas()
+    joined = relational.bucket_join(toks, allowed, on="token").to_pandas()
     if joined.empty:
         return pd.DataFrame({"token": pd.Series(dtype=object),
                              "record_id": pd.Series(dtype=object),
@@ -2519,12 +2517,10 @@ def q_cluster_size_hist(sf_dir: str):
     ds = (clusters.select_columns(["cluster_id"])
           if isinstance(clusters, ray.data.Dataset)
           else ray.data.from_pandas(clusters[["cluster_id"]]))
-    sizes = relational.pre_aggregated(ds, "cluster_id", counts=True,
-                                      num_buckets=16).map_batches(
+    sizes = relational.pre_aggregated(ds, "cluster_id", counts=True).map_batches(
         lambda b: pd.DataFrame({"size": b["n"].astype("int64")}),
         batch_format="pandas")
-    hist = relational.pre_aggregated(sizes, "size", counts=True,
-                                     num_buckets=8).to_pandas()
+    hist = relational.pre_aggregated(sizes, "size", counts=True).to_pandas()
     if hist.empty:
         return pd.DataFrame({"size": pd.Series(dtype="int64"),
                              "n_clusters": pd.Series(dtype="int64")})
@@ -2561,8 +2557,7 @@ def q_blocking_recall(sf_dir: str):
     cand = relational.distinct(cand, ["a", "b"]).map_batches(
         lambda b: b.assign(__hit=np.int8(1)), batch_format="pandas")
     truth = relational.distinct(labels, ["a", "b"])
-    joined = relational.bucket_join(truth, cand, on=["a", "b"], how="left",
-                                    num_buckets=32)
+    joined = relational.bucket_join(truth, cand, on=["a", "b"], how="left")
     counts = joined.map_batches(
         lambda b: pd.DataFrame({
             "n_true": [np.int64(len(b))],
@@ -2746,13 +2741,12 @@ def q_pr_curve(sf_dir: str):
     total_true = int(labels.map_batches(
         lambda b: pd.DataFrame({"n": [int(b["is_match"].sum())]}),
         batch_format="pandas").to_pandas()["n"].sum())
-    j = relational.bucket_join(scored, labels, on=["left_id", "right_id"],
-                               num_buckets=32)
+    j = relational.bucket_join(scored, labels, on=["left_id", "right_id"])
     g = relational.pre_aggregated(
         j.map_batches(lambda b: pd.DataFrame(
             {"score_h": b["score_h"].astype("int64"),
              "nt": b["is_match"].astype("int64")}), batch_format="pandas"),
-        "score_h", sums=["nt"], counts=True, num_buckets=8).to_pandas()
+        "score_h", sums=["nt"], counts=True).to_pandas()
     if g.empty:
         return pd.DataFrame({"score_h": pd.Series(dtype="int64"),
                              "tp": pd.Series(dtype="int64"),

@@ -39,6 +39,7 @@ import pyarrow as pa
 from ..functions.minhash import MinHasher, band_keys, factorize_exact
 from ..functions.pairs import group_pairs, ranked_codes
 from ..functions.similarity import BoundedCache, ngram_set, set_jaccard
+from ..sources.io import cluster_cpus
 from .relational import bucket_join, bucketed_map_groups
 
 logger = logging.getLogger(__name__)
@@ -125,7 +126,7 @@ def exact_dedup(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
     # would dominate
     partials = (docs_ds.map_batches(_hash, batch_format="pandas")
                 .map_batches(_partial, batch_format="pandas"))
-    return bucketed_map_groups(partials, "content_hash", _combine, num_buckets=64)
+    return bucketed_map_groups(partials, "content_hash", _combine)
 
 
 def _keyed_pairs(g: pd.DataFrame, key_col: str, id_col: str, max_band_width: int,
@@ -160,11 +161,11 @@ def _keyed_pairs(g: pd.DataFrame, key_col: str, id_col: str, max_band_width: int
 
 
 def _distinct_keyed_pairs(keyed_ds, id_col: str, key_col: str, max_band_width: int,
-                          num_buckets: int, op_name: str, verify, cols):
-    """:func:`_keyed_pairs` per coarse bucket of keys, ``verify``
-    applied to each bucket's pairs in the same task, then the global
+                          op_name: str, verify, cols):
+    """:func:`_keyed_pairs` per sort partition of keys, ``verify``
+    applied to each partition's pairs in the same task, then the global
     distinct over ``cols``: a pair shared by several keys surfaces from
-    each of their buckets (bucketed, as Ray's groupby().aggregate()
+    each of their partitions (bucketed, as Ray's groupby().aggregate()
     pays ~0.7 ms per distinct group — minutes at 10^5 pairs)."""
     from .relational import distinct
 
@@ -173,24 +174,21 @@ def _distinct_keyed_pairs(keyed_ds, id_col: str, key_col: str, max_band_width: i
     pairs = bucketed_map_groups(
         keyed_ds, key_col,
         lambda g: verify(_keyed_pairs(g, key_col, id_col, max_band_width, op_name)),
-        num_buckets=num_buckets, ray_remote_args=sh, max_in_blocks=blocks)
-    return distinct(pairs, cols, num_buckets=num_buckets, ray_remote_args=sh,
-                    max_in_blocks=blocks)
+        ray_remote_args=sh, max_in_blocks=blocks)
+    return distinct(pairs, cols, ray_remote_args=sh, max_in_blocks=blocks)
 
 
 def candidate_pairs_from_keys(keyed_ds, id_col: str, key_col: str = "band_key",
-                              max_band_width: int = 5000, num_buckets: int = 64,
-                              op_name: str = "lsh"):
+                              max_band_width: int = 5000, op_name: str = "lsh"):
     """(key, id) rows -> distinct candidate (left_id, right_id) pairs:
     one coarse-bucketed shuffle that enumerates each key's pairs
     (:func:`_keyed_pairs`, bands over ``max_band_width`` truncated with
     the drop logged — the no-silent-caps rule), then the distinct."""
-    return _distinct_keyed_pairs(keyed_ds, id_col, key_col, max_band_width, num_buckets,
-                                 op_name, lambda p: p, ["left_id", "right_id"])
+    return _distinct_keyed_pairs(keyed_ds, id_col, key_col, max_band_width, op_name,
+                                 lambda p: p, ["left_id", "right_id"])
 
 
-def _attach_payload(pairs_ds, payload_ds, id_col: str, payload_col: str,
-                    num_buckets: int = 64):
+def _attach_payload(pairs_ds, payload_ds, id_col: str, payload_col: str):
     """Join the payload column onto both sides of a pair table via two
     hash-partitioned joins (payload moves at most twice, not once per
     band). The merge tasks carry the shuffle-family CPU reservation:
@@ -210,10 +208,9 @@ def _attach_payload(pairs_ds, payload_ds, id_col: str, payload_col: str,
                                      **sh)
     right_pl = payload_ds.map_batches(_ren("right_id"), batch_format="pandas",
                                       **sh)
-    withl = bucket_join(pairs_ds, left_pl, on="left_id",
-                        num_buckets=num_buckets, ray_remote_args=sh,
+    withl = bucket_join(pairs_ds, left_pl, on="left_id", ray_remote_args=sh,
                         max_in_blocks=blocks).materialize()
-    return bucket_join(withl, right_pl, on="right_id", num_buckets=num_buckets,
+    return bucket_join(withl, right_pl, on="right_id",
                        ray_remote_args=sh, max_in_blocks=blocks)
 
 
@@ -649,7 +646,7 @@ def simhash_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     # over (left_id, right_id, hamming) leaves one row per pair
     out = _distinct_keyed_pairs(
         docs_ds.map_batches(_keys, batch_format="pandas", **_shuffle_args()), id_col,
-        "band_key", max_band_width, 64, "simhash", _near, ["left_id", "right_id", "hamming"])
+        "band_key", max_band_width, "simhash", _near, ["left_id", "right_id", "hamming"])
     return _typed_or_empty(out, [("left_id", pa.int64()), ("right_id", pa.int64()),
                                  ("hamming", pa.int64())])
 
@@ -819,8 +816,7 @@ def embedding_near_dup_pairs(emb_ds, id_col: str = "vec_id", vec_col: str = "emb
     return _typed_or_empty(out, emb_fields)
 
 
-def canonical_keep_latest(pages_ds, url_col: str = "url", ts_col: str = "warc_ts",
-                          num_buckets: int = 64):
+def canonical_keep_latest(pages_ds, url_col: str = "url", ts_col: str = "warc_ts"):
     """Canonical-URL keep-latest-crawl dedup — the standard first pass
     over a multi-snapshot web crawl: group crawl records by
     :func:`..functions.urlkeys.canonical_url` and keep, per canonical
@@ -857,12 +853,11 @@ def canonical_keep_latest(pages_ds, url_col: str = "url", ts_col: str = "warc_ts
         return _local(x[x["canonical_url"] != ""])
 
     partials = pages_ds.map_batches(_partial, batch_format="pandas")
-    return bucketed_map_groups(partials, "canonical_url", _local,
-                               num_buckets=num_buckets)
+    return bucketed_map_groups(partials, "canonical_url", _local)
 
 
 def delta_new_docs(new_ds, corpus_ds, id_col: str = "doc_id",
-                   text_col: str = "text", num_buckets: int = 64):
+                   text_col: str = "text"):
     """Incremental-ingest dedup (the daily-crawl merge): which ARRIVING
     documents carry content the existing corpus has never seen. Both
     sides are reduced to md5 content hashes inside map_batches; the
@@ -887,10 +882,9 @@ def delta_new_docs(new_ds, corpus_ds, id_col: str = "doc_id",
     seen = distinct(
         corpus_ds.map_batches(
             lambda b: _hash(b)[["content_hash"]], batch_format="pandas"),
-        "content_hash", num_buckets=num_buckets).map_batches(
+        "content_hash").map_batches(
         lambda b: b.assign(__seen=np.int8(1)), batch_format="pandas")
-    joined = bucket_join(new_h, seen, on="content_hash", how="left",
-                         num_buckets=num_buckets)
+    joined = bucket_join(new_h, seen, on="content_hash", how="left")
     out = joined.map_batches(
         lambda b: b.loc[b["__seen"].isna(), [id_col, "content_hash"]],
         batch_format="pandas")
@@ -925,8 +919,7 @@ def _popcnt_mat(x: np.ndarray) -> np.ndarray:
 
 
 def _setsim_dense_small_vocab(docs_ds, id_col, text_col, tok_list, bit_of,
-                              thr, jac_round, out_fields, num_buckets,
-                              max_masks):
+                              thr, jac_round, out_fields, max_masks):
     """Exact-set-collapse fast path for small-vocab corpora (vocab <=
     64): docs with IDENTICAL token sets are one uint64 mask, so the
     self-join collapses to all-pairs over the DISTINCT masks (popcount
@@ -969,7 +962,7 @@ def _setsim_dense_small_vocab(docs_ds, id_col, text_col, tok_list, bit_of,
 
     groups = bucketed_map_groups(
         docs_ds.map_batches(_mask_rows, batch_format="pandas"), "mask",
-        _grp, num_buckets=num_buckets).materialize()
+        _grp).materialize()
     m = groups.count()
     if m == 0:
         return pa.table({n: pa.array([], t) for n, t in out_fields}).to_pandas()
@@ -994,7 +987,7 @@ def _setsim_dense_small_vocab(docs_ds, id_col, text_col, tok_list, bit_of,
     los = np.arange(0, m, R, dtype="int64")
     blocks = rd.from_arrow(pa.table({
         "lo": los, "hi": np.minimum(los + R, m)})).repartition(
-        max(1, min(len(los), num_buckets)), shuffle=False)
+        min(len(los), cluster_cpus()), shuffle=False)
     _cst: dict = {}
 
     def _gt() -> pa.Table:
@@ -1084,7 +1077,7 @@ def _setsim_dense_small_vocab(docs_ds, id_col, text_col, tok_list, bit_of,
 
 
 def setsim_prefix_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
-                        jaccard_threshold: float = 0.7, num_buckets: int = 64,
+                        jaccard_threshold: float = 0.7,
                         max_key_width: int | None = None,
                         verify: str = "broadcast",
                         dense_max_masks: int = 65536,
@@ -1150,8 +1143,7 @@ def setsim_prefix_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         return out
 
     tok_rows = docs_ds.map_batches(_doc_tokens, batch_format="pandas")
-    dfs = pre_aggregated(tok_rows, "token", counts=True,
-                         num_buckets=num_buckets).to_pandas()
+    dfs = pre_aggregated(tok_rows, "token", counts=True).to_pandas()
     if dfs.empty:
         return pa.table({n: pa.array([], t) for n, t in out_fields}).to_pandas()
     # global total order: df ascending, token ascending — ranks are the
@@ -1182,7 +1174,7 @@ def setsim_prefix_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         dense = _setsim_dense_small_vocab(
             docs_ds, id_col, text_col, _tok_list,
             dict(zip(dfs["token"], range(len(dfs)))), thr, _jac_round,
-            out_fields, num_buckets, dense_max_masks)
+            out_fields, dense_max_masks)
         if dense is not None:
             return dense
 
@@ -1217,8 +1209,7 @@ def setsim_prefix_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     # guidance instead.
     prefix = docs_ds.map_batches(
         _prefix_rows, batch_format="pandas", **_shuffle_args()).materialize()
-    pc = pre_aggregated(prefix, "band_key", counts=True,
-                        num_buckets=num_buckets).to_pandas()
+    pc = pre_aggregated(prefix, "band_key", counts=True).to_pandas()
     c = pc["n"].to_numpy(np.float64) if len(pc) else np.zeros(0)
     if max_key_width:
         # price the enumeration that will ACTUALLY run: candidate_pairs_from_
@@ -1244,7 +1235,7 @@ def setsim_prefix_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     cand = candidate_pairs_from_keys(
         prefix, id_col,
         max_band_width=max_key_width if max_key_width else 1 << 62,
-        num_buckets=num_buckets, op_name="setsim_prefix").materialize()
+        op_name="setsim_prefix").materialize()
     if cand.count() == 0:
         return pa.table({n: pa.array([], t) for n, t in out_fields}).to_pandas()
 
@@ -1360,7 +1351,7 @@ def setsim_prefix_pairs(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     return _typed_or_empty(out, out_fields)
 
 
-def _blocked_self_join(ds, key_cols, text_col: str, id_col: str, num_buckets: int,
+def _blocked_self_join(ds, key_cols, text_col: str, id_col: str,
                        keep_empty: bool, score, out_field):
     """The shape of the blocked string self-joins: one coarse bucketed
     shuffle of (key, id, text) rows — the caller prunes columns at the
@@ -1395,12 +1386,12 @@ def _blocked_self_join(ds, key_cols, text_col: str, id_col: str, num_buckets: in
                              out_field[0]: value})
 
     out = bucketed_map_groups(ds.map_batches(_project, batch_format="pandas"),
-                              key_cols, _pairs, num_buckets=num_buckets)
+                              key_cols, _pairs)
     return _typed_or_empty(out, [("left_id", pa.int64()), ("right_id", pa.int64()), out_field])
 
 
 def edit_distance_self_join(ds, key_cols, text_col: str, id_col: str,
-                            max_dist: int = 3, num_buckets: int = 32):
+                            max_dist: int = 3):
     """Blocked Levenshtein similarity self-join: every pair of records
     that shares the blocking key(s) and has edit distance <= max_dist
     on ``text_col``. The ER string-join staple the reference's
@@ -1428,13 +1419,13 @@ def edit_distance_self_join(ds, key_cols, text_col: str, id_col: str,
         hit = d <= max_dist
         return i[hit], j[hit], d[hit]
 
-    return _blocked_self_join(ds, key_cols, text_col, id_col, num_buckets, True, _dist,
+    return _blocked_self_join(ds, key_cols, text_col, id_col, True, _dist,
                               ("dist", pa.int64()))
 
 
 def semantic_dedup(emb_ds, centroids, threshold: float = 0.95,
                    id_col: str = "vec_id", vec_col: str = "embedding",
-                   num_buckets: int = 32, ndigits: int = 4):
+                   ndigits: int = 4):
     """SemDeDup-style semantic deduplication (Abbas et al. 2023,
     public): coarse-cluster the embedding space, then drop any vector
     whose rounded cosine similarity to a LOWER-ID vector in the same
@@ -1514,15 +1505,14 @@ def semantic_dedup(emb_ds, centroids, threshold: float = 0.95,
                                  "is_kept": pd.Series(dtype=bool)})
         return pd.concat(frames, ignore_index=True)
 
-    out = bucketed_map_groups(assigned, "cluster", _per_cluster,
-                              num_buckets=num_buckets)
+    out = bucketed_map_groups(assigned, "cluster", _per_cluster)
     return _typed_or_empty(out, [(id_col, pa.int64()),
                                  ("cluster", pa.int64()),
                                  ("is_kept", pa.bool_())])
 
 
 def jw_self_join(ds, key_cols, text_col: str, id_col: str,
-                 threshold: float = 0.88, num_buckets: int = 32):
+                 threshold: float = 0.88):
     """Blocked Jaro-Winkler similarity self-join: pairs sharing the
     blocking key(s) with JW similarity >= threshold on ``text_col``.
     The from-scratch kernel (functions.similarity.jaro_winkler) is
@@ -1549,13 +1539,13 @@ def jw_self_join(ds, key_cols, text_col: str, id_col: str,
         hit = sc >= threshold
         return i[hit], j[hit], sc[hit]
 
-    return _blocked_self_join(ds, key_cols, text_col, id_col, num_buckets, False, _jw,
+    return _blocked_self_join(ds, key_cols, text_col, id_col, False, _jw,
                               ("jw", pa.float64()))
 
 
 def substring_duplicate_windows(docs_ds, id_col: str = "doc_id",
                                 text_col: str = "text", window: int = 40,
-                                stride: int = 10, num_buckets: int = 64):
+                                stride: int = 10):
     """Cross-document duplicate-substring detection by hashed stride
     windows (the scalable approximation of exact substring dedup from
     "Deduplicating Training Data Makes Language Models Better", Lee et
@@ -1617,7 +1607,7 @@ def substring_duplicate_windows(docs_ds, id_col: str = "doc_id",
         return agg.astype({"n_docs": "int64", "n_occurrences": "int64"})
 
     out = bucketed_map_groups(docs_ds.map_batches(_windows, batch_format="pandas"),
-                              "win_md5", _combine, num_buckets=num_buckets)
+                              "win_md5", _combine)
     return _typed_or_empty(out, [("win_md5", pa.string()),
                                  ("n_docs", pa.int64()),
                                  ("n_occurrences", pa.int64())])

@@ -26,7 +26,7 @@ import pandas as pd
 import pyarrow as pa
 
 
-def cluster_contingency(pred_ds, truth_ds, num_buckets: int = 32):
+def cluster_contingency(pred_ds, truth_ds):
     """Predicted vs truth cluster assignments -> integer contingency
     rows (pred_cluster, true_cluster, n), inner-joined on record_id
     (records present in only one assignment are excluded — the caller
@@ -45,9 +45,8 @@ def cluster_contingency(pred_ds, truth_ds, num_buckets: int = 32):
 
     p = pred_ds.map_batches(_side("pred_cluster"), batch_format="pandas")
     t = truth_ds.map_batches(_side("true_cluster"), batch_format="pandas")
-    j = bucket_join(p, t, on="record_id", num_buckets=num_buckets)
-    agg = pre_aggregated(j, ["pred_cluster", "true_cluster"], counts=True,
-                         num_buckets=num_buckets)
+    j = bucket_join(p, t, on="record_id")
+    agg = pre_aggregated(j, ["pred_cluster", "true_cluster"], counts=True)
     out = agg.map_batches(
         lambda b: b.rename(columns={"n": "n"})[
             ["pred_cluster", "true_cluster", "n"]],
@@ -119,8 +118,7 @@ def uncertainty_band_sample(pairs_ds, lo: float, hi: float, k: int,
 
 
 def cluster_cohesion(clusters_ds, edges_ds, edge_node_col: str = "left_id",
-                     score_col: str = "combined_score",
-                     num_buckets: int = 32) -> pd.DataFrame:
+                     score_col: str = "combined_score") -> pd.DataFrame:
     """Per-cluster cohesion audit — the over-merge detector that
     pairwise metrics miss: a transitively-merged mega-cluster shows up
     here as a LOW edge density (few matched edges relative to the
@@ -151,7 +149,7 @@ def cluster_cohesion(clusters_ds, edges_ds, edge_node_col: str = "left_id",
             "__h": np.floor(s * 100.0 + 0.5).astype("int64")})
 
     e = edges_ds.map_batches(_edge, batch_format="pandas")
-    j = bucket_join(e, clusters_ds, on="record_id", num_buckets=num_buckets)
+    j = bucket_join(e, clusters_ds, on="record_id")
 
     def _partial(b: pd.DataFrame) -> pd.DataFrame:
         g = b.groupby("cluster_id", sort=False)["__h"]
@@ -167,12 +165,10 @@ def cluster_cohesion(clusters_ds, edges_ds, edge_node_col: str = "left_id",
                            "min_h": "int64"})
 
     agg = bucketed_map_groups(j.map_batches(_partial, batch_format="pandas"),
-                              "cluster_id", _reduce, num_buckets=num_buckets)
-    sizes = pre_aggregated(clusters_ds, "cluster_id", counts=True,
-                           num_buckets=num_buckets).map_batches(
+                              "cluster_id", _reduce)
+    sizes = pre_aggregated(clusters_ds, "cluster_id", counts=True).map_batches(
         lambda b: b.rename(columns={"n": "n_records"}), batch_format="pandas")
-    joined = bucket_join(agg, sizes, on="cluster_id",
-                         num_buckets=num_buckets).to_pandas()
+    joined = bucket_join(agg, sizes, on="cluster_id").to_pandas()
     if joined.empty:
         return pd.DataFrame({"cluster_id": pd.Series(dtype=object),
                              "n_records": pd.Series(dtype="int64"),
@@ -193,8 +189,7 @@ def cluster_cohesion(clusters_ds, edges_ds, edge_node_col: str = "left_id",
 
 
 def score_calibration(scored_ds, labels_ds, bin_width: int = 5,
-                      score_col: str = "combined_score",
-                      num_buckets: int = 32) -> pd.DataFrame:
+                      score_col: str = "combined_score") -> pd.DataFrame:
     """Classifier-score calibration table: bin every scored candidate
     pair into fixed-width score bins and, via the labeled ground-truth
     pairs, report each bin's empirical precision — the audit that turns
@@ -232,9 +227,8 @@ def score_calibration(scored_ds, labels_ds, bin_width: int = 5,
 
     s = scored_ds.map_batches(_norm_scored, batch_format="pandas")
     lab = distinct(labels_ds.map_batches(_norm_labels, batch_format="pandas"),
-                   ["a", "b", "is_match"], num_buckets=num_buckets)
-    j = bucket_join(s, lab, on=["a", "b"], how="left",
-                    num_buckets=num_buckets)
+                   ["a", "b", "is_match"])
+    j = bucket_join(s, lab, on=["a", "b"], how="left")
 
     def _partial(b: pd.DataFrame) -> pd.DataFrame:
         lb = b["is_match"]
@@ -268,8 +262,7 @@ def score_calibration(scored_ds, labels_ds, bin_width: int = 5,
             .reset_index(drop=True))
 
 
-def fs_mu_weights(pairs_ds, labels_ds, feature_cols,
-                  num_buckets: int = 32) -> pd.DataFrame:
+def fs_mu_weights(pairs_ds, labels_ds, feature_cols) -> pd.DataFrame:
     """Fellegi–Sunter m/u probability estimation (Fellegi & Sunter
     1969, public — the founding record-linkage decision model): join
     candidate-pair boolean feature-agreement indicators to ground-truth
@@ -301,8 +294,7 @@ def fs_mu_weights(pairs_ds, labels_ds, feature_cols,
                                 "right_id": b["right_id"],
                                 "__label": b["is_match"].astype(bool)}),
         batch_format="pandas")
-    j = bucket_join(pairs_ds, lab, on=["left_id", "right_id"],
-                    num_buckets=num_buckets)
+    j = bucket_join(pairs_ds, lab, on=["left_id", "right_id"])
 
     def _partial(b: pd.DataFrame) -> pd.DataFrame:
         lb = b["__label"].to_numpy(dtype=bool)

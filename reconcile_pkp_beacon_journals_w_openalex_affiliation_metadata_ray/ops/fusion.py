@@ -55,7 +55,7 @@ def _decode(series: pd.Series, dtype):
     return series
 
 
-def fuse_records(ds, key: str, rules: dict, num_buckets: int = 64,
+def fuse_records(ds, key: str, rules: dict,
                  count_col: str = "n_records"):
     """Survivorship: one canonical row per ``key`` from per-column
     rules. ``rules`` maps column -> rule:
@@ -148,8 +148,7 @@ def fuse_records(ds, key: str, rules: dict, num_buckets: int = 64,
         return out.reset_index()[out_cols]
 
     fused = bucketed_map_groups(
-        ds.map_batches(_partial, batch_format="pandas"), key, _reduce,
-        num_buckets=num_buckets)
+        ds.map_batches(_partial, batch_format="pandas"), key, _reduce)
 
     def _fields():
         def f(dt):
@@ -170,7 +169,7 @@ def fuse_records(ds, key: str, rules: dict, num_buckets: int = 64,
 
 
 def fingerprint_clusters(ds, col: str, min_distinct: int = 2,
-                         num_buckets: int = 64, members_sep: str = "|"):
+                         members_sep: str = "|"):
     """Key-collision clustering of attribute spellings (OpenRefine's
     public "fingerprint" method): the fingerprint of a value is its
     distinct lowercased ASCII-alnum tokens, sorted and space-joined, so
@@ -209,7 +208,7 @@ def fingerprint_clusters(ds, col: str, min_distinct: int = 2,
 
     out = bucketed_map_groups(
         ds.map_batches(_partial, batch_format="pandas"), "fingerprint",
-        _reduce, num_buckets=num_buckets)
+        _reduce)
     from .dedup import _typed_or_empty
 
     return _typed_or_empty(out, [("fingerprint", pa.string()),
@@ -219,7 +218,7 @@ def fingerprint_clusters(ds, col: str, min_distinct: int = 2,
 
 
 def cdc_apply(changelog_ds, key_col: str, ts_col: str, seq_col: str,
-              op_col: str, value_cols, num_buckets: int = 64):
+              op_col: str, value_cols):
     """Change-data-capture merge (the lakehouse MERGE INTO /
     upsert-with-deletes semantic, public: Delta/Hudi/Iceberg CDC): the
     changelog is a stream of (key, ts, seq, op, values) rows where op
@@ -253,4 +252,4 @@ def cdc_apply(changelog_ds, key_col: str, ts_col: str, seq_col: str,
 
     return bucketed_map_groups(
         changelog_ds.map_batches(_latest, batch_format="pandas"),
-        key_col, _reduce, num_buckets=num_buckets)
+        key_col, _reduce)

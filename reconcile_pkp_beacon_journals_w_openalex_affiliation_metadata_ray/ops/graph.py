@@ -15,8 +15,7 @@ import pandas as pd
 
 
 def pagerank_fixedpoint(edges_ds, iters: int = 3,
-                        init: int = 1_000_000_000,
-                        num_buckets: int = 32):
+                        init: int = 1_000_000_000):
     """Fixed-point integer PageRank (damping 0.85) over an UNDIRECTED
     edge list (left_id, right_id). Per round, with all arithmetic in
     int64 floor division (positive throughout, so Python ``//`` and
@@ -54,7 +53,7 @@ def pagerank_fixedpoint(edges_ds, iters: int = 3,
     deg = pre_aggregated(
         bidir.map_batches(lambda b: b[["src"]].rename(columns={"src": "node"}),
                           batch_format="pandas"),
-        "node", counts=True, num_buckets=num_buckets).map_batches(
+        "node", counts=True).map_batches(
         lambda b: pd.DataFrame({"node": b["node"],
                                 "deg": b["n"].astype("int64")}),
         batch_format="pandas").materialize()
@@ -73,12 +72,11 @@ def pagerank_fixedpoint(edges_ds, iters: int = 3,
                     {"src": b["node"],
                      "c": (b["s"] // b["deg"]).astype("int64")}),
                 batch_format="pandas"),
-            on="src", num_buckets=num_buckets).map_batches(
+            on="src").map_batches(
             lambda b: pd.DataFrame({"node": b["dst"],
                                     "c": b["c"].astype("int64")}),
             batch_format="pandas")
-        sums = pre_aggregated(contrib, "node", sums=["c"], counts=False,
-                              num_buckets=num_buckets)
+        sums = pre_aggregated(contrib, "node", sums=["c"], counts=False)
         scores = bucket_join(
             sums.map_batches(
                 lambda b: pd.DataFrame(
@@ -86,7 +84,7 @@ def pagerank_fixedpoint(edges_ds, iters: int = 3,
                      "s": (base + (85 * b["sum_c"].astype("int64")) // 100
                            ).astype("int64")}),
                 batch_format="pandas"),
-            deg, on="node", num_buckets=num_buckets).materialize()
+            deg, on="node").materialize()
 
     return scores.map_batches(
         lambda b: pd.DataFrame({"node": b["node"],
@@ -94,7 +92,7 @@ def pagerank_fixedpoint(edges_ds, iters: int = 3,
         batch_format="pandas")
 
 
-def triangle_count(edges_ds, num_buckets: int = 32):
+def triangle_count(edges_ds):
     """Global triangle count over an undirected edge list. Edges are
     normalized to distinct (a < b); wedges (a < b < c) are generated by
     ONE bucketed self-join on the middle node and closed by a second
@@ -113,7 +111,7 @@ def triangle_count(edges_ds, num_buckets: int = 32):
                 {"a": b[["left_id", "right_id"]].min(axis=1),
                  "b": b[["left_id", "right_id"]].max(axis=1)}),
             batch_format="pandas"),
-        ["a", "b"], num_buckets=num_buckets).materialize()
+        ["a", "b"]).materialize()
 
     # wedges a < b < c sharing middle node b: join e(a,b) x e(b,c)
     wedges = bucket_join(
@@ -121,18 +119,17 @@ def triangle_count(edges_ds, num_buckets: int = 32):
                       batch_format="pandas"),
         e.map_batches(lambda x: x.rename(columns={"a": "mid", "b": "c"}),
                       batch_format="pandas"),
-        on="mid", num_buckets=num_buckets).map_batches(
+        on="mid").map_batches(
         lambda x: x[["a", "c"]], batch_format="pandas")
     closed = bucket_join(wedges, e.map_batches(
         lambda x: x.assign(__edge=1)[["a", "b", "__edge"]].rename(
             columns={"b": "c"}), batch_format="pandas"),
-        on=["a", "c"], num_buckets=num_buckets)
+        on=["a", "c"])
     n = closed.count()
     return pd.DataFrame({"n_triangles": pd.Series([n], dtype="int64")})
 
 
-def common_neighbor_scores(edges_ds, min_common: int = 1,
-                           num_buckets: int = 32):
+def common_neighbor_scores(edges_ds, min_common: int = 1):
     """Link-prediction scores for non-adjacent-or-adjacent node pairs:
     common-neighbor counts (every pair of a node's neighbors shares
     that node — exactly a co-occurrence over adjacency lists, computed
@@ -149,8 +146,7 @@ def common_neighbor_scores(edges_ds, min_common: int = 1,
              "dst": pd.concat([b["right_id"], b["left_id"]],
                               ignore_index=True)}),
         batch_format="pandas").materialize()
-    common = cooccurrence_pairs(bidir, "src", "dst",
-                                num_buckets=num_buckets).map_batches(
+    common = cooccurrence_pairs(bidir, "src", "dst").map_batches(
         lambda b: b[b["n_groups"] >= min_common].rename(
             columns={"item_a": "node_u", "item_b": "node_v",
                      "n_groups": "common"}),
@@ -160,19 +156,19 @@ def common_neighbor_scores(edges_ds, min_common: int = 1,
     # GLOBAL distinct of the adjacency (per-batch dedup alone would
     # double-count degrees for edges duplicated across batches)
     deg = pre_aggregated(
-        distinct(bidir, ["src", "dst"], num_buckets=num_buckets).map_batches(
+        distinct(bidir, ["src", "dst"]).map_batches(
             lambda b: b[["src"]].rename(columns={"src": "node"}),
             batch_format="pandas"),
-        "node", counts=True, num_buckets=num_buckets).materialize()
+        "node", counts=True).materialize()
 
     j1 = bucket_join(common, deg.map_batches(
         lambda b: pd.DataFrame({"node_u": b["node"],
                                 "deg_u": b["n"].astype("int64")}),
-        batch_format="pandas"), on="node_u", num_buckets=num_buckets)
+        batch_format="pandas"), on="node_u")
     j2 = bucket_join(j1, deg.map_batches(
         lambda b: pd.DataFrame({"node_v": b["node"],
                                 "deg_v": b["n"].astype("int64")}),
-        batch_format="pandas"), on="node_v", num_buckets=num_buckets)
+        batch_format="pandas"), on="node_v")
 
     def _score(b: pd.DataFrame) -> pd.DataFrame:
         c = b["common"].astype("int64")
@@ -184,8 +180,7 @@ def common_neighbor_scores(edges_ds, min_common: int = 1,
     return j2.map_batches(_score, batch_format="pandas")
 
 
-def neighborhood_signatures(edges_ds, src_col: str, dst_col: str,
-                            num_buckets: int = 32):
+def neighborhood_signatures(edges_ds, src_col: str, dst_col: str):
     """Per-node neighborhood fingerprints — the 1-round
     Weisfeiler–Lehman-style relabeling (Weisfeiler & Leman 1968 /
     Shervashidze 2011, public) specialized to id labels: each node's
@@ -215,10 +210,6 @@ def neighborhood_signatures(edges_ds, src_col: str, dst_col: str,
                              "nbr": p[dst_col].astype("int64").to_numpy()})
 
     def _per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame({"node": pd.Series(dtype="int64"),
-                                 "degree": pd.Series(dtype="int64"),
-                                 "signature": pd.Series(dtype=object)})
         g = (g.drop_duplicates().sort_values(["node", "nbr"],
                                              kind="mergesort"))
         agg = g.groupby("node", sort=False)["nbr"].agg(
@@ -232,4 +223,4 @@ def neighborhood_signatures(edges_ds, src_col: str, dst_col: str,
 
     return bucketed_map_groups(
         edges_ds.map_batches(_project, batch_format="pandas"),
-        "node", _per_bucket, num_buckets=num_buckets)
+        "node", _per_bucket)

@@ -25,7 +25,7 @@ import pandas as pd
 import pyarrow as pa
 
 
-def validate_constraints(ds, rules, num_buckets: int = 64) -> pd.DataFrame:
+def validate_constraints(ds, rules) -> pd.DataFrame:
     """Audit declarative constraints in one pass. ``rules`` is a list of
     dicts:
 
@@ -73,8 +73,7 @@ def validate_constraints(ds, rules, num_buckets: int = 64) -> pd.DataFrame:
         if r["type"] == "unique":
             nd = distinct(ds.map_batches(
                 lambda b, c=r["col"]: b[[c]].dropna(),
-                batch_format="pandas"), [r["col"]],
-                num_buckets=num_buckets).count()
+                batch_format="pandas"), [r["col"]]).count()
             viol = n_rows - int(nd)
         else:
             viol = int(totals[f"__v{i}"])
@@ -84,8 +83,7 @@ def validate_constraints(ds, rules, num_buckets: int = 64) -> pd.DataFrame:
                                          "n_violations": "int64"})
 
 
-def grouped_moments(ds, group_col: str, value_col: str, decimals: int = 2,
-                    num_buckets: int = 64) -> pd.DataFrame:
+def grouped_moments(ds, group_col: str, value_col: str, decimals: int = 2) -> pd.DataFrame:
     """Per-group mean and population variance, integer-exact: values
     are fixed-point (``decimals`` places, e.g. currency/score columns),
     so each batch emits integer partials (n, sum, sum-of-squares) in
@@ -123,7 +121,7 @@ def grouped_moments(ds, group_col: str, value_col: str, decimals: int = 2,
 
     parts = bucketed_map_groups(
         ds.map_batches(_partial, batch_format="pandas"), [group_col],
-        _reduce, num_buckets=num_buckets).to_pandas()
+        _reduce).to_pandas()
     if parts.empty:
         return pd.DataFrame({group_col: pd.Series(dtype=object),
                              "n": pd.Series(dtype="int64"),
@@ -143,8 +141,7 @@ def grouped_moments(ds, group_col: str, value_col: str, decimals: int = 2,
 
 
 def zscore_outliers(ds, group_col: str, value_col: str, id_col: str,
-                    k: float = 3.0, decimals: int = 2,
-                    num_buckets: int = 64) -> pd.DataFrame:
+                    k: float = 3.0, decimals: int = 2) -> pd.DataFrame:
     """Per-group z-score outlier detection: two passes, both streaming.
     Pass 1 is :func:`grouped_moments` (integer partials -> bit-exact
     per-group mean/var_pop floats). Pass 2 broadcasts the tiny moments
@@ -159,8 +156,7 @@ def zscore_outliers(ds, group_col: str, value_col: str, id_col: str,
     for million-group keys route the join through
     ``ops.relational.bucket_join`` instead."""
     scale = 10 ** decimals
-    moments = grouped_moments(ds, group_col, value_col, decimals=decimals,
-                              num_buckets=num_buckets)
+    moments = grouped_moments(ds, group_col, value_col, decimals=decimals)
     mean = dict(zip(moments[group_col], moments["mean"]))
     var = dict(zip(moments[group_col], moments["var_pop"]))
     kk = float(k) * float(k)
@@ -194,7 +190,7 @@ def zscore_outliers(ds, group_col: str, value_col: str, id_col: str,
     return res.sort_values(id_col, kind="mergesort").reset_index(drop=True)
 
 
-def fd_audit(ds, dependencies, num_buckets: int = 64) -> pd.DataFrame:
+def fd_audit(ds, dependencies) -> pd.DataFrame:
     """Functional-dependency audit: for each ``(lhs_col, rhs_col)``
     dependency, count determinant groups and violations (an lhs value
     mapping to >1 distinct rhs). Rows with NULL on either side are
@@ -219,7 +215,7 @@ def fd_audit(ds, dependencies, num_buckets: int = 64) -> pd.DataFrame:
 
         parts = bucketed_map_groups(
             ds.map_batches(_pairs, batch_format="pandas"), [lhs],
-            _reduce, num_buckets=num_buckets).to_pandas()
+            _reduce).to_pandas()
         results.append({
             "lhs": lhs, "rhs": rhs,
             "n_lhs_groups": int(parts["n_lhs"].sum()) if len(parts) else 0,
@@ -231,7 +227,7 @@ def fd_audit(ds, dependencies, num_buckets: int = 64) -> pd.DataFrame:
          "max_distinct_rhs": "int64", "holds": "int64"})
 
 
-def categorical_gini(ds, cols, num_buckets: int = 64) -> pd.DataFrame:
+def categorical_gini(ds, cols) -> pd.DataFrame:
     """Per-column categorical concentration: (col, n non-null rows,
     n_distinct, sum of squared value counts, gini) where
     ``gini = 1 - sum_sq / n^2`` — the Gini impurity, a fully rational
@@ -265,7 +261,7 @@ def categorical_gini(ds, cols, num_buckets: int = 64) -> pd.DataFrame:
 
     parts = bucketed_map_groups(
         ds.map_batches(_melt, batch_format="pandas"), ["col", "value"],
-        _reduce, num_buckets=num_buckets).to_pandas()
+        _reduce).to_pandas()
     if parts.empty:
         return pd.DataFrame({"col": pd.Series(dtype=object),
                              "n": pd.Series(dtype="int64"),
@@ -283,8 +279,7 @@ def categorical_gini(ds, cols, num_buckets: int = 64) -> pd.DataFrame:
 
 
 def impute_group_median(ds, group_col: str, value_col: str, id_col: str,
-                        missing_col: str = "__missing",
-                        num_buckets: int = 32) -> "pd.DataFrame":
+                        missing_col: str = "__missing") -> "pd.DataFrame":
     """Missing-value imputation with the per-group EXACT median
     (quantile_disc semantics — the imputed value is an actual observed
     value of the group, so cross-engine float parity is inherent; no
@@ -306,7 +301,7 @@ def impute_group_median(ds, group_col: str, value_col: str, id_col: str,
         lambda b: b.loc[~b[missing_col], [group_col, value_col]],
         batch_format="pandas")
     med = group_quantiles(nonmiss, group_col, value_col,
-                          qs=(0.5,), num_buckets=num_buckets).to_pandas()
+                          qs=(0.5,)).to_pandas()
     medians = (dict(zip(med[group_col], med["q50"]))
                if not med.empty and "q50" in med.columns else {})
 
@@ -330,7 +325,7 @@ def impute_group_median(ds, group_col: str, value_col: str, id_col: str,
 
 
 def ks_drift(ds, group_col: str, value_col: str, type_a: str, type_b: str,
-             decimals: int = 2, num_buckets: int = 32) -> pd.DataFrame:
+             decimals: int = 2) -> pd.DataFrame:
     """Two-sample Kolmogorov–Smirnov drift statistic between the value
     distributions of two groups — the standard distribution-shift
     monitor for data pipelines. Values are fixed-point (``decimals``),
@@ -374,7 +369,7 @@ def ks_drift(ds, group_col: str, value_col: str, type_a: str, type_b: str,
 
     parts = bucketed_map_groups(
         ds.map_batches(_partial, batch_format="pandas"), ["vh"],
-        _reduce, num_buckets=num_buckets).to_pandas()
+        _reduce).to_pandas()
     out_cols = {"type_a": pd.Series(dtype=object),
                 "type_b": pd.Series(dtype=object),
                 "n_a": pd.Series(dtype="int64"),

@@ -5,10 +5,9 @@ joins it has are a broadcast semi-join against a small side
 (`main.rs:216-260`) and a keyed enrichment lookup
 (`check...openalex.py:128-170`) — both map to :func:`broadcast_join`
 (small side shipped once via ``ray.put``, merged per batch, no
-shuffle). :func:`bucket_join` is the big-big path: both sides hashed
-into B buckets on the key, co-grouped with one shuffle, merged
-per-bucket with pandas (an explicit partitioned hash join; salt count
-B is the documented partitioning assumption).
+shuffle). :func:`bucket_join` is the big-big path: both sides tagged
+with the hash of the key, co-grouped with one shuffle, merged per sort
+partition with pandas (an explicit partitioned hash join).
 
 Every keyed shuffle is ONE sort over hash buckets, each sort partition
 mapped whole (:func:`_shuffle_buckets`): :func:`bucketed_map_groups` is its
@@ -53,7 +52,7 @@ def broadcast_join(big_ds, small_df: pd.DataFrame, on, how: str = "inner",
 
 def bloom_semi_join(big_ds, keys_ds, on: str, small_on: str | None = None,
                     m_bits: int = 1 << 20, k_hashes: int = 4,
-                    verify: str = "broadcast", num_buckets: int = 64):
+                    verify: str = "broadcast"):
     """Semi-join ``big ⋉ keys`` where the PRE-SHUFFLE prune ships only a
     Bloom BITSET of the key side (m_bits/8 bytes via ``ray.put``, e.g.
     180 MiB for 10^9 keys at 10 bits/key — vs gigabytes for the exact
@@ -118,15 +117,21 @@ def bloom_semi_join(big_ds, keys_ds, on: str, small_on: str | None = None,
         return pruned
     # GLOBAL distinct of the key side: per-batch dedup alone would leave
     # cross-batch duplicates and the inner join would multiply big rows
-    marker = distinct(keys_ds, small_on, num_buckets=num_buckets).map_batches(
+    marker = distinct(keys_ds, small_on).map_batches(
         lambda b: b.rename(columns={small_on: on}).assign(__hit=np.int8(1)),
         batch_format="pandas")
-    joined = bucket_join(pruned, marker, on=on, num_buckets=num_buckets)
+    joined = bucket_join(pruned, marker, on=on)
     cols = list(big_ds.schema().names)
     return joined.map_batches(lambda b: b[cols], batch_format="pandas")
 
 
-def _bucket_of(frame: pd.DataFrame, key_cols, num_buckets: int) -> pd.Series:
+# the one bucket space every keyed shuffle hashes into, far above any
+# partition count: the sort's sampler always finds distinct boundaries,
+# so the partitions follow the input blocks, and no caller picks a count
+_BUCKETS = 1 << 30
+
+
+def _bucket_of(frame: pd.DataFrame, key_cols) -> pd.Series:
     """Stable bucket assignment for key columns. Keys are normalized to
     string dtype BEFORE hashing so that e.g. int64 and float64 blocks of
     the same logical key (a NaN-pad promotion artifact) land in the same
@@ -151,7 +156,7 @@ def _bucket_of(frame: pd.DataFrame, key_cols, num_buckets: int) -> pd.Series:
         for c in key_cols:
             acc = _splitmix64(
                 acc ^ frame[c].to_numpy().astype(np.uint64, copy=False))
-        return pd.Series((acc % np.uint64(num_buckets)).astype("int64"),
+        return pd.Series((acc % np.uint64(_BUCKETS)).astype("int64"),
                          index=frame.index)
 
     cast = {c: "string" for c in key_cols
@@ -166,7 +171,7 @@ def _bucket_of(frame: pd.DataFrame, key_cols, num_buckets: int) -> pd.Series:
     if nulls.to_numpy().any():
         keyed = keyed.mask(nulls, pd.NA)
     return (hash_pandas_object(keyed, index=False, categorize=False)
-            % num_buckets).astype("int64")
+            % _BUCKETS).astype("int64")
 
 
 def _dtype_map(ds) -> dict:
@@ -208,24 +213,23 @@ def _shuffle_buckets(tagged, fn, max_in_blocks, ray_remote_args,
     partition is mapped whole (``map_batches(batch_size=None)``, the
     shape of Ray's own ``map_groups`` less its per-group format
     conversion). A range partition never splits a bucket, so it holds
-    one or more complete buckets. ``fn`` gets rows without
-    ``__bucket``: with ``batch_format="pandas"`` once per non-empty
-    bucket (the partition is split at bucket boundaries), with
-    ``"pyarrow"`` once per non-empty partition, as a Table: the format
-    also picks the call granularity. The bucket count therefore sets
-    the sort sampler's and the partitions' granularity; only the pandas
-    form calls ``fn`` once per bucket.
+    every row of each key it holds. ``fn`` is called once per non-empty
+    sort partition, without ``__bucket``, as a DataFrame or as a Table
+    (``batch_format``); a partition holds many keys, so ``fn`` groups
+    by its real key itself. Ray's sort makes one range partition per
+    input block, so the input blocks, not the bucket space, set the
+    parallelism. A 0-row pandas result goes to Ray as an Arrow table:
+    Ray cannot estimate the size of a 0-row object column.
 
-    ``max_in_blocks`` bounds the block count entering the Sort: Ray's
-    sort emits one range partition PER INPUT BLOCK, so an
+    ``max_in_blocks`` bounds the block count entering the Sort: an
     iterative caller whose round output feeds the next round's input
     sees block counts COMPOUND round over round (889 -> 1776 -> 2000+
     at sf1), and a union's block count is the SUM of its sides' —
     thousands of sort partitions mean quadratically many tiny
-    inter-block exchanges and thousands of near-empty bucket tasks. A
-    shuffle=False repartition is a cheap coalesce (split/concat, no key
-    exchange) that caps the sort fan-out; bounded-depth callers don't
-    need it. ``ray_remote_args`` (e.g. num_cpus from
+    inter-block exchanges and thousands of near-empty partition tasks.
+    A shuffle=False repartition is a cheap coalesce (split/concat, no
+    key exchange) that caps the sort fan-out; bounded-depth callers
+    don't need it. ``ray_remote_args`` (e.g. num_cpus from
     context.shuffle_task_cpus) applies to the partition maps — the
     bandwidth-heavy leg."""
     if max_in_blocks is not None:
@@ -235,34 +239,32 @@ def _shuffle_buckets(tagged, fn, max_in_blocks, ray_remote_args,
         if not len(batch):
             return
         if batch_format == "pyarrow":
-            yield fn(batch.drop_columns(["__bucket"]))
-            return
-        bucket = batch["__bucket"].to_numpy()
-        cuts = (np.flatnonzero(bucket[1:] != bucket[:-1]) + 1).tolist()
-        rows = batch.drop(columns="__bucket")
-        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
-            yield fn(rows.iloc[lo:hi].reset_index(drop=True))
+            out = fn(batch.drop_columns(["__bucket"]))
+        else:
+            out = fn(batch.drop(columns="__bucket"))
+        if isinstance(out, pd.DataFrame) and not len(out):
+            out = pa.Table.from_pandas(out, preserve_index=False)
+        yield out
 
     return tagged.sort("__bucket").map_batches(
         _partition, batch_size=None, batch_format=batch_format,
         **(ray_remote_args or {}))
 
 
-def cogroup(left_ds, right_ds, on, fn, num_buckets: int,
-            max_in_blocks: int | None = None,
+def cogroup(left_ds, right_ds, on, fn, max_in_blocks: int | None = None,
             ray_remote_args: dict | None = None):
     """Co-partition two Datasets on ``on`` and call ``fn(left_df,
-    right_df)`` once per non-empty bucket. Each side is hashed into
-    num_buckets buckets and side-tagged per batch BEFORE the union, so
-    no batch ever hashes keys the union NaN-padded; one sort over
-    the buckets follows (:func:`_shuffle_buckets`).
+    right_df)`` once per non-empty sort partition. Each side is hashed
+    and side-tagged per batch BEFORE the union, so no batch ever hashes
+    keys the union NaN-padded; one sort over the buckets follows
+    (:func:`_shuffle_buckets`).
 
     ``fn`` gets each side in its own columns, cast back to the dtypes
     its Dataset declares (the union NaN-pads every row with the other
     side's columns, promoting ints to float), and a side with no rows
-    in the bucket as a TYPED empty frame. ``ray_remote_args`` applies
+    in the partition as a TYPED empty frame. ``ray_remote_args`` applies
     to the tagging maps (they copy and row-hash every payload batch)
-    and to the per-bucket tasks."""
+    and to the partition tasks."""
     on = [on] if isinstance(on, str) else list(on)
     ldt, rdt = _dtype_map(left_ds), _dtype_map(right_ds)
     remote = ray_remote_args or {}
@@ -270,7 +272,7 @@ def cogroup(left_ds, right_ds, on, fn, num_buckets: int,
     def _tagger(side):
         def tag(b: pd.DataFrame) -> pd.DataFrame:
             b = b.copy()
-            b["__bucket"] = _bucket_of(b, on, num_buckets)
+            b["__bucket"] = _bucket_of(b, on)
             b["__side"] = side
             return b
         return tag
@@ -281,23 +283,22 @@ def cogroup(left_ds, right_ds, on, fn, num_buckets: int,
         # back from the union's float padding is lossless
         return rows[list(dtypes)].astype(dtypes) if len(rows) else _typed(dtypes)
 
-    def _per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def _per_partition(g: pd.DataFrame) -> pd.DataFrame:
         return fn(_side(g, "l", ldt), _side(g, "r", rdt))
 
     both = (left_ds.map_batches(_tagger("l"), batch_format="pandas", **remote)
             .union(right_ds.map_batches(_tagger("r"), batch_format="pandas",
                                         **remote)))
-    return _shuffle_buckets(both, _per_bucket, max_in_blocks, ray_remote_args)
+    return _shuffle_buckets(both, _per_partition, max_in_blocks, ray_remote_args)
 
 
-def bucket_join(left_ds, right_ds, on, num_buckets: int = 64, how: str = "inner",
+def bucket_join(left_ds, right_ds, on, how: str = "inner",
                 suffixes=("_l", "_r"), ray_remote_args: dict | None = None,
                 max_in_blocks: int | None = None):
     """Partitioned hash join for two large Datasets: one shuffle keyed
-    on hash(key) % num_buckets (:func:`cogroup`), pandas merge per
-    bucket.
+    on hash(key) (:func:`cogroup`), pandas merge per sort partition.
 
-    A bucket that cannot produce rows returns a TYPED empty frame: a
+    A partition that cannot produce rows returns a TYPED empty frame: a
     reindex-style NaN fill would upcast int key columns to float in
     empty blocks, and when Ray later concatenates such blocks into a
     batch the promoted float keys hash differently ("1.0" vs "1") and
@@ -311,12 +312,11 @@ def bucket_join(left_ds, right_ds, on, num_buckets: int = 64, how: str = "inner"
             return _typed(out_dtypes)
         return left.merge(right, on=on, how=how, suffixes=suffixes)
 
-    return cogroup(left_ds, right_ds, on, _merge_bucket, num_buckets,
+    return cogroup(left_ds, right_ds, on, _merge_bucket,
                    max_in_blocks=max_in_blocks, ray_remote_args=ray_remote_args)
 
 
-def asof_join(left_ds, right_ds, by, on, num_buckets: int = 32,
-              suffixes=("_l", "_r")):
+def asof_join(left_ds, right_ds, by, on, suffixes=("_l", "_r")):
     """AS-OF (most-recent-match) join — an operator Ray Data lacks:
     each left row is joined to the LATEST right row of the same ``by``
     key with ``right.on <= left.on`` (backward direction, exact matches
@@ -346,11 +346,11 @@ def asof_join(left_ds, right_ds, by, on, num_buckets: int = 32,
                                suffixes=suffixes)
         return merged[out_cols]
 
-    return cogroup(left_ds, right_ds, by, _merge_bucket, num_buckets)
+    return cogroup(left_ds, right_ds, by, _merge_bucket)
 
 
 def range_join(left_ds, right_ds, by, left_on, right_start, right_end,
-               num_buckets: int = 32, suffixes=("_l", "_r"), how: str = "left"):
+               suffixes=("_l", "_r"), how: str = "left"):
     """INTERVAL (range) join — the second custom join Ray Data lacks:
     each left row matches right rows of the same ``by`` key whose
     ``[right_start, right_end]`` interval contains ``left_on``
@@ -392,68 +392,62 @@ def range_join(left_ds, right_ds, by, left_on, right_start, right_end,
             merged.loc[~inside, rmask_cols] = pd.NA
         return merged[out_cols]
 
-    return cogroup(left_ds, right_ds, by, _merge_bucket, num_buckets)
+    return cogroup(left_ds, right_ds, by, _merge_bucket)
 
 
-def _arrow_bucket_of(t: pa.Table, key_cols, num_buckets: int) -> pa.Array:
+def _arrow_bucket_of(t: pa.Table, key_cols) -> pa.Array:
     """:func:`_bucket_of`'s buckets for the rows of Arrow table ``t``. A
     single key column is dictionary-encoded (whole strings, NUL-exact)
     and each distinct key hashed once, nulls as one more key; several
     key columns are hashed as :func:`_bucket_of` hashes the pandas
     frame."""
     if len(key_cols) != 1:
-        return pa.array(_bucket_of(t.select(key_cols).to_pandas(), key_cols,
-                                   num_buckets).to_numpy())
+        return pa.array(_bucket_of(t.select(key_cols).to_pandas(), key_cols).to_numpy())
     enc = t[key_cols[0]].combine_chunks().dictionary_encode()
     values = enc.dictionary
     if enc.null_count:
         values = pa.concat_arrays([values, pa.nulls(1, values.type)])
     if not len(values):
         return pa.array([], pa.int64())
-    each = _bucket_of(pa.table({key_cols[0]: values}).to_pandas(), key_cols, num_buckets)
+    each = _bucket_of(pa.table({key_cols[0]: values}).to_pandas(), key_cols)
     return pa.array(each.to_numpy()).take(enc.indices.fill_null(len(values) - 1))
 
 
-def bucketed_map_groups(ds, key_cols, fn, num_buckets: int = 64,
-                        max_in_blocks: int | None = None,
+def bucketed_map_groups(ds, key_cols, fn, max_in_blocks: int | None = None,
                         ray_remote_args: dict | None = None,
                         batch_format: str = "pandas"):
-    """Keyed shuffle with COARSE partitions: rows are hashed into
-    num_buckets buckets on key_cols (stable pandas hashing), the sort
-    runs over buckets, and ``fn`` processes its rows per key with
-    vectorized code internally. All rows of a key land in one bucket.
-    This is the antidote to per-tiny-group map_groups overhead at high
-    key cardinality.
+    """Keyed shuffle with COARSE partitions: rows are tagged with the
+    stable hash of key_cols, the sort runs over the tags, and ``fn`` is
+    called once per non-empty sort partition, which holds every row of
+    each of its keys. A partition holds many keys, so ``fn`` processes
+    its rows per key with vectorized code internally. This is the
+    antidote to per-tiny-group map_groups overhead at high key
+    cardinality.
 
-    ``batch_format`` picks two things at once, the batch format and the
-    call granularity. ``"pandas"``: ``fn`` gets each non-empty bucket as
-    a DataFrame, one call per bucket. ``"pyarrow"``: the rows are tagged
-    in Arrow (each batch's distinct keys hashed once, into the buckets
-    the pandas form uses) and ``fn`` gets each non-empty sort partition
-    — one or more complete buckets — as a Table, one call per
-    partition. A bucket holds many keys, so ``fn`` groups by its real
-    key itself in either form.
-    ``max_in_blocks`` and ``ray_remote_args`` are those of
+    ``batch_format`` picks the format only: ``"pandas"`` hands ``fn`` a
+    DataFrame, ``"pyarrow"`` a Table (rows tagged in Arrow, each
+    batch's distinct keys hashed once, into the tags the pandas form
+    gives). ``max_in_blocks`` and ``ray_remote_args`` are those of
     :func:`_shuffle_buckets` (an iterative caller such as
     connected_components needs the coalesce)."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
 
     if batch_format == "pyarrow":
         def _tag(t: pa.Table) -> pa.Table:
-            return t.append_column("__bucket", _arrow_bucket_of(t, key_cols, num_buckets))
+            return t.append_column("__bucket", _arrow_bucket_of(t, key_cols))
 
         tagged = ds.map_batches(_tag, batch_format="pyarrow", zero_copy_batch=True)
     else:
         def _tag(b: pd.DataFrame) -> pd.DataFrame:
             b = b.copy()
-            b["__bucket"] = _bucket_of(b, key_cols, num_buckets)
+            b["__bucket"] = _bucket_of(b, key_cols)
             return b
 
         tagged = ds.map_batches(_tag, batch_format="pandas")
     return _shuffle_buckets(tagged, fn, max_in_blocks, ray_remote_args, batch_format)
 
 
-def pre_aggregated(ds, keys, sums=(), counts=True, num_buckets: int = 64):
+def pre_aggregated(ds, keys, sums=(), counts=True):
     """Combiner + reduce: per-batch partial sums/counts per key, then a
     bucketed vectorized sum over the partials (key cardinality is
     unbounded in general — see the per-group cost note on
@@ -514,12 +508,11 @@ def pre_aggregated(ds, keys, sums=(), counts=True, num_buckets: int = 64):
 
     partials = ds.map_batches(_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
-    return bucketed_map_groups(partials, keys, _reduce, num_buckets=num_buckets,
+    return bucketed_map_groups(partials, keys, _reduce,
                                batch_format="pyarrow")
 
 
-def rollup_aggregate(ds, keys, sums=(), counts=True, sentinel: str = "ALL",
-                     num_buckets: int = 64):
+def rollup_aggregate(ds, keys, sums=(), counts=True, sentinel: str = "ALL"):
     """GROUP BY ROLLUP(keys...): subtotals at every key prefix plus the
     grand total, ANSI-rollup shaped. The DISTRIBUTED work is one
     :func:`pre_aggregated` pass at the finest grain (combiner + bucketed
@@ -530,8 +523,7 @@ def rollup_aggregate(ds, keys, sums=(), counts=True, sentinel: str = "ALL",
     (the rolled-up levels are marked with ``sentinel``)."""
     keys = [keys] if isinstance(keys, str) else list(keys)
     sums = list(sums)
-    fine = pre_aggregated(ds, keys, sums=sums, counts=counts,
-                          num_buckets=num_buckets).to_pandas()
+    fine = pre_aggregated(ds, keys, sums=sums, counts=counts).to_pandas()
     vals = [f"sum_{c}" for c in sums] + (["n"] if counts else [])
     levels = []
     for i in range(len(keys), -1, -1):
@@ -550,7 +542,7 @@ def rollup_aggregate(ds, keys, sums=(), counts=True, sentinel: str = "ALL",
 
 
 def topk_per_group(ds, key, sort_col, k: int = 1, descending: bool = True,
-                   tie_break=None, num_buckets: int = 64):
+                   tie_break=None):
     """Per-group top-k (O4 argmax generalization). Deterministic:
     secondary sort on tie_break (pass an explicit column). In-batch
     combiner (local top-k per key) shrinks the shuffle to <= k rows per
@@ -565,15 +557,15 @@ def topk_per_group(ds, key, sort_col, k: int = 1, descending: bool = True,
                 .groupby(keys, sort=False).head(k))
 
     combined = ds.map_batches(_local_top, batch_format="pandas")
-    return bucketed_map_groups(combined, keys, _local_top, num_buckets=num_buckets)
+    return bucketed_map_groups(combined, keys, _local_top)
 
 
-def group_quantiles(ds, key, value, qs=(0.25, 0.5, 0.9), num_buckets: int = 32):
+def group_quantiles(ds, key, value, qs=(0.25, 0.5, 0.9)):
     """EXACT per-group discrete quantiles (DuckDB ``quantile_disc``
     semantics: sorted ascending, index ``ceil(q*n) - 1`` — verified
     empirically, so the values hash-match a SQL oracle bit-for-bit).
 
-    One keyed shuffle co-locates each group's values; per bucket ONE
+    One keyed shuffle co-locates each group's values; per partition ONE
     vectorized sort + per-group position arithmetic (no per-key Python
     call). Exact per-group quantiles fundamentally need each group's
     values together — for sketch-sized memory at extreme group sizes
@@ -584,12 +576,6 @@ def group_quantiles(ds, key, value, qs=(0.25, 0.5, 0.9), num_buckets: int = 32):
     qs = list(qs)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            cols = {k: g[k] for k in keys}
-            for q in qs:
-                cols[f"q{int(q * 100)}"] = pd.Series(dtype="float64")
-            cols["n"] = pd.Series(dtype="int64")
-            return pd.DataFrame(cols)
         s = g.sort_values(keys + [value], kind="mergesort")
         vals = s[value].to_numpy()
         grp = s.groupby(keys, sort=False)
@@ -604,18 +590,17 @@ def group_quantiles(ds, key, value, qs=(0.25, 0.5, 0.9), num_buckets: int = 32):
         out["n"] = sizes.to_numpy()
         return pd.DataFrame(out)
 
-    return bucketed_map_groups(ds, keys, per_bucket, num_buckets=num_buckets)
+    return bucketed_map_groups(ds, keys, per_bucket)
 
 
-def distinct(ds, cols, num_buckets: int = 64,
-             ray_remote_args: dict | None = None,
+def distinct(ds, cols, ray_remote_args: dict | None = None,
              max_in_blocks: int | None = None):
     """Exact distinct rows over cols: in-batch combiner, then ONE
-    coarse-bucketed shuffle with a vectorized dedup per bucket. (Both a
+    bucketed shuffle with a vectorized dedup per sort partition. (Both a
     per-key map_groups head(1) and a Ray groupby().aggregate() pay
     ~per-distinct-value Python overhead — measured ~0.7 ms/group, i.e.
-    minutes at 10^5 keys; the bucketed path is 64 Python calls total at
-    any cardinality.) Both dedups are Arrow ``group_by(cols)
+    minutes at 10^5 keys; the bucketed path makes one Python call per
+    sort partition at any cardinality.) Both dedups are Arrow ``group_by(cols)
     .aggregate([])``: it compares whole strings, where pandas'
     drop_duplicates merges strings that differ only after a NUL, and it
     keeps one row per null key (NaN converts to null)."""
@@ -630,7 +615,7 @@ def distinct(ds, cols, num_buckets: int = 64,
         return _dedup(pa.Table.from_pandas(g, preserve_index=False)).to_pandas()
 
     proj = ds.map_batches(_dedup, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed_map_groups(proj, cols, _reduce, num_buckets=num_buckets,
+    return bucketed_map_groups(proj, cols, _reduce,
                                ray_remote_args=ray_remote_args,
                                max_in_blocks=max_in_blocks)
 
@@ -678,8 +663,7 @@ def ordered_cumsum(ds, order_col: str, value_col: str, num_ranges: int = 64,
 
     tagged = ds.map_batches(_tag, batch_format="pandas").materialize()
     sums = pre_aggregated(tagged.select_columns(["__range", value_col]),
-                          "__range", sums=[value_col], counts=False,
-                          num_buckets=min(num_ranges, 32)).to_pandas()
+                          "__range", sums=[value_col], counts=False).to_pandas()
     sums = sums.sort_values("__range")
     excl = sums[f"sum_{value_col}"].cumsum().shift(1, fill_value=0)
     offsets = dict(zip(sums["__range"].astype("int64"), excl.astype("int64")))
@@ -690,8 +674,7 @@ def ordered_cumsum(ds, order_col: str, value_col: str, num_ranges: int = 64,
         g[out_col] = (local + g["__range"].map(offsets)).astype("int64")
         return g.drop(columns="__range")
 
-    return bucketed_map_groups(tagged, "__range", _scan,
-                               num_buckets=min(num_ranges, 32))
+    return bucketed_map_groups(tagged, "__range", _scan)
 
 
 def fixed_histogram(ds, col: str, lo: float, hi: float, nbins: int):
@@ -750,7 +733,7 @@ def global_quantile_disc(ds, col: str, q: float):
 
 
 def pivot_aggregate(ds, row_key: str, col_key: str, value: str,
-                    col_values, num_buckets: int = 32, fill=0.0):
+                    col_values, fill=0.0):
     """Wide (pivot) aggregate: one output row per ``row_key`` value,
     one ``sum_<v>`` column per entry of ``col_values`` (the pivoted
     column domain must be declared up front — the standard distributed
@@ -783,18 +766,17 @@ def pivot_aggregate(ds, row_key: str, col_key: str, value: str,
         return w.reset_index()
 
     partials = ds.map_batches(_partial, batch_format="pandas")
-    return bucketed_map_groups(partials, row_key, _pivot,
-                               num_buckets=num_buckets)
+    return bucketed_map_groups(partials, row_key, _pivot)
 
 
-def set_op(left_ds, right_ds, cols, op: str = "except", num_buckets: int = 64):
+def set_op(left_ds, right_ds, cols, op: str = "except"):
     """Distributed set EXCEPT / INTERSECT (distinct semantics, like the
     ANSI operators): distinct rows of ``left`` minus / intersected with
     the distinct rows of ``right`` over ``cols``.
 
     Both sides are deduped per batch (combiner) and co-partitioned in
-    ONE shuffle keyed on the row hash (:func:`cogroup`) — each bucket
-    then resolves membership vectorized with an isin-style merge, so
+    ONE shuffle keyed on the row hash (:func:`cogroup`) — each sort
+    partition then resolves membership vectorized with an isin-style merge, so
     no side is ever broadcast or materialized whole."""
     cols = [cols] if isinstance(cols, str) else list(cols)
     if op not in ("except", "intersect"):
@@ -810,7 +792,7 @@ def set_op(left_ds, right_ds, cols, op: str = "except", num_buckets: int = 64):
 
     return cogroup(left_ds.map_batches(_distinct, batch_format="pandas"),
                    right_ds.map_batches(_distinct, batch_format="pandas"),
-                   cols, _resolve, num_buckets)
+                   cols, _resolve)
 
 
 def correlation_exact(ds, x_col: str, y_col: str, x_scale: int = 100,
@@ -860,7 +842,7 @@ def _prefix56(s: str) -> int:
 
 
 def global_rank(ds, key_col: str, id_col: str, num_ranges: int = 64,
-                num_buckets: int = 32, out_col: str = "rn"):
+                out_col: str = "rn"):
     """0-based GLOBAL row rank ordered by ``(key_col, id_col)`` — the
     distributed equivalent of SQL ``row_number() OVER (ORDER BY key,
     id) - 1`` for STRING sort keys (``ordered_cumsum`` covers unique
@@ -904,8 +886,7 @@ def global_rank(ds, key_col: str, id_col: str, num_ranges: int = 64,
 
     ranged = tagged.map_batches(_range, batch_format="pandas").materialize()
     counts = pre_aggregated(ranged.select_columns(["__range"]), "__range",
-                            counts=True, num_buckets=min(num_ranges, 32)
-                            ).to_pandas().sort_values("__range")
+                            counts=True).to_pandas().sort_values("__range")
     excl = counts["n"].cumsum().shift(1, fill_value=0)
     offsets = dict(zip(counts["__range"].astype("int64"), excl.astype("int64")))
 
@@ -915,12 +896,11 @@ def global_rank(ds, key_col: str, id_col: str, num_ranges: int = 64,
         g[out_col] = (local + g["__range"].map(offsets)).astype("int64")
         return g.drop(columns="__range")
 
-    return bucketed_map_groups(ranged, "__range", _local,
-                               num_buckets=min(num_ranges, num_buckets))
+    return bucketed_map_groups(ranged, "__range", _local)
 
 
 def sorted_neighborhood_pairs(ds, key_col: str, id_col: str, window: int = 5,
-                              num_ranges: int = 64, num_buckets: int = 32):
+                              num_ranges: int = 64):
     """Sorted-neighborhood blocking (classic entity-resolution method:
     sort the corpus by a blocking key and pair every record with its
     ``window - 1`` successors). Equivalent SQL: rank rows by
@@ -939,8 +919,7 @@ def sorted_neighborhood_pairs(ds, key_col: str, id_col: str, window: int = 5,
     if g <= 0:
         raise ValueError("window must be >= 2")
     ranked = global_rank(ds.select_columns([key_col, id_col]), key_col,
-                         id_col, num_ranges=num_ranges,
-                         num_buckets=num_buckets)
+                         id_col, num_ranges=num_ranges)
 
     def _emit(b: pd.DataFrame) -> pd.DataFrame:
         b = b[[id_col, "rn"]].copy()
@@ -965,13 +944,11 @@ def sorted_neighborhood_pairs(ds, key_col: str, id_col: str, window: int = 5,
                              "rank_dist": (rn[ri] - rn[li]).astype("int64")})
 
     emitted = ranked.map_batches(_emit, batch_format="pandas")
-    return bucketed_map_groups(emitted, "__stripe", _pairs,
-                               num_buckets=num_buckets)
+    return bucketed_map_groups(emitted, "__stripe", _pairs)
 
 
 def dense_rank_join(ds, value_col: str, descending: bool = True,
-                    out_col: str = "dense_rank", num_ranges: int = 64,
-                    num_buckets: int = 32):
+                    out_col: str = "dense_rank", num_ranges: int = 64):
     """Distributed ``DENSE_RANK() OVER (ORDER BY value_col)`` for an
     INTEGER value column. Dense rank depends only on the DISTINCT value
     set, so the shape is: distinct values (combiner + one bucketed
@@ -1004,11 +981,10 @@ def dense_rank_join(ds, value_col: str, descending: bool = True,
                              out_col: r.astype("int64")})
 
     return bucket_join(ds, ranked.map_batches(_rank, batch_format="pandas"),
-                       on=value_col, num_buckets=num_buckets)
+                       on=value_col)
 
 
-def cooccurrence_pairs(ds, group_col: str, item_col: str,
-                       num_buckets: int = 32):
+def cooccurrence_pairs(ds, group_col: str, item_col: str):
     """Market-basket co-occurrence: for every unordered item pair,
     the number of groups containing BOTH (SQL: distinct (group, item)
     self-joined on group with item_a < item_b, counted). Groups are
@@ -1046,9 +1022,8 @@ def cooccurrence_pairs(ds, group_col: str, item_col: str,
         return t.select(["item_a", "item_b", "n_part_sum"]).rename_columns(
             ["item_a", "item_b", "n_groups"])
 
-    partials = bucketed_map_groups(dedup, group_col, _per_bucket,
-                                   num_buckets=num_buckets)
-    return bucketed_map_groups(partials, ["item_a", "item_b"], _total, num_buckets=8)
+    partials = bucketed_map_groups(dedup, group_col, _per_bucket)
+    return bucketed_map_groups(partials, ["item_a", "item_b"], _total)
 
 
 def _strings_have_nul(s: pd.Series) -> bool:
@@ -1063,7 +1038,7 @@ def _strings_have_nul(s: pd.Series) -> bool:
 
 
 def collect_set_strings(ds, group_col: str, item_col: str, sep: str = "|",
-                        num_buckets: int = 32, out_col: str = "items"):
+                        out_col: str = "items"):
     """collect_set-style aggregate Ray Data lacks natively: per group,
     the SORTED DISTINCT item strings joined with ``sep`` (SQL:
     string_agg(DISTINCT item, sep ORDER BY item)). Per-batch distinct
@@ -1111,12 +1086,10 @@ def collect_set_strings(ds, group_col: str, item_col: str, sep: str = "|",
         return d.drop_duplicates()
 
     dedup = ds.map_batches(_combine, batch_format="pandas")
-    return bucketed_map_groups(dedup, group_col, _per_bucket,
-                               num_buckets=num_buckets)
+    return bucketed_map_groups(dedup, group_col, _per_bucket)
 
 
-def skew_join(big_ds, dim_ds, on: str, hot_threshold: int = 100_000,
-              num_buckets: int = 64, how: str = "inner"):
+def skew_join(big_ds, dim_ds, on: str, hot_threshold: int = 100_000, how: str = "inner"):
     """Skew-aware hybrid join of a big fact stream against a dimension:
     the standard fix for the one-hot-key-stalls-one-reducer problem
     that plain hash partitioning (bucket_join) hits at web scale.
@@ -1134,12 +1107,10 @@ def skew_join(big_ds, dim_ds, on: str, hot_threshold: int = 100_000,
     unit-tested); only the physical plan differs."""
     import ray
 
-    counts = pre_aggregated(big_ds.select_columns([on]), on, counts=True,
-                            num_buckets=min(num_buckets, 32)).to_pandas()
+    counts = pre_aggregated(big_ds.select_columns([on]), on, counts=True).to_pandas()
     hot = set(counts.loc[counts["n"] > hot_threshold, on])
     if not hot:
-        return bucket_join(big_ds, dim_ds, on=on, how=how,
-                           num_buckets=num_buckets)
+        return bucket_join(big_ds, dim_ds, on=on, how=how)
     hot_ref = ray.put(hot)
     dim_hot = (dim_ds.map_batches(
         lambda b: b[b[on].isin(ray.get(hot_ref))], batch_format="pandas")
@@ -1151,12 +1122,11 @@ def skew_join(big_ds, dim_ds, on: str, hot_threshold: int = 100_000,
     big_cold = big_ds.map_batches(
         lambda b: b[~b[on].isin(ray.get(hot_ref))], batch_format="pandas")
     joined_hot = broadcast_join(big_hot, dim_hot, on=on, how=how)
-    joined_cold = bucket_join(big_cold, dim_cold, on=on, how=how,
-                              num_buckets=num_buckets)
+    joined_cold = bucket_join(big_cold, dim_cold, on=on, how=how)
     return joined_hot.union(joined_cold)
 
 
-def profile_columns(ds, cols, num_buckets: int = 32):
+def profile_columns(ds, cols):
     """Data-profiling summary (the schema-audit pass every ingest
     pipeline runs before trusting a new drop): per column, row count,
     null count, EXACT distinct count, and min/max rendered as strings.
@@ -1204,10 +1174,8 @@ def profile_columns(ds, cols, num_buckets: int = 32):
     mm["max_val"] = mm["max_val"].map(str)
     agg = counts.merge(mm, on="col", how="left")
     nd = pre_aggregated(
-        distinct(ds.map_batches(_melt, batch_format="pandas"),
-                 ["col", "val"], num_buckets=num_buckets),
-        "col", counts=True, num_buckets=8).to_pandas().rename(
-        columns={"n": "n_distinct"})
+        distinct(ds.map_batches(_melt, batch_format="pandas"), ["col", "val"]),
+        "col", counts=True).to_pandas().rename(columns={"n": "n_distinct"})
     out = agg.merge(nd, on="col", how="left")
     out["n_distinct"] = out["n_distinct"].fillna(0).astype("int64")
     for c in ("n", "n_null"):

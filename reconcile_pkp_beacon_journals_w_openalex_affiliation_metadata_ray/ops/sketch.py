@@ -123,8 +123,7 @@ def hll_distinct(ds, col: str, p: int = DEFAULT_P) -> dict:
     return hll_estimate_from_registers(merged)
 
 
-def hll_distinct_grouped(ds, group_col: str, col: str, p: int = DEFAULT_P,
-                         num_buckets: int = 16) -> pd.DataFrame:
+def hll_distinct_grouped(ds, group_col: str, col: str, p: int = DEFAULT_P) -> pd.DataFrame:
     """Per-GROUP HyperLogLog distinct counts — the mergeable-sketch
     pattern pushed through ONE keyed shuffle: per-batch partials are
     (group, 2^p-byte register blob) rows (one per group PRESENT in the
@@ -156,8 +155,7 @@ def hll_distinct_grouped(ds, group_col: str, col: str, p: int = DEFAULT_P,
                              "regs": pd.Series(blobs, dtype=object)})
 
     merged = bucketed_map_groups(
-        ds.map_batches(_part, batch_format="pandas"), group_col, _reduce,
-        num_buckets=num_buckets).to_pandas()
+        ds.map_batches(_part, batch_format="pandas"), group_col, _reduce).to_pandas()
     rows = []
     for _, r in merged.iterrows():
         est = hll_estimate_from_registers(np.frombuffer(r["regs"],

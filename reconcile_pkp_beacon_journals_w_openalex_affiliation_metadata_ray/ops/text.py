@@ -129,8 +129,7 @@ def term_frequencies(batch: pd.DataFrame, id_col: str = "doc_id",
 
 
 def tfidf_top_terms(ds, n_docs: int, id_col: str = "doc_id",
-                    text_col: str = "text", top_n: int = 3,
-                    num_buckets: int = 64):
+                    text_col: str = "text", top_n: int = 3):
     """Top-N characteristic terms per document by tf-idf with a
     RATIONAL idf — score = tf * (N + 1) / (df + 1) — monotone in the
     classic log idf but bit-exact across engines (one integer product
@@ -151,7 +150,7 @@ def tfidf_top_terms(ds, n_docs: int, id_col: str = "doc_id",
     tf_ds = ds.map_batches(
         lambda b: term_frequencies(b, id_col=id_col, text_col=text_col),
         batch_format="pandas")
-    df_tbl = pre_aggregated(tf_ds, "term", num_buckets=num_buckets).to_pandas()
+    df_tbl = pre_aggregated(tf_ds, "term").to_pandas()
     df_ref = ray.put(dict(zip(df_tbl["term"], df_tbl["n"].astype("int64"))))
 
     def _score(batch: pd.DataFrame) -> pd.DataFrame:
@@ -306,8 +305,7 @@ def pack_sequences(docs_ds, budget: int = 512, text_col: str = "text",
     return scanned.map_batches(_pack, batch_format="pandas")
 
 
-def top_bigrams(docs_ds, text_col: str = "text", k: int = 50,
-                num_buckets: int = 64):
+def top_bigrams(docs_ds, text_col: str = "text", k: int = 50):
     """Corpus-wide top-k adjacent-token bigrams (count desc, bigram asc
     tie-break — fully deterministic at the k boundary). Tokenization is
     the tf-idf rule (ASCII alnum runs, lowered) so DuckDB re-derives it
@@ -337,8 +335,7 @@ def top_bigrams(docs_ds, text_col: str = "text", k: int = 50,
     from .relational import bucketed_map_groups
 
     parts = docs_ds.map_batches(_part, batch_format="pandas")
-    tops = bucketed_map_groups(parts, "bigram", _bucket_top,
-                               num_buckets=num_buckets).to_pandas()
+    tops = bucketed_map_groups(parts, "bigram", _bucket_top).to_pandas()
     return (tops.sort_values(["n", "bigram"], ascending=[False, True],
                              kind="mergesort").head(k).reset_index(drop=True))
 
@@ -346,7 +343,7 @@ def top_bigrams(docs_ds, text_col: str = "text", k: int = 50,
 # --- inverted index -------------------------------------------------------
 
 def inverted_index(docs_ds, id_col: str = "doc_id", text_col: str = "text",
-                   max_postings: int = 1000, num_buckets: int = 64):
+                   max_postings: int = 1000):
     """Corpus inverted index: term -> (df, postings), postings being
     the comma-joined ASCENDING doc-id list. Terms are the tf-idf
     tokenization (ASCII alnum runs, lowered after extraction) so the
@@ -390,11 +387,10 @@ def inverted_index(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     from .relational import bucketed_map_groups
 
     pairs = docs_ds.map_batches(_pairs, batch_format="pandas")
-    return bucketed_map_groups(pairs, "term", _build, num_buckets=num_buckets)
+    return bucketed_map_groups(pairs, "term", _build)
 
 
-def rare_token_stats(ds, id_col: str = "doc_id", text_col: str = "text",
-                     num_buckets: int = 64):
+def rare_token_stats(ds, id_col: str = "doc_id", text_col: str = "text"):
     """Per-document corpus-frequency quality signal (the rare-token
     family of training-data filters: documents whose tokens are
     globally rare are likelier OCR noise / boilerplate-free unique
@@ -412,7 +408,7 @@ def rare_token_stats(ds, id_col: str = "doc_id", text_col: str = "text",
     tf_ds = ds.map_batches(
         lambda b: term_frequencies(b, id_col=id_col, text_col=text_col),
         batch_format="pandas")
-    df_tbl = pre_aggregated(tf_ds, "term", num_buckets=num_buckets).to_pandas()
+    df_tbl = pre_aggregated(tf_ds, "term").to_pandas()
     df_ref = ray.put(dict(zip(df_tbl["term"], df_tbl["n"].astype("int64"))))
 
     def _stats(batch: pd.DataFrame) -> pd.DataFrame:
@@ -526,8 +522,7 @@ def ngram_contamination(docs_ds, bench_ds, id_col: str = "doc_id",
 
 
 def temperature_resample(docs_ds, group_col: str = "lang",
-                         id_col: str = "doc_id", seed: str = "resample",
-                         num_buckets: int = 16):
+                         id_col: str = "doc_id", seed: str = "resample"):
     """Temperature-based group rebalancing — the multilingual
     data-mixing recipe (mBERT / XLM-R exponential smoothing, public,
     at temperature alpha = 0.5): group g is downsampled at rate
@@ -554,7 +549,7 @@ def temperature_resample(docs_ds, group_col: str = "lang",
     counts = pre_aggregated(
         docs_ds.map_batches(lambda b: b[[group_col]].dropna(),
                             batch_format="pandas"),
-        [group_col], counts=True, num_buckets=num_buckets).to_pandas()
+        [group_col], counts=True).to_pandas()
     if counts.empty:
         rates = {}
     else:

@@ -26,7 +26,7 @@ from .relational import bucketed_map_groups
 
 
 def sessionize(events_ds, key: str = "user_id", ts: str = "ts",
-               gap_minutes: float = 30.0, num_buckets: int = 64):
+               gap_minutes: float = 30.0):
     """Assign session ids: a new session starts when the gap since the
     previous event of the same key exceeds ``gap_minutes``. Output: one
     row per session (key, session_start, session_end, n_events).
@@ -48,12 +48,11 @@ def sessionize(events_ds, key: str = "user_id", ts: str = "ts",
         return agg.reset_index(drop=True)[
             [key, "session_start", "session_end", "n_events"]]
 
-    return bucketed_map_groups(events_ds, key, per_bucket, num_buckets=num_buckets)
+    return bucketed_map_groups(events_ds, key, per_bucket)
 
 
 def tumbling_window(events_ds, key: str = "event_type", ts: str = "ts",
-                    value: str = "value", width: str = "1h",
-                    num_buckets: int = 64):
+                    value: str = "value", width: str = "1h"):
     """Fixed event-time windows: (key, window_start) -> count + sum.
     Per-batch partial aggregation before the keyed shuffle (combiner
     pattern) — the shuffle moves one row per (key, window, batch); the
@@ -70,13 +69,11 @@ def tumbling_window(events_ds, key: str = "event_type", ts: str = "ts",
             n=("n", "sum"), sum_value=("sum_value", "sum"))
 
     partials = events_ds.map_batches(_partial, batch_format="pandas")
-    return bucketed_map_groups(partials, [key, "window_start"], _reduce,
-                               num_buckets=num_buckets)
+    return bucketed_map_groups(partials, [key, "window_start"], _reduce)
 
 
 def hopping_window(events_ds, key: str = "event_type", ts: str = "ts",
-                   value: str = "value", width: str = "1h", hop: str = "30min",
-                   num_buckets: int = 64):
+                   value: str = "value", width: str = "1h", hop: str = "30min"):
     """Overlapping (hopping/sliding) event-time windows: hop-aligned
     ``width``-long windows every ``hop``; each event lands in exactly
     width/hop windows. The explode happens INSIDE the per-batch
@@ -102,12 +99,11 @@ def hopping_window(events_ds, key: str = "event_type", ts: str = "ts",
             n=("n", "sum"), sum_value=("sum_value", "sum"))
 
     partials = events_ds.map_batches(_partial, batch_format="pandas")
-    return bucketed_map_groups(partials, [key, "window_start"], _reduce,
-                               num_buckets=num_buckets)
+    return bucketed_map_groups(partials, [key, "window_start"], _reduce)
 
 
 def grouped_lag_delta(events_ds, key: str = "user_id", ts: str = "ts",
-                      id_col: str = "event_id", num_buckets: int = 64):
+                      id_col: str = "event_id"):
     """Per-key LAG: microseconds since the key's previous event (the
     window-function family's lag/lead, expressed the partitioned-log
     way). First event of a key gets -1 (NULL-free output contract for
@@ -126,11 +122,11 @@ def grouped_lag_delta(events_ds, key: str = "user_id", ts: str = "ts",
             "delta_us": delta.fillna(-1).astype("int64"),
         })
 
-    return bucketed_map_groups(events_ds, key, per_bucket, num_buckets=num_buckets)
+    return bucketed_map_groups(events_ds, key, per_bucket)
 
 
 def running_aggregate(events_ds, key: str = "user_id", ts: str = "ts",
-                      value: str = "value", num_buckets: int = 64):
+                      value: str = "value"):
     """Per-key running (cumulative) sum in ts order; output one row per
     event with the running total. Tie-break on event_id keeps it
     deterministic at any parallelism. Vectorized per bucket: one sort +
@@ -142,11 +138,10 @@ def running_aggregate(events_ds, key: str = "user_id", ts: str = "ts",
             "running_sum": g.groupby(key, sort=False)[value].cumsum().round(6),
         })
 
-    return bucketed_map_groups(events_ds, key, per_bucket, num_buckets=num_buckets)
+    return bucketed_map_groups(events_ds, key, per_bucket)
 
 
-def cohort_retention(events_ds, user_col: str = "user_id", ts: str = "ts",
-                     num_buckets: int = 32):
+def cohort_retention(events_ds, user_col: str = "user_id", ts: str = "ts"):
     """Cohort retention triangle: users are cohorted by their FIRST
     active day; output one row per (cohort_day, day_offset) with the
     distinct-user count active at that offset.
@@ -166,10 +161,6 @@ def cohort_retention(events_ds, user_col: str = "user_id", ts: str = "ts",
 
     def _per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates()
-        if g.empty:
-            return pd.DataFrame({"cohort_day": pd.Series(dtype=g["day"].dtype),
-                                 "day_offset": pd.Series(dtype="int64"),
-                                 "n_users": pd.Series(dtype="int64")})
         first = g.groupby(user_col, sort=False)["day"].transform("min")
         cell = pd.DataFrame({
             "cohort_day": first,
@@ -178,16 +169,14 @@ def cohort_retention(events_ds, user_col: str = "user_id", ts: str = "ts",
         return out.rename(columns={"size": "n_users"}).astype({"n_users": "int64"})
 
     actives = events_ds.map_batches(_days, batch_format="pandas")
-    parts = bucketed_map_groups(actives, user_col, _per_bucket,
-                                num_buckets=num_buckets).to_pandas()
+    parts = bucketed_map_groups(actives, user_col, _per_bucket).to_pandas()
     out = parts.groupby(["cohort_day", "day_offset"], as_index=False)["n_users"].sum()
     out["n_users"] = out["n_users"].astype("int64")
     return out
 
 
 def funnel_counts(events_ds, stages, user_col: str = "user_id",
-                  ts: str = "ts", type_col: str = "event_type",
-                  num_buckets: int = 32):
+                  ts: str = "ts", type_col: str = "event_type"):
     """Ordered funnel: how many users performed stage[0], then stage[1]
     STRICTLY AFTER their first stage[0], then stage[2] strictly after
     that, ... (the classic strict-sequence funnel). Returns one row per
@@ -230,15 +219,14 @@ def funnel_counts(events_ds, stages, user_col: str = "user_id",
                              "n_users": np.asarray(counts, dtype="int64")})
 
     proj = events_ds.map_batches(_proj, batch_format="pandas")
-    parts = bucketed_map_groups(proj, user_col, _per_bucket,
-                                num_buckets=num_buckets).to_pandas()
+    parts = bucketed_map_groups(proj, user_col, _per_bucket).to_pandas()
     out = parts.groupby(["depth", "stage"], as_index=False)["n_users"].sum()
     out["n_users"] = out["n_users"].astype("int64")
     return out.sort_values("depth").reset_index(drop=True)
 
 
 def throttle_events(events_ds, key: str = "user_id", ts: str = "ts",
-                    min_gap_seconds: float = 60.0, num_buckets: int = 64):
+                    min_gap_seconds: float = 60.0):
     """Rapid-fire event suppression (stream throttle/debounce family):
     keep an event iff it is its key's FIRST event or arrived at least
     ``min_gap_seconds`` after the key's previous event (SQL: lag(ts)
@@ -260,14 +248,12 @@ def throttle_events(events_ds, key: str = "user_id", ts: str = "ts",
         out["gap_us"] = gap_us[keep].where(~key_change[keep], -1).astype("int64")
         return out
 
-    return bucketed_map_groups(events_ds, key, per_bucket,
-                               num_buckets=num_buckets)
+    return bucketed_map_groups(events_ds, key, per_bucket)
 
 
 def interval_self_join(events_ds, key: str = "user_id", ts: str = "ts",
                        id_col: str = "event_id",
-                       max_gap_seconds: float = 900.0,
-                       num_buckets: int = 64):
+                       max_gap_seconds: float = 900.0):
     """Stream-stream self-join within an event-time bound: every
     ORDERED pair of same-key events at most ``max_gap_seconds`` apart
     (left strictly earlier by (ts, id) — each unordered pair emitted
@@ -333,8 +319,7 @@ def interval_self_join(events_ds, key: str = "user_id", ts: str = "ts",
                              "gap_us": (t_us[right_idx]
                                         - t_us[left_idx]).astype("int64")})
 
-    out = bucketed_map_groups(events_ds, key, per_bucket,
-                              num_buckets=num_buckets)
+    out = bucketed_map_groups(events_ds, key, per_bucket)
     from .dedup import _typed_or_empty
 
     return _typed_or_empty(out, [(key, pa.int64()),
@@ -344,7 +329,7 @@ def interval_self_join(events_ds, key: str = "user_id", ts: str = "ts",
 
 
 def scd2_history(events_ds, key: str = "user_id", ts: str = "ts",
-                 id_col: str = "event_id", num_buckets: int = 64):
+                 id_col: str = "event_id"):
     """Slowly-changing-dimension type-2 history build (Kimball's SCD2,
     public): per key, order change records by (ts, id) and stamp each
     with its validity interval — valid_from = its own timestamp,
@@ -372,13 +357,11 @@ def scd2_history(events_ds, key: str = "user_id", ts: str = "ts",
         out["is_current"] = out["valid_to"].isna()
         return out
 
-    return bucketed_map_groups(events_ds, key, per_bucket,
-                               num_buckets=num_buckets)
+    return bucketed_map_groups(events_ds, key, per_bucket)
 
 
 def trailing_count(events_ds, key: str = "user_id", ts: str = "ts",
-                   id_col: str = "event_id", window: str = "1h",
-                   num_buckets: int = 64):
+                   id_col: str = "event_id", window: str = "1h"):
     """Per-event trailing-window count: for every event, how many
     events of the SAME key fall in [ts - window, ts] — the rate-limit /
     burst-detection primitive, i.e. SQL's
@@ -442,5 +425,4 @@ def trailing_count(events_ds, key: str = "user_id", ts: str = "ts",
             key: k, ts: t,
             "n_trailing": (hi - lo).astype("int64")})
 
-    return bucketed_map_groups(events_ds, key, per_bucket,
-                               num_buckets=num_buckets)
+    return bucketed_map_groups(events_ds, key, per_bucket)

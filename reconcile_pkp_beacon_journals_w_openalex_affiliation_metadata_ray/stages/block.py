@@ -66,40 +66,6 @@ DEFAULT_MAX_PAIRS_PER_BLOCK = 20_000
 # keys, which carry their refinement from with_block_keys
 _NEVER_REFINED = "^(doi|path|host):"
 
-
-def adaptive_num_buckets(n_records: int, records_per_bucket: int = 1_000,
-                         lo: int = 32, hi: int = 4_096) -> int:
-    """Bucket count for the pair-generation shuffle (and the joins of
-    shuffle scoring), scaled to the record count. The PARALLELISM of a
-    bucketed_map_groups stage — and of everything Ray fuses onto its
-    output, which in the flagship e2e configuration includes the whole
-    scoring kernel — is bounded by the bucket count: the shuffle's
-    map tasks follow the sort's range partitions. A
-    fixed 32 serialized sf1's 120M-candidate stream into ~28 tasks of
-    4M+ pairs each (pair-gen 12.5 min, then a since-removed pair-dedup
-    shuffle + scoring 11.5 min with a 5-minute single-task tail —
-    BASELINE §c15 timeline).
-
-    The count must also be MUCH larger than the wanted parallelism,
-    not equal to it: Ray's sort samples quantile boundaries over the
-    bucket values, and with only ~hundreds of distinct integers the
-    sampled boundaries repeat and partitions COLLAPSE (525 buckets ->
-    41 effective scoring partitions at sf1, §c15). records/1k gives
-    the sampler ~3k+ distinct values at sf1 so effective parallelism
-    is bounded by the input block count instead; at sf0.1 a 52- vs
-    210- vs 420-bucket paired A/B is a wash (29.5-34 s, inside host
-    noise), so fine buckets cost nothing where 32 was already one
-    wave. The floor keeps tiny tiers at the historical 32; the ceiling
-    bounds the sampler's work.
-
-    The count sets the sampler's and the partitions' granularity, not
-    the number of Python calls: the pair shuffle calls its function
-    once per sort partition, whatever buckets it holds
-    (ops.relational._shuffle_buckets). Bucket count never changes
-    output rows (the bucket key is a pure function of the group key),
-    only task granularity."""
-    return max(lo, min(hi, int(n_records) // records_per_bucket))
-
 # per-worker-process MinHasher: its shingle-vector cache warms across
 # the record batches a worker maps
 _MINHASHER: MinHasher | None = None
@@ -382,7 +348,7 @@ def find_hot_keys(records_ds, threshold=DEFAULT_HOT_THRESHOLD,
     else:
         from ..ops.relational import bucketed_map_groups
 
-        plans = list(bucketed_map_groups(partials_ds, "key", _plan_rows, num_buckets=32,
+        plans = list(bucketed_map_groups(partials_ds, "key", _plan_rows,
                                          batch_format="pyarrow")
                      .iter_batches(batch_size=None, batch_format="pyarrow"))
     if not plans:
@@ -583,8 +549,7 @@ def _owned_pairs(t: pa.Table, max_pairs: int, capped=None) -> pa.Table:
                        np.bitwise_or.reduce(np.where(emits, fam[lc], 0), axis=1)[own])
 
 
-def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None,
-                    num_buckets: int | None = None):
+def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None):
     """records -> candidate pairs (left_id < right_id), one row per pair:
     the smallest of the block keys that emit it, the largest of their
     ``dropped_pairs`` and the OR of their family bits. Block keys are
@@ -593,8 +558,8 @@ def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None,
     defaults to DEFAULT_MAX_PAIRS_PER_BLOCK, read at call time as
     :func:`block_caps` reads it.
 
-    ONE shuffle: the :func:`key_rows` sorted by coarse hash bucket of
-    block key (ops.relational.bucketed_map_groups in its Arrow form), and
+    ONE shuffle: the :func:`key_rows` sorted by the hash of their block
+    key (ops.relational.bucketed_map_groups in its Arrow form), and
     each sort partition emits only the pairs its blocks own
     (:func:`_owned_pairs`, one call per partition). A pair is tested at
     its smallest shared key, the way a prefix-filter similarity join
@@ -614,11 +579,6 @@ def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None,
 
     if max_pairs_per_block is None:
         max_pairs_per_block = DEFAULT_MAX_PAIRS_PER_BLOCK
-    if num_buckets is None:
-        # records is materialized by every pipeline caller (reused 3x),
-        # so count() is metadata-cheap there; test callers hand tiny
-        # from_pandas datasets where it is also free.
-        num_buckets = adaptive_num_buckets(records_ds.count())
     capped = None
     drops = _caps(records_ds, hot_keys, max_pairs_per_block)
     if drops:
@@ -632,8 +592,7 @@ def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None,
                           kept["right_id"])))
     return bucketed_map_groups(
         key_rows_ds(records_ds, hot_keys, record_keys=True), "block_key",
-        lambda t: _owned_pairs(t, max_pairs_per_block, capped),
-        num_buckets=num_buckets, batch_format="pyarrow")
+        lambda t: _owned_pairs(t, max_pairs_per_block, capped), batch_format="pyarrow")
 
 
 def _caps(records_ds, hot_keys, max_pairs: int) -> dict:

@@ -12,10 +12,13 @@ same key every round, so a multi-node scheduler keeps partitions
 sticky. Rounds are materialized to keep lineage bounded
 (SURVEY.md §7.3). Converges in O(component diameter) rounds.
 
-A driver-side union-find (`union_find`) is the small-input oracle for
-tests; the Dataset implementation is the scale path (the min-label /
-hash-to-min family of distributed CC — cf. the load-balanced
-union-find line of work surveyed in PAPERS.md, e.g. BTS, ICDE 2024).
+A driver-side union-find (`union_find`) is the small-input path:
+:func:`connected_components_auto` runs it (the flagship's CC) whenever
+the matched edges number fewer than ``driver_edge_limit``, and tests
+use it as the oracle. The Dataset implementation is the scale path
+above that limit (the min-label / hash-to-min family of distributed
+CC — cf. the load-balanced union-find line of work surveyed in
+PAPERS.md, e.g. BTS, ICDE 2024).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pandas as pd
 
 
 def union_find(edges, nodes=()):
-    """In-memory union-find oracle: returns dict node -> min-id root."""
+    """In-memory union-find: returns dict node -> min-id root."""
     parent: dict = {}
 
     def find(x):
@@ -53,9 +56,9 @@ def union_find(edges, nodes=()):
 
 
 def _deliver_bucket(g: pd.DataFrame) -> pd.DataFrame:
-    """Bucket of label rows + edge rows (all rows of a node co-bucketed):
-    deliver each node's label to all its neighbors and itself —
-    vectorized pandas merge, one call per bucket."""
+    """Sort partition of label rows + edge rows (all rows of a node in
+    one partition): deliver each node's label to all its neighbors and
+    itself — vectorized pandas merge, one call per partition."""
     labels = g.loc[g["other"].isna(), ["node", "label"]]
     edges = g.loc[g["other"].notna(), ["node", "other"]]
     if labels.empty:
@@ -100,12 +103,11 @@ def _fingerprint(labels_ds) -> int:
 
 
 def connected_components(edges_ds, nodes_ds=None, max_rounds: int = 25,
-                         num_buckets: int = 32, max_blocks: int = 256,
-                         rows_per_block: int = 100_000):
+                         max_blocks: int = 256, rows_per_block: int = 100_000):
     """edges (left_id, right_id) [+ optional extra nodes (record_id)]
     -> Dataset (record_id, cluster_id). Singleton nodes keep their own
-    id as cluster_id. Each round = two coarse-bucketed shuffles keyed on
-    hash(node) % num_buckets (ops.relational.bucketed_map_groups).
+    id as cluster_id. Each round = two shuffles keyed on hash(node)
+    (ops.relational.bucketed_map_groups).
 
     Two scale guards, both found by the sf1 (2.1M-page / 6.5M-edge)
     proof run where CC rounds had grown to ~8 min each:
@@ -145,7 +147,6 @@ def connected_components(edges_ds, nodes_ds=None, max_rounds: int = 25,
         node_sources,
         "node",
         lambda df: df.drop_duplicates().assign(label=lambda d: d["node"]),
-        num_buckets=num_buckets,
     ).materialize()
     prev_fp = _fingerprint(labels)
 
@@ -184,9 +185,8 @@ def connected_components(edges_ds, nodes_ds=None, max_rounds: int = 25,
         # tagged_labels inherits the coalesced labels below, so each
         # sort sees ~2x tgt_blocks inputs and emits the same.
         msgs = bucketed_map_groups(tagged_labels.union(tagged_edges), "node",
-                                   _deliver_bucket, num_buckets=num_buckets)
-        labels = bucketed_map_groups(msgs, "node", _min_bucket,
-                                     num_buckets=num_buckets).materialize()
+                                   _deliver_bucket)
+        labels = bucketed_map_groups(msgs, "node", _min_bucket).materialize()
         if labels.num_blocks() > tgt_blocks:
             # labels is the SMALL per-node table (one row per edge
             # endpoint) — coalescing it is cheap and stops the
@@ -225,7 +225,7 @@ def connected_components(edges_ds, nodes_ds=None, max_rounds: int = 25,
                                      "label": df["record_id"]}),
             batch_format="pandas")
         labels = bucketed_map_groups(labels.union(self_labels), "node",
-                                     _min_bucket, num_buckets=num_buckets)
+                                     _min_bucket)
 
     return labels.map_batches(
         lambda df: pd.DataFrame({"record_id": df["node"], "cluster_id": df["label"]}),
@@ -233,8 +233,7 @@ def connected_components(edges_ds, nodes_ds=None, max_rounds: int = 25,
 
 
 def connected_components_auto(edges_ds, nodes_ds=None,
-                              driver_edge_limit: int = 2_000_000,
-                              num_buckets: int = 32):
+                              driver_edge_limit: int = 2_000_000):
     """Hybrid transitive closure: the matched-edge set is typically a
     tiny fraction of the input corpus (only records that scored as
     matches), so when it fits comfortably on the driver
@@ -246,8 +245,7 @@ def connected_components_auto(edges_ds, nodes_ds=None,
     edges_ds = edges_ds.materialize()
     n_edges = edges_ds.count()
     if n_edges > driver_edge_limit:
-        return connected_components(edges_ds, nodes_ds=nodes_ds,
-                                    num_buckets=num_buckets)
+        return connected_components(edges_ds, nodes_ds=nodes_ds)
     edges = []
     for b in edges_ds.iter_batches(batch_size=65536, batch_format="pyarrow"):
         edges.extend(zip(b["left_id"].to_pylist(), b["right_id"].to_pylist()))
@@ -271,7 +269,7 @@ def connected_components_auto(edges_ds, nodes_ds=None,
     return rd.from_items([{"record_id": k, "cluster_id": v} for k, v in rows])
 
 
-def incremental_cc(assign_ds, new_edges_ds, num_buckets: int = 32):
+def incremental_cc(assign_ds, new_edges_ds):
     """Delta-maintenance of a min-id clustering: given the EXISTING
     (record_id, cluster_id) assignment and a batch of NEW match edges
     (clerical adjudications, a fresh crawl increment), produce the
@@ -297,5 +295,4 @@ def incremental_cc(assign_ds, new_edges_ds, num_buckets: int = 32):
     nodes = assign_ds.map_batches(
         lambda b: pd.DataFrame({"record_id": b["record_id"]}),
         batch_format="pandas")
-    return connected_components_auto(lab_edges.union(ne), nodes_ds=nodes,
-                                     num_buckets=num_buckets)
+    return connected_components_auto(lab_edges.union(ne), nodes_ds=nodes)

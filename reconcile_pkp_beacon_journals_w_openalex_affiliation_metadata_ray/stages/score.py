@@ -41,7 +41,6 @@ import pyarrow.compute as pc
 
 from ..functions.similarity import indel_ratio, indel_ratios_codes
 from ..functions.textnorm import normalize_text
-from . import block
 
 MATCH_THRESHOLD = 90.0
 INST_MATCH_THRESHOLD = 90.0  # name-only tier: institutions must MATCH
@@ -429,27 +428,21 @@ def score_pairs_shuffle(pairs_ds, attrs_ds):
     table (:func:`pack_attrs`) is too large to broadcast to every node,
     pairs are joined to their two sides' attributes with two bucketed
     hash joins (ops.relational.bucket_join — each side ships only its
-    OWN columns into the exchange) and scored statelessly. Produces
-    EXACTLY the same scored rows as the broadcast path (asserted in
-    tests).
-
-    The bucket count scales with the record count
-    (``block.adaptive_num_buckets``): this path runs only for the
-    largest record tables, where a fixed count serializes the joins
-    into a few tasks. ``attrs_ds`` is materialized by every caller,
-    so its count is metadata and both joins read the same blocks."""
+    OWN columns into the exchange, each sort partition merged in one
+    call) and scored statelessly. Produces EXACTLY the same scored rows
+    as the broadcast path (asserted in tests). The joins' parallelism
+    follows their input blocks. ``attrs_ds`` is materialized by every
+    caller, so both joins read the same blocks."""
     from ..ops.relational import bucket_join
 
-    num_buckets = block.adaptive_num_buckets(attrs_ds.count())
     pairs_ds = pairs_ds.map_batches(
         lambda t: t.select(_ID_COLS).append_column(
             "families", pa.array(_families(t), pa.int64())),
         batch_format="pyarrow", zero_copy_batch=True)
     left = bucket_join(pairs_ds, attrs_ds.rename_columns({"record_id": "left_id"}),
-                       on="left_id", num_buckets=num_buckets).materialize()
+                       on="left_id").materialize()
     both = bucket_join(left, attrs_ds.rename_columns({"record_id": "right_id"}),
-                       on="right_id", num_buckets=num_buckets,
-                       suffixes=("_l", "_r"))
+                       on="right_id", suffixes=("_l", "_r"))
 
     def _score(t: pa.Table) -> pa.Table:
         lt = t.select([c + "_l" for c in _ATTR_COLS]).rename_columns(_ATTR_COLS)

@@ -236,14 +236,13 @@ def _doi_bucket_stats(g: pd.DataFrame) -> pd.DataFrame:
     return out[PER_DOI_COLUMNS]
 
 
-def per_doi_stats(scored_ds, num_buckets: int = 64):
+def per_doi_stats(scored_ds):
     """Per-entity wide stats (`get_stats.py:197-262` column contract).
     Coarse-bucketed: DOI cardinality ~ corpus size, so per-DOI Python
     calls (the old groupby.map_groups) don't scale."""
     from ..ops.relational import bucketed_map_groups
 
-    return bucketed_map_groups(scored_ds, "doi", _doi_bucket_stats,
-                               num_buckets=num_buckets)
+    return bucketed_map_groups(scored_ds, "doi", _doi_bucket_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,7 @@ def parsing_stats(extracted_ds) -> dict:
 
     # exact distinct via the bucketed path: a Ray groupby().count()
     # pays per-distinct-value Python overhead (unique authors ~ corpus
-    # scale); distinct() is 64 vectorized bucket calls
+    # scale); distinct() is one vectorized call per sort partition
     uniq_authors = distinct(
         extracted_ds.map_batches(_explode_col("mention_authors"),
                                  batch_format="pandas"), "v").count()

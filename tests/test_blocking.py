@@ -208,24 +208,10 @@ def test_find_hot_keys_driver_merge_equals_distributed(ray_session):
     assert {f"an:s{i}" for i in range(4)} <= set(plans[0].caps)
 
 
-def test_adaptive_num_buckets():
-    """Bucket count scales with records: floor at small tiers (keeps
-    historical behavior), ~records/4k in the middle, capped at 4096."""
-    assert block.adaptive_num_buckets(0) == 32
-    assert block.adaptive_num_buckets(21_000) == 32       # sf0.01
-    assert block.adaptive_num_buckets(210_000) == 210     # sf0.1
-    assert block.adaptive_num_buckets(3_160_000) == 3160  # sf1 records
-    assert block.adaptive_num_buckets(100_000_000) == 4096
-    # monotone non-decreasing
-    vals = [block.adaptive_num_buckets(n) for n in
-            (0, 10_000, 200_000, 1_000_000, 50_000_000)]
-    assert vals == sorted(vals)
-
-
-def test_candidate_pairs_bucket_count_invariant(ray_session):
-    """num_buckets is a task-granularity knob only: pair rows must be
-    identical whether the shuffles run at 5 buckets or 64 (and via the
-    adaptive default)."""
+def test_candidate_pairs_block_count_invariant(ray_session):
+    """The records' block count sets only the pair shuffle's sort
+    partitions: pair rows must be identical whether the records arrive
+    as one block or as many."""
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import reconcile
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.sources import fixtures
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import records
@@ -239,14 +225,16 @@ def test_candidate_pairs_bucket_count_invariant(ray_session):
         reconcile.read_works(os.path.join(fdir, "reference_works.parquet"))).materialize()
     key = ["left_id", "right_id"]
     frames = {}
-    for nb in (5, 64, None):
-        df = block.candidate_pairs(recs, num_buckets=nb).to_pandas()
+    for nb in (1, 7, None):
+        split = recs if nb is None else recs.repartition(nb, shuffle=False).materialize()
+        assert nb is None or split.num_blocks() == nb
+        df = block.candidate_pairs(split).to_pandas()
         assert list(df.columns) == ["left_id", "right_id", "block_key",
                                     "dropped_pairs", "families"]
         frames[nb] = df.sort_values(key, kind="mergesort").reset_index(drop=True)
-    assert len(frames[5]) > 0
-    pd.testing.assert_frame_equal(frames[5], frames[64])
-    pd.testing.assert_frame_equal(frames[5], frames[None])
+    assert len(frames[1]) > 0
+    pd.testing.assert_frame_equal(frames[1], frames[7])
+    pd.testing.assert_frame_equal(frames[1], frames[None])
 
 
 def _reference_pairs(recs, max_pairs):
@@ -268,8 +256,7 @@ def _assert_pairs_match_reference(ds, max_pairs):
     recs = ds.materialize()
     want = _reference_pairs(pa.concat_tables(
         recs.iter_batches(batch_size=None, batch_format="pyarrow")), max_pairs)
-    got = block.candidate_pairs(recs, max_pairs_per_block=max_pairs,
-                                num_buckets=7).to_pandas()
+    got = block.candidate_pairs(recs, max_pairs_per_block=max_pairs).to_pandas()
     key = ["left_id", "right_id"]
     pd.testing.assert_frame_equal(
         got.sort_values(key).reset_index(drop=True),

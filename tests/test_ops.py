@@ -52,7 +52,7 @@ def test_bucket_join_matches_pandas(rds):
     ldf = pd.DataFrame({"k": rng.randint(0, 50, 500), "a": rng.rand(500)})
     rdf = pd.DataFrame({"k": rng.randint(0, 50, 300), "b": rng.rand(300)})
     got = _sorted(relational.bucket_join(rds.from_pandas(ldf), rds.from_pandas(rdf),
-                                         on="k", num_buckets=8).to_pandas())
+                                         on="k").to_pandas())
     want = _sorted(ldf.merge(rdf, on="k", how="inner"))
     pd.testing.assert_frame_equal(got.round(9), want.round(9), check_dtype=False)
 
@@ -63,8 +63,7 @@ def test_bucketed_map_groups_covers_all_keys(rds):
     def fn(bucket):
         return bucket.groupby("k", as_index=False).agg(s=("v", "sum"))
 
-    got = _sorted(relational.bucketed_map_groups(rds.from_pandas(df), "k", fn,
-                                                 num_buckets=4).to_pandas())
+    got = _sorted(relational.bucketed_map_groups(rds.from_pandas(df), "k", fn).to_pandas())
     want = _sorted(df.groupby("k", as_index=False).agg(s=("v", "sum")))
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
@@ -73,8 +72,9 @@ def test_cogroup_sides_keep_declared_dtypes(rds):
     """cogroup hands fn each side in its own columns and declared dtypes
     — the union NaN-pads the left's int64 payload with the right's
     extra columns and vice versa — and a TYPED empty frame for a side
-    with no rows in the bucket. Keys 0-19 / 10-29 over 64 buckets leave
-    buckets holding only one side."""
+    with no rows in the partition. Besides the two-sided run, one run
+    has a right side with no rows and one a left side with none, so
+    both one-sided calls happen whatever the partitions hold."""
     left = pd.DataFrame({"k": np.arange(40) % 20, "a": np.arange(40)})
     right = pd.DataFrame({"k": np.arange(10, 30), "b": [f"s{i}" for i in range(20)],
                           "c": np.linspace(0.0, 1.0, 20)})
@@ -87,15 +87,73 @@ def test_cogroup_sides_keep_declared_dtypes(rds):
                              "l_sig": [_sig(lf)], "r_sig": [_sig(rf)],
                              "l_sum": [int(lf["a"].sum())]})
 
-    got = relational.cogroup(rds.from_pandas(left, override_num_blocks=3),
-                             rds.from_pandas(right, override_num_blocks=2),
-                             "k", fn, num_buckets=64).to_pandas()
+    def run(lf, rf):
+        return relational.cogroup(rds.from_pandas(lf, override_num_blocks=3),
+                                  rds.from_pandas(rf, override_num_blocks=2),
+                                  "k", fn).to_pandas()
+
+    both = run(left, right)
+    got = pd.concat([both, run(left, right.iloc[:0]), run(left.iloc[:0], right)])
     assert set(got["l_sig"]) == {"k:int64,a:int64"}
     assert set(got["r_sig"]) == {"k:int64,b:object,c:float64"}
     assert ((got["n_l"] > 0) & (got["n_r"] == 0)).any()
     assert ((got["n_l"] == 0) & (got["n_r"] > 0)).any()
-    assert got["n_l"].sum() == len(left) and got["n_r"].sum() == len(right)
-    assert got["l_sum"].sum() == left["a"].sum()
+    assert both["n_l"].sum() == len(left) and both["n_r"].sum() == len(right)
+    assert both["l_sum"].sum() == left["a"].sum()
+
+
+@pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
+def test_shuffle_calls_once_per_sort_partition(rds, batch_format):
+    """bucketed_map_groups calls ``fn`` at most once per sort partition
+    (Ray's sort makes one per input block), never with 0 rows, with
+    several keys per call, and with every row of a key in one call, in
+    both batch formats; a 0-row input block changes none of it."""
+    import pyarrow as pa
+
+    frames = [pd.DataFrame({"k": [f"k{i % 60}" for i in range(lo, lo + 150)],
+                            "v": np.arange(lo, lo + 150)}) for lo in (0, 150, 300)]
+    frames.insert(1, frames[0].iloc[:0])
+
+    def fn(part):
+        keys = sorted(set(part["k"].to_pylist() if batch_format == "pyarrow"
+                          else part["k"]))
+        row = {"n_rows": [len(part)], "n_keys": [len(keys)], "keys": ["|".join(keys)]}
+        return pa.table(row) if batch_format == "pyarrow" else pd.DataFrame(row)
+
+    calls = relational.bucketed_map_groups(rds.from_pandas(frames), "k", fn,
+                                           batch_format=batch_format).to_pandas()
+    assert 1 <= len(calls) <= len(frames)
+    assert (calls["n_rows"] > 0).all() and calls["n_rows"].sum() == 450
+    assert (calls["n_keys"] > 1).all()
+    keys = [k for ks in calls["keys"] for k in ks.split("|")]
+    assert len(keys) == len(set(keys)) == 60
+
+
+def test_no_bucket_count_option():
+    """No function in the package takes a ``num_buckets`` argument and
+    ``adaptive_num_buckets`` is gone: the keyed shuffles hash into one
+    fixed bucket space and their parallelism follows the input blocks."""
+    import ast
+    import os
+
+    pkg = os.path.dirname(os.path.dirname(relational.__file__))
+    found = []
+    for root, _, files in os.walk(pkg):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    a = node.args
+                    names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                    if "num_buckets" in names or node.name == "adaptive_num_buckets":
+                        found.append(f"{path}:{node.lineno}:{node.name}")
+                elif isinstance(node, ast.Name) and node.id == "adaptive_num_buckets":
+                    found.append(f"{path}:{node.lineno}")
+    assert not found, found
 
 
 def test_chained_left_bucket_join_matches_pandas(rds):
@@ -109,10 +167,8 @@ def test_chained_left_bucket_join_matches_pandas(rds):
     b = pd.DataFrame({"k": np.arange(0, 40, 2), "y": rng.rand(20)})
     c = pd.DataFrame({"k2": np.arange(25), "z": np.arange(25) * 10})
     first = relational.bucket_join(rds.from_pandas(a, override_num_blocks=4),
-                                   rds.from_pandas(b), on="k", how="left",
-                                   num_buckets=8)
-    got = _sorted(relational.bucket_join(first, rds.from_pandas(c), on="k2",
-                                         num_buckets=8).to_pandas(), ["x"])
+                                   rds.from_pandas(b), on="k", how="left")
+    got = _sorted(relational.bucket_join(first, rds.from_pandas(c), on="k2").to_pandas(), ["x"])
     want = _sorted(a.merge(b, on="k", how="left").merge(c, on="k2"), ["x"])
     assert got["y"].isna().any()
     pd.testing.assert_frame_equal(got, want[got.columns], check_dtype=False)
@@ -695,14 +751,14 @@ def test_split_leakage_detects_planted_duplicates(rds):
     fps = ds.map_batches(t_ops.fingerprints, batch_format="pandas").map_batches(
         lambda b: b[["doc_id", "md5"]], batch_format="pandas")
     sp = ds.map_batches(t_ops.hash_split, batch_format="pandas")
-    joined = rel.bucket_join(fps, sp, on="doc_id", num_buckets=8)
+    joined = rel.bucket_join(fps, sp, on="doc_id")
 
     def _reduce(g):
         agg = g.groupby("md5").agg(n_splits=("split", "nunique"),
                                    n_copies=("split", "size")).reset_index()
         return agg[agg["n_splits"] > 1]
 
-    out = rel.bucketed_map_groups(joined, "md5", _reduce, num_buckets=8).to_pandas()
+    out = rel.bucketed_map_groups(joined, "md5", _reduce).to_pandas()
     assert len(out) == 1
     assert int(out.iloc[0]["n_copies"]) == 40
     assert int(out.iloc[0]["n_splits"]) == splits["split"].nunique()
@@ -717,7 +773,7 @@ def test_empty_bucket_outputs_keep_schema(rds):
     controls: the operator outputs.)"""
     from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.ops import windows
 
-    # one user -> 63 of 64 session buckets empty
+    # one user: one non-empty sort partition
     ev = pd.DataFrame({
         "user_id": [1, 1, 1],
         "event_id": [1, 2, 3],
@@ -725,12 +781,12 @@ def test_empty_bucket_outputs_keep_schema(rds):
                               "2024-01-01 09:00"]),
         "value": [1.0, 2.0, 3.0],
     })
-    sess = windows.sessionize(rds.from_pandas(ev), num_buckets=64).to_pandas()
+    sess = windows.sessionize(rds.from_pandas(ev)).to_pandas()
     assert list(sess.columns) == ["user_id", "session_start", "session_end",
                                   "n_events"]
     assert len(sess) == 2
 
-    run = windows.running_aggregate(rds.from_pandas(ev), num_buckets=64).to_pandas()
+    run = windows.running_aggregate(rds.from_pandas(ev)).to_pandas()
     assert list(run.columns) == ["user_id", "event_id", "running_sum"]
 
     # minhash over documents with zero near-dups -> typed empty result
@@ -2613,11 +2669,12 @@ def test_setsim_dense_edge_cases(rds):
 
 
 def test_distinct_nul_and_null_keys(rds):
-    """relational.distinct compares whole strings in its bucket reduce
+    """relational.distinct compares whole strings in its partition reduce
     as in its in-batch combiner: ("x\\x00a", 1) and ("x\\x00b", 1) stay
-    two rows, from one block or with their duplicates in other blocks
-    (a key's bucket does not depend on its block-mates). Null and NaN
-    keys keep one row per null key."""
+    two rows, from one block (one sort partition, so both keys reach
+    one reduce call) or with their duplicates in other blocks (a key's
+    bucket does not depend on its block-mates). Null and NaN keys keep
+    one row per null key."""
     def rows(df):
         return sorted((tuple(None if pd.isna(v) else v for v in r)
                        for r in df.itertuples(index=False)), key=repr)
@@ -2625,13 +2682,13 @@ def test_distinct_nul_and_null_keys(rds):
     for blocks in ([["x\x00a", "x\x00b"]],
                    [["x\x00a"], ["x\x00b", "x\x00a"], ["x\x00b"]]):
         nul = [pd.DataFrame({"s": b, "n": [1] * len(b)}) for b in blocks]
-        got = relational.distinct(rds.from_pandas(nul), ["s", "n"], num_buckets=4).to_pandas()
+        got = relational.distinct(rds.from_pandas(nul), ["s", "n"]).to_pandas()
         assert rows(got) == [("x\x00a", 1), ("x\x00b", 1)], blocks
 
     nulls = [pd.DataFrame({"s": [None, "y"], "v": [1.0, np.nan]}),
              pd.DataFrame({"s": [None, "y", "y"], "v": [1.0, np.nan, 2.0]}),
              pd.DataFrame({"s": [None], "v": [np.nan]})]
-    got = relational.distinct(rds.from_pandas(nulls), ["s", "v"], num_buckets=4).to_pandas()
+    got = relational.distinct(rds.from_pandas(nulls), ["s", "v"]).to_pandas()
     assert rows(got) == sorted([(None, 1.0), ("y", None), ("y", 2.0), (None, None)], key=repr)
 
 
@@ -2654,43 +2711,41 @@ def test_pre_aggregated_null_keys_and_dtypes(rds):
 
     pages = [pd.DataFrame({"s": [None, "y", "y"], "v": [1.0, np.nan, 2.0]}),
              pd.DataFrame({"s": [None, "y"], "v": [3.0, 4.0]})]
-    assert _pre_agg(rds.from_pandas(pages), keys="s", sums=["v"], num_buckets=4) == (
+    assert _pre_agg(rds.from_pandas(pages), keys="s", sums=["v"]) == (
         ["s", "sum_v", "n"], ["object", "float64", "int64"], [("y", 6.0, 3)])
     nan_keys = [pa.table({"k": [1.0, float("nan"), 1.0], "v": [1, 2, 3]}),
                 pa.table({"k": [float("nan"), 2.0], "v": [5, 6]})]
-    assert _pre_agg(rds.from_arrow(nan_keys), keys="k", sums=["v"], num_buckets=4) == (
+    assert _pre_agg(rds.from_arrow(nan_keys), keys="k", sums=["v"]) == (
         ["k", "sum_v", "n"], ["float64", "int64", "int64"], [(1.0, 4, 2), (2.0, 6, 1)])
     null_keys = pa.table({"k": pa.array([1.0, None, 1.0]), "v": [1, 2, 3]})
-    assert _pre_agg(rds.from_arrow(null_keys), keys="k", sums=["v"], num_buckets=4)[2] == [
+    assert _pre_agg(rds.from_arrow(null_keys), keys="k", sums=["v"])[2] == [
         (1.0, 4, 2)]
     two = pd.DataFrame({"a": ["p", "p", None, "q"], "b": [1, 2, 1, 1], "v": [1.5, 2.5, 3.5, 4.5]})
-    assert _pre_agg(rds.from_pandas(two), keys=["a", "b"], sums=["v"], num_buckets=4) == (
+    assert _pre_agg(rds.from_pandas(two), keys=["a", "b"], sums=["v"]) == (
         ["a", "b", "sum_v", "n"], ["object", "int64", "float64", "int64"],
         [("p", 1, 1.5, 1), ("p", 2, 2.5, 1), ("q", 1, 4.5, 1)])
     three = pa.table({"s": ["a", "a", "b"], "v": [1, 2, 3], "w": [0.5, 0.5, 1.0]})
-    assert _pre_agg(rds.from_arrow(three), keys="s", sums=["v", "w"], counts=False,
-                    num_buckets=4) == (["s", "sum_v", "sum_w"], ["object", "int64", "float64"],
-                                       [("a", 3, 1.0), ("b", 3, 1.0)])
-    assert _pre_agg(rds.from_arrow([three, three.slice(0, 1)]), keys="s",
-                    num_buckets=4)[2] == [("a", 3), ("b", 1)]
+    assert _pre_agg(rds.from_arrow(three), keys="s", sums=["v", "w"], counts=False) == (
+        ["s", "sum_v", "sum_w"], ["object", "int64", "float64"], [("a", 3, 1.0), ("b", 3, 1.0)])
+    assert _pre_agg(rds.from_arrow([three, three.slice(0, 1)]), keys="s")[2] == [
+        ("a", 3), ("b", 1)]
     null_vals = [pa.table({"s": ["a", "b"], "v": pa.array([1, None], pa.int64())}),
                  pa.table({"s": ["b", "c"], "v": pa.array([None, 7], pa.int64())})]
-    assert _pre_agg(rds.from_arrow(null_vals), keys="s", sums=["v"], num_buckets=1) == (
+    assert _pre_agg(rds.from_arrow(null_vals), keys="s", sums=["v"]) == (
         ["s", "sum_v", "n"], ["object", "int64", "int64"], [("a", 1, 1), ("b", 0, 2), ("c", 7, 1)])
 
 
 def test_pre_aggregated_nul_keys_stay_apart(rds):
     """Strings that differ only after a NUL are two groups even when they
-    share a bucket (num_buckets=1) and when their partials come from
-    different blocks."""
+    reach the reduce in one call (a single-block input is one sort
+    partition) and when their partials come from different blocks."""
     import pyarrow as pa
 
     for blocks in ([["x\x00a", "x\x00b"]], [["x\x00a"], ["x\x00b", "x\x00a"]]):
         ds = rds.from_arrow([pa.table({"s": b, "v": [1] * len(b)}) for b in blocks])
         want = sorted((s, sum(1 for b in blocks for t in b if t == s),
                        sum(1 for b in blocks for t in b if t == s)) for s in ("x\x00a", "x\x00b"))
-        for num_buckets in (1, 64):
-            assert _pre_agg(ds, keys="s", sums=["v"], num_buckets=num_buckets)[2] == want
+        assert _pre_agg(ds, keys="s", sums=["v"])[2] == want
 
 
 def test_pre_aggregated_nan_sum_independent_of_blocks(rds):
@@ -2701,8 +2756,7 @@ def test_pre_aggregated_nan_sum_independent_of_blocks(rds):
 
     rows = pa.table({"s": ["a", "a"], "v": [float("nan"), 1.0]})
     for blocks in ([rows], [rows.slice(0, 1), rows.slice(1)]):
-        got = relational.pre_aggregated(rds.from_arrow(blocks), "s", sums=["v"],
-                                        num_buckets=4).to_pandas()
+        got = relational.pre_aggregated(rds.from_arrow(blocks), "s", sums=["v"]).to_pandas()
         assert got["s"].tolist() == ["a"] and got["n"].tolist() == [2], blocks
         assert np.isnan(got["sum_v"].iloc[0]), blocks
 
@@ -2712,9 +2766,8 @@ _KEYS = st.one_of(st.none(), st.sampled_from(["x", "x\x00a", "x\x00b", "", "\x00
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.lists(_KEYS, max_size=12), min_size=1, max_size=3),
-       st.integers(min_value=1, max_value=64))
-def test_arrow_buckets_equal_pandas_buckets(chunks, num_buckets):
+@given(st.lists(st.lists(_KEYS, max_size=12), min_size=1, max_size=3))
+def test_arrow_buckets_equal_pandas_buckets(chunks):
     """The Arrow tag puts every key in the bucket ``_bucket_of`` gives it
     in the pandas form: arbitrary strings, keys that differ only after a
     NUL, nulls, over a chunked column; and for a two-column key."""
@@ -2724,8 +2777,8 @@ def test_arrow_buckets_equal_pandas_buckets(chunks, num_buckets):
                                     "n": pa.array(range(len(c)), pa.int64())})
                           for c in chunks])
     for cols in (["k"], ["k", "n"]):
-        want = relational._bucket_of(t.to_pandas(), cols, num_buckets).tolist()
-        assert relational._arrow_bucket_of(t, cols, num_buckets).to_pylist() == want
+        want = relational._bucket_of(t.to_pandas(), cols).tolist()
+        assert relational._arrow_bucket_of(t, cols).to_pylist() == want
 
 
 def test_bucket_of_ignores_block_mates():
@@ -2734,7 +2787,7 @@ def test_bucket_of_ignores_block_mates():
     null representation (None, NaN, NA, string dtype) shares one bucket."""
     def bucket(vals, **kw):
         frame = pd.DataFrame({"k": pd.Series(vals, **kw), "n": [1] * len(vals)})
-        return relational._bucket_of(frame, ["k", "n"], 64).tolist()[-1]
+        return relational._bucket_of(frame, ["k", "n"]).tolist()[-1]
 
     assert bucket(["x\x00a"]) == bucket(["x\x00b", "x\x00a"])
     assert bucket(["x\x00b"]) == bucket(["x\x00a", "x\x00b"])
