@@ -480,9 +480,9 @@ def q_decontaminate(sf_dir: str):
     )
 
     ds = _tbl(sf_dir, "documents", columns=["doc_id", "text"])
-    bench = ds.map_batches(lambda b: b[b["doc_id"] % 97 == 0],
+    bench = ds.map_batches(lambda b: relational.arrow_if_empty(b[b["doc_id"] % 97 == 0]),
                            batch_format="pandas")
-    cand = ds.map_batches(lambda b: b[b["doc_id"] % 97 != 0],
+    cand = ds.map_batches(lambda b: relational.arrow_if_empty(b[b["doc_id"] % 97 != 0]),
                           batch_format="pandas")
     out = t_ops.ngram_contamination(cand, bench, n=5).to_pandas()
     if out.empty:
@@ -1912,8 +1912,8 @@ def q_er_contingency(sf_dir: str):
         os.path.join(tier_dir, "labeled_pairs.parquet"),
         columns=["left_id", "right_id", "is_match"])
     edges = labels.map_batches(
-        lambda b: b.loc[b["is_match"], ["left_id", "right_id"]],
-        batch_format="pandas")
+        lambda t: t.filter(t["is_match"]).select(["left_id", "right_id"]),
+        batch_format="pyarrow")
     nodes = labels.map_batches(
         lambda b: pd.DataFrame({"record_id": pd.concat(
             [b["left_id"], b["right_id"]], ignore_index=True)}),
@@ -2551,7 +2551,7 @@ def q_blocking_recall(sf_dir: str):
     labels = rd.read_parquet(
         os.path.join(tier_dir, "labeled_pairs.parquet"),
         columns=["left_id", "right_id", "is_match"]).map_batches(
-        lambda b: _norm(b[b["is_match"]]), batch_format="pandas")
+        lambda b: relational.arrow_if_empty(_norm(b[b["is_match"]])), batch_format="pandas")
     cand = out["pairs"].map_batches(
         lambda b: _norm(b).assign(__hit=np.int8(1)), batch_format="pandas")
     cand = relational.distinct(cand, ["a", "b"]).map_batches(

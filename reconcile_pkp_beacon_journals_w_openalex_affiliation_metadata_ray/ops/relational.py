@@ -29,6 +29,15 @@ import pyarrow as pa
 from ..functions.pairs import group_pairs, pairs_before, ranked_codes
 
 
+def arrow_if_empty(out):
+    """A map's pandas result, handed to Ray as an Arrow table when it
+    has no rows: Ray cannot estimate the size of a 0-row object column,
+    and logs an error for each one."""
+    if isinstance(out, pd.DataFrame) and not len(out):
+        return pa.Table.from_pandas(out, preserve_index=False)
+    return out
+
+
 def broadcast_join(big_ds, small_df: pd.DataFrame, on, how: str = "inner",
                    suffix: str = "_r"):
     """Join a big Dataset against a small pandas side table without a
@@ -44,8 +53,8 @@ def broadcast_join(big_ds, small_df: pd.DataFrame, on, how: str = "inner",
             keys = small[on].drop_duplicates()
             marked = batch.merge(keys, on=on, how="left", indicator=True)
             mask = marked["_merge"] == "both" if how == "semi" else marked["_merge"] == "left_only"
-            return marked.loc[mask, list(batch.columns)]
-        return batch.merge(small, on=on, how=how, suffixes=("", suffix))
+            return arrow_if_empty(marked.loc[mask, list(batch.columns)])
+        return arrow_if_empty(batch.merge(small, on=on, how=how, suffixes=("", suffix)))
 
     return big_ds.map_batches(_merge, batch_format="pandas")
 
@@ -110,7 +119,7 @@ def bloom_semi_join(big_ds, keys_ds, on: str, small_on: str | None = None,
         out = batch.loc[mask]
         if verify == "broadcast" and not out.empty:
             out = out.loc[np.isin(out[on].to_numpy(), ray.get(exact_ref))]
-        return out
+        return arrow_if_empty(out)
 
     pruned = big_ds.map_batches(_prune, batch_format="pandas")
     if verify != "join":
@@ -242,9 +251,7 @@ def _shuffle_buckets(tagged, fn, max_in_blocks, ray_remote_args,
             out = fn(batch.drop_columns(["__bucket"]))
         else:
             out = fn(batch.drop(columns="__bucket"))
-        if isinstance(out, pd.DataFrame) and not len(out):
-            out = pa.Table.from_pandas(out, preserve_index=False)
-        yield out
+        yield arrow_if_empty(out)
 
     return tagged.sort("__bucket").map_batches(
         _partition, batch_size=None, batch_format=batch_format,
@@ -600,10 +607,12 @@ def distinct(ds, cols, ray_remote_args: dict | None = None,
     per-key map_groups head(1) and a Ray groupby().aggregate() pay
     ~per-distinct-value Python overhead — measured ~0.7 ms/group, i.e.
     minutes at 10^5 keys; the bucketed path makes one Python call per
-    sort partition at any cardinality.) Both dedups are Arrow ``group_by(cols)
-    .aggregate([])``: it compares whole strings, where pandas'
-    drop_duplicates merges strings that differ only after a NUL, and it
-    keeps one row per null key (NaN converts to null)."""
+    sort partition at any cardinality.) Both dedups are the same Arrow
+    ``group_by(cols).aggregate([])``, and the shuffle stays in Arrow:
+    it compares whole strings, where pandas' drop_duplicates merges
+    strings that differ only after a NUL, and it keeps one row per null
+    key (a pandas block's NaN converts to null). The output blocks are
+    Arrow."""
     cols = [cols] if isinstance(cols, str) else list(cols)
 
     def _dedup(t: pa.Table) -> pa.Table:
@@ -611,13 +620,10 @@ def distinct(ds, cols, ray_remote_args: dict | None = None,
         # rows/50k keys (paired A/B, BASELINE.md §c)
         return t.select(cols).group_by(cols).aggregate([])
 
-    def _reduce(g: pd.DataFrame) -> pd.DataFrame:
-        return _dedup(pa.Table.from_pandas(g, preserve_index=False)).to_pandas()
-
     proj = ds.map_batches(_dedup, batch_format="pyarrow", zero_copy_batch=True)
-    return bucketed_map_groups(proj, cols, _reduce,
+    return bucketed_map_groups(proj, cols, _dedup,
                                ray_remote_args=ray_remote_args,
-                               max_in_blocks=max_in_blocks)
+                               max_in_blocks=max_in_blocks, batch_format="pyarrow")
 
 
 def ordered_cumsum(ds, order_col: str, value_col: str, num_ranges: int = 64,
@@ -1112,15 +1118,16 @@ def skew_join(big_ds, dim_ds, on: str, hot_threshold: int = 100_000, how: str = 
     if not hot:
         return bucket_join(big_ds, dim_ds, on=on, how=how)
     hot_ref = ray.put(hot)
-    dim_hot = (dim_ds.map_batches(
-        lambda b: b[b[on].isin(ray.get(hot_ref))], batch_format="pandas")
-        .to_pandas())
-    dim_cold = dim_ds.map_batches(
-        lambda b: b[~b[on].isin(ray.get(hot_ref))], batch_format="pandas")
-    big_hot = big_ds.map_batches(
-        lambda b: b[b[on].isin(ray.get(hot_ref))], batch_format="pandas")
-    big_cold = big_ds.map_batches(
-        lambda b: b[~b[on].isin(ray.get(hot_ref))], batch_format="pandas")
+
+    def _rows(hot_side: bool):
+        def _filter(b: pd.DataFrame):
+            return arrow_if_empty(b[b[on].isin(ray.get(hot_ref)) == hot_side])
+        return _filter
+
+    dim_hot = dim_ds.map_batches(_rows(True), batch_format="pandas").to_pandas()
+    dim_cold = dim_ds.map_batches(_rows(False), batch_format="pandas")
+    big_hot = big_ds.map_batches(_rows(True), batch_format="pandas")
+    big_cold = big_ds.map_batches(_rows(False), batch_format="pandas")
     joined_hot = broadcast_join(big_hot, dim_hot, on=on, how=how)
     joined_cold = bucket_join(big_cold, dim_cold, on=on, how=how)
     return joined_hot.union(joined_cold)

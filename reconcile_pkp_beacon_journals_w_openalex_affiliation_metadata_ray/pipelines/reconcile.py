@@ -59,8 +59,9 @@ def choose_scoring_path(attrs_ds) -> bool:
     """True -> use score_pairs_shuffle (big-big bucketed join); False
     -> broadcast scoring. Decision input: the MATERIALIZED packed
     attribute table's (``score.pack_attrs``) in-plasma size vs the
-    object-store budget -- the very table the broadcast would put, not
-    the records it is packed from (their block-key columns are not
+    object-store budget -- the very table the broadcast would put (each
+    record's packed key list included, when the run packs it), not the
+    records it is packed from (their block-key columns are not
     broadcast). Falls back to broadcast when resources are unknown
     (local/unit-test sessions)."""
     try:
@@ -87,7 +88,11 @@ def _flagship_stages(fdir: str, park, materialize_extracted: bool = False):
     called. Stages read parked stages through ``read``. Three stages
     read the records, so they are materialized on first read, less
     their 0-row blocks (``records.drop_empty_blocks``); a fully resumed
-    run reads no parked stage and builds no reader here.
+    run reads no parked stage and builds no reader here. The scoring
+    attributes are packed (and broadcast, below the object-store budget)
+    once per run, on their first use: the pair stage's owner test reads
+    each record's key list from that broadcast, and scoring reads its
+    attributes.
 
     Stage calls go through module attributes resolved at call time, so a
     tracer can rebind them (perfbench/trace.py). Returns ``(readers,
@@ -126,22 +131,35 @@ def _flagship_stages(fdir: str, park, materialize_extracted: bool = False):
         return records.build_records(extracted, works)
 
     parked["records"] = park("records", records_stage, "record_id", None)
+    attrs = {}
+
+    def packed():
+        # the scoring attributes, packed once per run: the decision reads
+        # the packed table's size and the chosen path consumes its
+        # blocks. Packed after the hot-key plan, the table carries each
+        # record's key list, and its broadcast serves pair generation
+        # and scoring alike; a resumed pair stage plans no hot set, and
+        # scoring needs no lists
+        if not attrs:
+            attrs["ds"] = score.pack_attrs(read("records"), out.get("hot_keys")).materialize()
+            attrs["ref"] = (None if choose_scoring_path(attrs["ds"])
+                            else score.broadcast_records(attrs["ds"]))
+        return attrs["ds"], attrs["ref"]
 
     def pairs_stage():
         out["hot_keys"] = block.find_hot_keys(read("records"))
-        return block.candidate_pairs(read("records"), out["hot_keys"])
+        return block.candidate_pairs(read("records"), out["hot_keys"],
+                                     records_ref=packed()[1])
 
     parked["pairs"] = park("pairs", pairs_stage, "left_id", None)
 
     def scored_stage():
         # broadcast, or the bucketed join past the object-store budget;
-        # both emit identical scored rows (tests/test_pipeline.py). The
-        # attributes are packed once: the decision reads the packed
-        # table's size and the chosen path consumes its blocks
-        attrs = score.pack_attrs(read("records")).materialize()
-        if choose_scoring_path(attrs):
-            return score.score_pairs_shuffle(read("pairs"), attrs)
-        return score.score_pairs(read("pairs"), score.broadcast_records(attrs))
+        # both emit identical scored rows (tests/test_pipeline.py)
+        attrs_ds, ref = packed()
+        if ref is None:
+            return score.score_pairs_shuffle(read("pairs"), attrs_ds)
+        return score.score_pairs(read("pairs"), ref)
 
     parked["scored"] = park("scored", scored_stage, "left_id", "combined_score")
 

@@ -21,12 +21,12 @@ import os
 # small table (or a checkpoint of many tiny files) is one task
 DEFAULT_TASK_ROWS = 1 << 17
 # rows per task of a heavy scan (pages html): sets task granularity
-# only (how many blocks the scan emits); a task's memory is bounded by
-# SLICE_BYTES whatever its row count
+# (how many blocks the scan emits); a task decodes one row group at a
+# time, in SLICE_BYTES slices (see read_tasks for what that bounds)
 SCAN_TASK_ROWS = 16384
 # uncompressed bytes (projected columns, from the row-group footers) of
-# one slice a transforming read task hands its ``fn``: the task's heap
-# holds one slice's decoded rows, not its whole row-group run
+# one slice a transforming read task hands its ``fn``: ``fn``'s input
+# and output are one slice's rows, not the whole row-group run
 SLICE_BYTES = 4 << 20
 
 
@@ -157,9 +157,15 @@ def read_tasks(tasks: list[dict], columns=None, fn=None, schema=None):
     its row groups (``ParquetFile.iter_batches``) in slices of at most
     :data:`SLICE_BYTES` uncompressed bytes in the projected columns
     (rows per slice from each group's footer, at least one row), calls
-    ``fn`` on each slice and concatenates the outputs once, so its heap
-    holds one slice of the heavy column whatever its row count. ``fn``
-    must therefore be ROW-LOCAL: its output for a table is the
+    ``fn`` on each slice and concatenates the outputs once, so ``fn``
+    sees one slice of the heavy column at a time. That does not bound
+    the decode: pyarrow decodes a column chunk's dictionary page whole,
+    and a dictionary-encoded heavy column (the generated pages write
+    ``html`` so) holds one row group's distinct values in that page.
+    Crawl's row group 0 (1,024 pages) has one 44.7 MB dictionary page,
+    and ``iter_batches(batch_size=90)`` over it peaks at 101.7 MB of
+    Arrow memory (150.8 MB with ``read_row_groups``): the row group,
+    not the slice, sets the task's peak. ``fn`` must be ROW-LOCAL: its output for a table is the
     concatenation of its outputs for any split of that table into
     consecutive slices. Without ``fn`` (checkpoint reads) a task reads
     its row groups whole.

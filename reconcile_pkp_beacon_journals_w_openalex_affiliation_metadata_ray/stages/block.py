@@ -44,8 +44,11 @@ bucketed shuffle of the key rows (ops.relational.bucketed_map_groups
 in its Arrow form: one Python call per sort partition, pairs
 enumerated on integer codes inside), and each pair is emitted only by
 its owner block, so no second shuffle deduplicates pairs several
-blocks share. Shuffles carry only (key, record_id, has_doi, the
-record's key list) — never the heavy record payloads.
+blocks share. Shuffles carry only (key, record_id, has_doi) — never the
+heavy record payloads. The owner test reads each record's refined key
+list from the scoring stage's broadcast table
+(stages.score.broadcast_records), built once per run; a caller with no
+broadcast ships the list on each key row instead.
 """
 
 from __future__ import annotations
@@ -140,6 +143,20 @@ def with_block_keys(t: pa.Table) -> pa.Table:
     return t.append_column("block_keys", keys).append_column("key_suffix", suffix)
 
 
+def _refined(t: pa.Table, hot_keys):
+    """Records -> (refined block key, owning record's row) per listed
+    key, repeats kept: :func:`key_rows`' refinement."""
+    keys = t["block_keys"]
+    parent = pc.list_parent_indices(keys)
+    key = pc.list_flatten(keys)
+    if hot_keys:
+        hot = pc.and_(pc.is_in(key, value_set=pa.array(list(hot_keys), pa.string())),
+                      pc.invert(pc.match_substring_regex(key, _NEVER_REFINED)))
+        key = pc.if_else(hot, pc.binary_join_element_wise(
+            key, pc.take(t["key_suffix"], parent), "~"), key)
+    return key, parent
+
+
 def key_rows(t: pa.Table, hot_keys=frozenset(), record_keys: bool = False) -> pa.Table:
     """Records (with :func:`with_block_keys`' columns) -> one
     (block_key, record_id, has_doi) row per key, repeats kept. A hot
@@ -150,17 +167,11 @@ def key_rows(t: pa.Table, hot_keys=frozenset(), record_keys: bool = False) -> pa
     same-name groups. ``doi:`` and ``path:`` keys are never refined,
     ``host:`` keys always are (by :func:`with_block_keys`).
 
-    ``record_keys`` adds the shuffle's column: the record's packed key
-    list (:func:`_pack_keys`) on each of its rows, so a block can tell
-    which pairs it owns (:func:`_owned_pairs`) without a join."""
-    keys = t["block_keys"]
-    parent = pc.list_parent_indices(keys)
-    key = pc.list_flatten(keys)
-    if hot_keys:
-        hot = pc.and_(pc.is_in(key, value_set=pa.array(list(hot_keys), pa.string())),
-                      pc.invert(pc.match_substring_regex(key, _NEVER_REFINED)))
-        key = pc.if_else(hot, pc.binary_join_element_wise(
-            key, pc.take(t["key_suffix"], parent), "~"), key)
+    ``record_keys`` adds the record's packed key list
+    (:func:`key_lists`) on each of its rows, so a block can tell which
+    pairs it owns (:func:`_owned_pairs`) without a join. Only a pair
+    shuffle with no broadcast table to read the lists from ships it."""
+    key, parent = _refined(t, hot_keys)
     out = pa.table({"block_key": key,
                     "record_id": pc.take(t["record_id"], parent),
                     "has_doi": pc.take(pc.not_equal(t["doi_norm"], ""), parent)})
@@ -168,6 +179,13 @@ def key_rows(t: pa.Table, hot_keys=frozenset(), record_keys: bool = False) -> pa
         out = out.append_column("record_keys", pc.take(
             _pack_keys(key, parent, len(t)), parent))
     return out
+
+
+def key_lists(t: pa.Table, hot_keys=frozenset()) -> pa.Array:
+    """Each record's distinct refined block keys (:func:`key_rows`),
+    packed by :func:`_pack_keys`, row-aligned with ``t``: the list the
+    owner test (:func:`_owned_pairs`) reads for the record."""
+    return _pack_keys(*_refined(t, hot_keys), len(t))
 
 
 def key_rows_ds(records_ds, hot_keys=frozenset(), record_keys: bool = False):
@@ -486,32 +504,50 @@ def _pairs_for_bucket(t: pa.Table, max_pairs: int) -> pd.DataFrame:
     return _pair_frame(ids, keys, left, right, pk, dropped, fam[pk]).to_pandas()
 
 
-def _owned_pairs(t: pa.Table, max_pairs: int, capped=None) -> pa.Table:
+# pairs per owner-probe chunk: the probe's matrices are chunk x the
+# widest key list, not pairs x it
+_PROBE_ROWS = 16_384
+
+
+def _owned_pairs(t: pa.Table, max_pairs: int, capped=None, records_ref=None) -> pa.Table:
     """The pairs of the key rows' blocks (:func:`_pair_codes`) that each
     block OWNS, as an Arrow table (scoring reads Arrow batches). The
     rows may hold any number of whole blocks: a sort partition of the
     pair shuffle holds one or more buckets. The blocks that emit a pair
-    are the keys both its
-    records carry, less the non-``doi:`` keys when both carry a DOI and
-    the capped keys whose sample dropped the pair; the smallest of them
-    owns it. The owner's row gets the OR of their family bits and the
-    largest of their ``dropped_pairs``, so each pair is emitted once,
-    as the row its blocks' copies would deduplicate to.
+    are the keys both its records carry, less the non-``doi:`` keys
+    when both carry a DOI and the capped keys whose sample dropped the
+    pair; the smallest of them owns it. The owner's row gets the OR of
+    their family bits and the largest of their ``dropped_pairs``, so
+    each pair is emitted once, as the row its blocks' copies would
+    deduplicate to.
+
+    Each record's key list (:func:`key_lists`) is the rows'
+    ``record_keys`` column when they carry one (a repeated id keeps the
+    first list its partition sees), else it is looked up by id in the
+    broadcast table ``records_ref`` (stages.score.broadcast_records)
+    through the per-worker id index scoring also reads. The probe runs
+    in chunks of ``_PROBE_ROWS`` pairs.
 
     ``capped`` is ``None`` or (``{escaped key: dropped pairs}``, the set
     of ``(escaped key, left_id, right_id)`` each capped block keeps).
     Record ids are taken to be unique (page URLs and work ids are, in
-    every input here): a repeated id keeps the first key list its
-    bucket sees."""
+    every input here)."""
     keys, ids, rank, _, (left, right, pk, none) = _pair_codes(t, max_pairs)
     if not len(left):
         return _pair_frame(ids, keys, left, right, pk, none, none)
-    # one key-code list per record (rank), from its first row: its
-    # packed keys split once and encoded once, padded with -1, which
-    # indexes the sentinel appended to every per-key array
+    # one key-code list per record (rank): its packed keys split once
+    # and encoded once, padded with -1, which indexes the sentinel
+    # appended to every per-key array
     _, first = np.unique(rank, return_index=True)
     has_doi = t["has_doi"].to_numpy()[first]
-    lists = pc.split_pattern(t["record_keys"].combine_chunks().take(first), _SEP)
+    if "record_keys" in t.column_names:
+        packed = t["record_keys"].combine_chunks().take(first)
+    else:
+        from .score import _get_records
+
+        _, ids_index, lists = _get_records(records_ref)
+        packed = lists.take(ids_index.get_indexer(ids.to_pandas()))
+    lists = pc.split_pattern(packed, _SEP)
     offsets = lists.offsets.to_numpy().astype(np.int64)
     owner = pc.list_parent_indices(lists).to_numpy().astype(np.int64)
     enc = pc.list_flatten(lists).dictionary_encode()
@@ -528,28 +564,35 @@ def _owned_pairs(t: pa.Table, max_pairs: int, capped=None) -> pa.Table:
         at = pc.index_in(listed, value_set=pa.array(list(drops), pa.string())).fill_null(-1)
         at = at.to_numpy().astype(np.int64)
         dropped[:-1][at >= 0] = np.array(list(drops.values()), np.int64)[at[at >= 0]]
-
-    lc = codes[left]
-    probe = right[:, None] * len(listed) + lc
-    # emits[p, j]: the j-th key of the pair's left record emits the pair
-    emits = ((held[np.minimum(np.searchsorted(held, probe), len(held) - 1)] == probe) & (lc >= 0)
-             & ~((has_doi[left] & has_doi[right])[:, None]
-                 & (fam[lc] != FAMILY_DOI)))
-    capped_cells = np.nonzero(emits & (dropped[lc] > 0))
-    if len(capped_cells[0]):
-        key_str, id_str = listed.to_pylist(), ids.to_pylist()
-        for p, j in zip(*capped_cells):
-            if (key_str[lc[p, j]], id_str[left[p]], id_str[right[p]]) not in kept:
-                emits[p, j] = False
-    # the lists are sorted, so the first emitting key is the owner
     own_code = pc.index_in(_escaped(keys), value_set=listed).to_numpy().astype(np.int64)
-    own = lc[np.arange(len(left)), emits.argmax(axis=1)] == own_code[pk]
-    return _pair_frame(ids, keys, left[own], right[own], pk[own],
-                       np.where(emits, dropped[lc], 0).max(axis=1)[own],
-                       np.bitwise_or.reduce(np.where(emits, fam[lc], 0), axis=1)[own])
+
+    own = np.zeros(len(left), dtype=bool)
+    most, bits = np.zeros(len(left), np.int64), np.zeros(len(left), np.int64)
+    names = None
+    for start in range(0, len(left), _PROBE_ROWS):
+        at = slice(start, start + _PROBE_ROWS)
+        lo, ro = left[at], right[at]
+        lc = codes[lo]
+        probe = ro[:, None] * len(listed) + lc
+        # emits[p, j]: the j-th key of the pair's left record emits the pair
+        emits = ((held[np.minimum(np.searchsorted(held, probe), len(held) - 1)] == probe)
+                 & (lc >= 0)
+                 & ~((has_doi[lo] & has_doi[ro])[:, None] & (fam[lc] != FAMILY_DOI)))
+        capped_cells = np.nonzero(emits & (dropped[lc] > 0))
+        if len(capped_cells[0]) and names is None:
+            names = listed.to_pylist(), ids.to_pylist()
+        for p, j in zip(*capped_cells):
+            if (names[0][lc[p, j]], names[1][lo[p]], names[1][ro[p]]) not in kept:
+                emits[p, j] = False
+        # the lists are sorted, so the first emitting key is the owner
+        own[at] = lc[np.arange(len(lo)), emits.argmax(axis=1)] == own_code[pk[at]]
+        most[at] = np.where(emits, dropped[lc], 0).max(axis=1)
+        bits[at] = np.bitwise_or.reduce(np.where(emits, fam[lc], 0), axis=1)
+    return _pair_frame(ids, keys, left[own], right[own], pk[own], most[own], bits[own])
 
 
-def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None):
+def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None,
+                    records_ref=None):
     """records -> candidate pairs (left_id < right_id), one row per pair:
     the smallest of the block keys that emit it, the largest of their
     ``dropped_pairs`` and the OR of their family bits. Block keys are
@@ -565,6 +608,13 @@ def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None):
     its smallest shared key, the way a prefix-filter similarity join
     checks a pair only at its first common prefix token, so no shuffle
     is needed to deduplicate pairs that several blocks share.
+
+    The owner test needs each record's key list. ``records_ref`` is the
+    scoring broadcast (stages.score.broadcast_records of
+    stages.score.pack_attrs over these records and ``hot_keys``), which
+    carries them: the key rows are then (block_key, record_id, has_doi)
+    only, and the owner test looks the lists up by id. Without it every
+    key row carries its record's list.
 
     Whether a capped block kept a pair is not local to the other blocks
     of the pair, so capped blocks are planned first: ``hot_keys`` from
@@ -591,8 +641,9 @@ def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None):
                   set(zip(kept["block_key"].map(_escape), kept["left_id"],
                           kept["right_id"])))
     return bucketed_map_groups(
-        key_rows_ds(records_ds, hot_keys, record_keys=True), "block_key",
-        lambda t: _owned_pairs(t, max_pairs_per_block, capped), batch_format="pyarrow")
+        key_rows_ds(records_ds, hot_keys, record_keys=records_ref is None), "block_key",
+        lambda t: _owned_pairs(t, max_pairs_per_block, capped, records_ref),
+        batch_format="pyarrow")
 
 
 def _caps(records_ds, hot_keys, max_pairs: int) -> dict:

@@ -24,6 +24,8 @@ PAPERS.md, e.g. BTS, ICDE 2024).
 from __future__ import annotations
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def union_find(edges, nodes=()):
@@ -251,18 +253,26 @@ def connected_components_auto(edges_ds, nodes_ds=None,
         edges.extend(zip(b["left_id"].to_pylist(), b["right_id"].to_pylist()))
     labels = union_find(edges)
 
-    import ray
-
-    labels_ref = ray.put(labels)
-
     if nodes_ds is not None:
-        def _assign(batch: pd.DataFrame) -> pd.DataFrame:
-            lbl = ray.get(labels_ref)
-            nodes = batch["record_id"]
-            return pd.DataFrame({"record_id": nodes,
-                                 "cluster_id": nodes.map(lambda n: lbl.get(n, n))})
+        import ray
 
-        return nodes_ds.map_batches(_assign, batch_format="pandas")
+        # the labels travel as one Arrow table that every task maps
+        # zero-copy, and each records block is looked up whole on its
+        # id column: no other column converts, no dict unpickles
+        labels_ref = ray.put(pa.table({"node": pa.array(list(labels)),
+                                       "label": pa.array(list(labels.values()))}))
+
+        def _assign(t: pa.Table) -> pa.Table:
+            lbl = ray.get(labels_ref)
+            ids = t["record_id"].combine_chunks()
+            # whole-value hashing: NUL-exact; an id no edge touched is
+            # its own label
+            at = pc.index_in(ids, value_set=lbl["node"].combine_chunks().cast(ids.type))
+            return pa.table({"record_id": ids, "cluster_id": pc.coalesce(
+                lbl["label"].combine_chunks().cast(ids.type).take(at), ids)})
+
+        return nodes_ds.map_batches(_assign, batch_format="pyarrow",
+                                    zero_copy_batch=True, batch_size=None)
     rows = sorted(labels.items())
     import ray.data as rd
 

@@ -134,8 +134,10 @@ def read_extract_pages(pages_path: str, target_rows: int = SCAN_TASK_ROWS, plan=
     ``url, lang, html``) and emits extracted rows directly; the html
     bytes never leave the task. The task streams its row groups through
     ``extract_batch`` in slices of at most ``sources.io.SLICE_BYTES``
-    of html, so its memory holds one slice's pages, not its whole
-    row-group run; that is sound because ``extract_batch`` is row-local
+    of html, so the parser holds one slice's pages at a time; the
+    Parquet decode still holds a row group's whole dictionary page when
+    ``html`` is dictionary-encoded (``sources.io.read_tasks``). Slicing
+    is sound because ``extract_batch`` is row-local
     (each page is parsed on its own, and any ``fn`` given to this reader
     must be). Row order equals read_parquet order (file, then row-group
     order), and the per-row extraction is the same ``extract_batch``,

@@ -41,6 +41,7 @@ import pyarrow.compute as pc
 
 from ..functions.similarity import indel_ratio, indel_ratios_codes
 from ..functions.textnorm import normalize_text
+from . import block
 
 MATCH_THRESHOLD = 90.0
 INST_MATCH_THRESHOLD = 90.0  # name-only tier: institutions must MATCH
@@ -308,18 +309,27 @@ def score_vectors(ldoi, rdoi, lauth, rauth, linst, rinst, fams):
     return author, inst, combined, eq, conflict, is_match
 
 
-def pack_attrs(records_ds):
+def pack_attrs(records_ds, hot_keys=None):
     """records -> (record_id, doi_norm, authors_packed, insts_packed),
     the attribute table both scoring paths bring to their pairs: the
     author / institution lists are ``_SEP``-joined by Arrow (a null
-    list packs as ""). Packed DISTRIBUTED, per batch."""
+    list packs as ""). Packed DISTRIBUTED, per batch.
+
+    Given the run's hot set (stages.block.find_hot_keys), each record's
+    refined key list rides along as ``record_keys``
+    (stages.block.key_lists): once :func:`broadcast_records` puts the
+    table, the pair shuffle's owner test reads the lists from it instead
+    of shipping them on every key row. Scoring never reads them."""
     def _pack(t: pa.Table) -> pa.Table:
-        return pa.table({
+        cols = {
             "record_id": t["record_id"],
             "doi_norm": t["doi_norm"],
             "authors_packed": pc.binary_join(t["authors_norm"], _SEP).fill_null(""),
             "insts_packed": pc.binary_join(t["insts_norm"], _SEP).fill_null(""),
-        })
+        }
+        if hot_keys is not None:
+            cols["record_keys"] = block.key_lists(t, hot_keys)
+        return pa.table(cols)
 
     return records_ds.map_batches(_pack, batch_format="pyarrow",
                                   zero_copy_batch=True)
@@ -357,9 +367,14 @@ _RECORDS_CACHE: dict = {}
 
 
 def _get_records(records_ref):
-    """Per-worker cache of the plasma-mapped Arrow broadcast: the
-    attribute columns (kept as Arrow) plus a ``pd.Index`` over the
-    record ids. The id lookup is the scoring stage's per-worker fixed
+    """Per-worker cache of the plasma-mapped Arrow broadcast
+    (:func:`broadcast_records`): (the attribute columns, a ``pd.Index``
+    over the record ids, the ``record_keys`` lists or None), kept as
+    Arrow. ONE entry: the pair shuffle's owner test
+    (stages.block._owned_pairs) and :func:`score_batch` read the same
+    broadcast in one fused task, so a second entry would only rebuild
+    the index per batch. A ``pd.Index`` over Python strings matches ids
+    NUL-exactly. The id lookup is the scoring stage's per-worker fixed
     startup cost — every fresh worker pays it before its first batch,
     which is exactly what erodes 4->16-CPU scaling efficiency — so the
     three candidate structures were measured head-to-head (282k ids,
@@ -375,7 +390,8 @@ def _get_records(records_ref):
         _RECORDS_CACHE.clear()
         tbl = ray.get(records_ref)
         ids_index = pd.Index(tbl["record_id"].to_pandas())
-        _RECORDS_CACHE[key] = (tbl.select(_ATTR_COLS).combine_chunks(), ids_index)
+        lists = tbl["record_keys"].combine_chunks() if "record_keys" in tbl.column_names else None
+        _RECORDS_CACHE[key] = (tbl.select(_ATTR_COLS).combine_chunks(), ids_index, lists)
     return _RECORDS_CACHE[key]
 
 
@@ -384,7 +400,7 @@ def score_batch(batch: pa.Table, records_ref=None) -> pa.Table:
     ids are gathered with one vectorized ``take`` per side (pairs with
     an id missing from the broadcast are dropped) and scored by
     :func:`_scored_table`."""
-    attrs, ids_index = _get_records(records_ref)
+    attrs, ids_index, _ = _get_records(records_ref)
     # vectorized C-hash id lookup (see _get_records for the measured
     # dict / index_in / pd.Index trade-off)
     li_np = ids_index.get_indexer(batch["left_id"].to_pandas())
@@ -401,9 +417,12 @@ def broadcast_records(attrs_ds):
     MATERIALIZED, so reading its blocks executes nothing) as ONE Arrow
     table in the object store: workers map it zero-copy (no per-worker
     unpickle of a Python dict — that was measured to serialize the
-    scoring stage) and build only a small id index each. The driver
-    only concatenates the already-packed Arrow blocks (memcpy, no
-    per-row Python)."""
+    scoring stage) and build only a small id index each
+    (:func:`_get_records`). The driver only concatenates the
+    already-packed Arrow blocks (memcpy, no per-row Python). Packed with
+    the hot set, the table also carries each record's key list, and
+    the same reference serves the pair shuffle
+    (stages.block.candidate_pairs) and :func:`score_pairs`."""
     import ray
 
     tbl = pa.concat_tables(
@@ -432,9 +451,11 @@ def score_pairs_shuffle(pairs_ds, attrs_ds):
     call) and scored statelessly. Produces EXACTLY the same scored rows
     as the broadcast path (asserted in tests). The joins' parallelism
     follows their input blocks. ``attrs_ds`` is materialized by every
-    caller, so both joins read the same blocks."""
+    caller, so both joins read the same blocks. Its key lists, when
+    packed, are dropped first: scoring does not read them."""
     from ..ops.relational import bucket_join
 
+    attrs_ds = attrs_ds.select_columns(["record_id"] + _ATTR_COLS)
     pairs_ds = pairs_ds.map_batches(
         lambda t: t.select(_ID_COLS).append_column(
             "families", pa.array(_families(t), pa.int64())),

@@ -480,16 +480,23 @@ def _tuples(df):
                       df["dropped_pairs"].astype(int).tolist(), df["families"].astype(int).tolist()))
 
 
-def test_pair_enumerator_equals_brute_force():
+def test_pair_enumerator_equals_brute_force(ray_session, monkeypatch):
     """``_pairs_for_bucket`` and ``_owned_pairs`` against an itertools
     reference on random blocks: ids that differ only after a NUL,
     repeated (key, record) rows, ``doi:`` blocks (every record pairs),
     both-DOI pruning elsewhere, a key holding the key-list separator, a
     501-record block under the cap and a capped block. The owned rows
     are the same whether the key rows go through one call or are split
-    by key into 32 buckets."""
+    by key into 32 buckets, and whether each row carries its record's
+    key list or the lists are looked up by id in a broadcast per-record
+    table. The owner probe runs in chunks of 97 pairs here, so chunks
+    split the pairs of a partition."""
     import random
     import zlib
+
+    import ray
+
+    monkeypatch.setattr(block, "_PROBE_ROWS", 97)
 
     rng = random.Random(11)
     max_pairs = 1000
@@ -528,4 +535,20 @@ def test_pair_enumerator_equals_brute_force():
     split = pa.concat_tables([
         block._owned_pairs(pa.Table.from_pandas(g, preserve_index=False), max_pairs, capped)
         for _, g in df.groupby(bucket)])
+    assert _tuples(split.to_pandas()) == owned
+
+    # the lists from a broadcast per-record table (the scoring table's
+    # shape), and key rows without them
+    ids = sorted(recs)
+    blank = [""] * len(ids)
+    ref = ray.put(pa.table({
+        "record_id": ids, "doi_norm": blank, "authors_packed": blank, "insts_packed": blank,
+        "record_keys": ["\x1e".join(sorted(block._escape(k) for k in recs[r][1])) for r in ids]}))
+    bare = df.drop(columns="record_keys")
+    got = block._owned_pairs(pa.Table.from_pandas(bare, preserve_index=False), max_pairs,
+                             capped, ref)
+    assert _tuples(got.to_pandas()) == owned
+    split = pa.concat_tables([
+        block._owned_pairs(pa.Table.from_pandas(g, preserve_index=False), max_pairs, capped, ref)
+        for _, g in bare.groupby(bucket)])
     assert _tuples(split.to_pandas()) == owned

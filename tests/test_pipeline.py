@@ -318,6 +318,25 @@ def test_distributed_cc_equals_driver_path(ray_session, fdir):
     assert as_partition_sets(auto) == as_partition_sets(dist)
 
 
+def test_driver_cc_labels_records_nul_exact(ray_session):
+    """The driver CC path labels every record through one Arrow lookup:
+    ids that differ only after a NUL keep their own labels, an id no
+    edge touches is its own cluster, and only ``record_id`` is read from
+    the records."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    edges = rd.from_arrow(pa.table({"left_id": ["a\x00c", "b"], "right_id": ["z", "a\x00d"]}))
+    nodes = rd.from_arrow([
+        pa.table({"record_id": ["a\x00b", "a\x00c"], "authors": [["x"], None]}),
+        pa.table({"record_id": ["a\x00d", "b", "z"], "authors": [None, [], ["y"]]})])
+    got = cluster_mod.connected_components_auto(edges, nodes_ds=nodes).to_pandas()
+    assert list(got.columns) == ["record_id", "cluster_id"]
+    assert dict(zip(got["record_id"], got["cluster_id"])) == {
+        "a\x00b": "a\x00b", "a\x00c": "a\x00c", "z": "a\x00c",
+        "a\x00d": "a\x00d", "b": "a\x00d"}
+
+
 def test_connected_components_large_batches(ray_session):
     """Regression: _fingerprint summed per-row 56-bit digests into one
     Python int and built a pa.int64 — OverflowError past ~256 rows per
@@ -679,6 +698,50 @@ def test_flagship_execution_counts(ray_session, executions, tmp_path):
         executions.clear()
         run()["clusters"].materialize()
         assert len(executions) == want, executions
+
+
+def test_flagship_pair_shuffle_carries_no_key_lists(ray_session, monkeypatch):
+    """In the flagship e2e configuration the pair shuffle is the run's
+    only keyed shuffle, and its input is (block_key, record_id,
+    has_doi) plus the bucket tag: each record's key list rides in the
+    scoring broadcast, not on its key rows."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.ops import relational
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+
+    shuffled = []
+    orig = relational._shuffle_buckets
+    monkeypatch.setattr(relational, "_shuffle_buckets",
+                        lambda tagged, *a, **k: shuffled.append(tagged) or orig(tagged, *a, **k))
+    reconcile.run_reconcile(SF, materialize_pairs=False,
+                            materialize_scored=False)["clusters"].materialize()
+    assert [ds.schema().names for ds in shuffled] == [
+        ["block_key", "record_id", "has_doi", "__bucket"]]
+
+
+def test_flagship_pairs_equal_per_row_lists_under_cap(ray_session, monkeypatch):
+    """With the per-block cap forced to 3, the flagship's pairs (key
+    lists read from the scoring broadcast) equal ``candidate_pairs``
+    over the same records and hot keys with the lists on every key row
+    (no broadcast), capped blocks and ``dropped_pairs`` included."""
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.pipelines import (
+        reconcile,
+    )
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import block
+
+    monkeypatch.setattr(block, "DEFAULT_MAX_PAIRS_PER_BLOCK", 3)
+    out = reconcile.run_reconcile(SF, materialize_scored=False)
+    assert out["hot_keys"].caps
+
+    def rows(ds):
+        df = ds.to_pandas()
+        return sorted(zip(df["left_id"], df["right_id"], df["block_key"],
+                          df["dropped_pairs"].astype(int), df["families"].astype(int)))
+
+    got = rows(out["pairs"])
+    assert any(d > 0 for *_, d, _ in got)
+    assert got == rows(block.candidate_pairs(out["records"], out["hot_keys"]))
 
 
 def test_pipeline_report_reads_caps_off_the_plan(ray_session, executions):
