@@ -78,23 +78,6 @@ def _shuffle_args() -> dict:
     return {"num_cpus": t} if t > 1.0 else {}
 
 
-def _shuffle_blocks() -> int | None:
-    """Sort-input block budget for this family, active only when the
-    session is over the effective-core knee. Ray's sort emits one
-    range partition PER INPUT BLOCK and exchanges ~P^2 inter-block
-    objects, so a 32-CPU session's ncpu*4=128-block reads quadruple
-    the sort's scheduler/object traffic vs the 16-CPU session's 64 —
-    measured as the residual 32-vs-16 regression after the num_cpus
-    cap alone (500k docs: 66 s capped-32 vs 50 s at 16). Returns None
-    (leave block counts alone) at/below the knee so small sessions and
-    tests never pay a repartition."""
-    from ..context import effective_cores, shuffle_task_cpus
-
-    if shuffle_task_cpus() <= 1.0:
-        return None
-    return 4 * effective_cores()
-
-
 def _mh(num_perm: int) -> MinHasher:
     global _MH
     if _MH is None or _MH.num_perm != num_perm:
@@ -170,12 +153,11 @@ def _distinct_keyed_pairs(keyed_ds, id_col: str, key_col: str, max_band_width: i
     from .relational import distinct
 
     sh = _shuffle_args()
-    blocks = _shuffle_blocks()
     pairs = bucketed_map_groups(
         keyed_ds, key_col,
         lambda g: verify(_keyed_pairs(g, key_col, id_col, max_band_width, op_name)),
-        ray_remote_args=sh, max_in_blocks=blocks)
-    return distinct(pairs, cols, ray_remote_args=sh, max_in_blocks=blocks)
+        ray_remote_args=sh)
+    return distinct(pairs, cols, ray_remote_args=sh)
 
 
 def candidate_pairs_from_keys(keyed_ds, id_col: str, key_col: str = "band_key",
@@ -197,7 +179,6 @@ def _attach_payload(pairs_ds, payload_ds, id_col: str, payload_col: str):
     CPUs the same way (a 202 s merge+verify phase measured at 32 vs
     the whole op at 102 s at 16)."""
     sh = _shuffle_args()
-    blocks = _shuffle_blocks()
 
     def _ren(side):
         def fn(b: pd.DataFrame) -> pd.DataFrame:
@@ -208,10 +189,9 @@ def _attach_payload(pairs_ds, payload_ds, id_col: str, payload_col: str):
                                      **sh)
     right_pl = payload_ds.map_batches(_ren("right_id"), batch_format="pandas",
                                       **sh)
-    withl = bucket_join(pairs_ds, left_pl, on="left_id", ray_remote_args=sh,
-                        max_in_blocks=blocks).materialize()
-    return bucket_join(withl, right_pl, on="right_id",
-                       ray_remote_args=sh, max_in_blocks=blocks)
+    withl = bucket_join(pairs_ds, left_pl, on="left_id",
+                        ray_remote_args=sh).materialize()
+    return bucket_join(withl, right_pl, on="right_id", ray_remote_args=sh)
 
 
 def minhash_band_rows(docs_ds, id_col: str = "doc_id", text_col: str = "text",

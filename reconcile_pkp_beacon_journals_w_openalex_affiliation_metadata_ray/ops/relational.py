@@ -9,11 +9,13 @@ shuffle). :func:`bucket_join` is the big-big path: both sides tagged
 with the hash of the key, co-grouped with one shuffle, merged per sort
 partition with pandas (an explicit partitioned hash join).
 
-Every keyed shuffle is ONE sort over hash buckets, each sort partition
-mapped whole (:func:`_shuffle_buckets`): :func:`bucketed_map_groups` is its
-one-sided entry, :func:`cogroup` the two-sided one behind
-:func:`bucket_join`, :func:`asof_join`, :func:`range_join` and
-:func:`set_op`.
+Every keyed shuffle is ONE sort over hash buckets into fixed, equal
+hash ranges, each sort partition mapped whole (:func:`_shuffle_buckets`):
+:func:`bucketed_map_groups` is its one-sided entry, :func:`cogroup` the
+two-sided one behind :func:`bucket_join`, :func:`asof_join`,
+:func:`range_join` and :func:`set_op`. The shuffle picks its own
+partition count, so no caller coalesces blocks before it or
+repartitions after it.
 
 Aggregation helpers pre-aggregate inside ``map_batches`` before the
 keyed shuffle (combiner pattern) so the all-to-all exchange moves one
@@ -27,14 +29,17 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.pairs import group_pairs, pairs_before, ranked_codes
+from ..sources.io import cluster_cpus
 
 
 def arrow_if_empty(out):
     """A map's pandas result, handed to Ray as an Arrow table when it
     has no rows: Ray cannot estimate the size of a 0-row object column,
-    and logs an error for each one."""
+    and logs an error for each one. The table carries no pandas
+    metadata: a schema with a metadata dict cannot be hashed, and Ray's
+    schema dedup then logs a warning for every block that meets it."""
     if isinstance(out, pd.DataFrame) and not len(out):
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata()
     return out
 
 
@@ -135,8 +140,8 @@ def bloom_semi_join(big_ds, keys_ds, on: str, small_on: str | None = None,
 
 
 # the one bucket space every keyed shuffle hashes into, far above any
-# partition count: the sort's sampler always finds distinct boundaries,
-# so the partitions follow the input blocks, and no caller picks a count
+# partition count: _shuffle_buckets cuts it into equal ranges, so the
+# partitions are fixed hash ranges and no caller picks a count
 _BUCKETS = 1 << 30
 
 
@@ -215,8 +220,7 @@ def _merged_dtypes(ldt: dict, rdt: dict, keys, suffixes) -> dict:
     return out
 
 
-def _shuffle_buckets(tagged, fn, max_in_blocks, ray_remote_args,
-                     batch_format: str = "pandas"):
+def _shuffle_buckets(tagged, fn, ray_remote_args, batch_format: str = "pandas"):
     """The one keyed shuffle behind every bucketed operator: ``tagged``
     carries a ``__bucket`` column, is sorted by it, and each sort
     partition is mapped whole (``map_batches(batch_size=None)``, the
@@ -225,24 +229,25 @@ def _shuffle_buckets(tagged, fn, max_in_blocks, ray_remote_args,
     every row of each key it holds. ``fn`` is called once per non-empty
     sort partition, without ``__bucket``, as a DataFrame or as a Table
     (``batch_format``); a partition holds many keys, so ``fn`` groups
-    by its real key itself. Ray's sort makes one range partition per
-    input block, so the input blocks, not the bucket space, set the
-    parallelism. A 0-row pandas result goes to Ray as an Arrow table:
-    Ray cannot estimate the size of a 0-row object column.
+    by its real key itself. A 0-row pandas result goes to Ray as an
+    Arrow table: Ray cannot estimate the size of a 0-row object column.
 
-    ``max_in_blocks`` bounds the block count entering the Sort: an
-    iterative caller whose round output feeds the next round's input
-    sees block counts COMPOUND round over round (889 -> 1776 -> 2000+
-    at sf1), and a union's block count is the SUM of its sides' —
-    thousands of sort partitions mean quadratically many tiny
-    inter-block exchanges and thousands of near-empty partition tasks.
-    A shuffle=False repartition is a cheap coalesce (split/concat, no
-    key exchange) that caps the sort fan-out; bounded-depth callers
-    don't need it. ``ray_remote_args`` (e.g. num_cpus from
-    context.shuffle_task_cpus) applies to the partition maps — the
-    bandwidth-heavy leg."""
-    if max_in_blocks is not None:
-        tagged = tagged.repartition(max_in_blocks, shuffle=False)
+    The partitions are P equal ranges of the bucket space, P =
+    min(planned input blocks, 4 x the tasks that fit the cluster at
+    once), with ``num_cpus`` in ``ray_remote_args`` (e.g. from
+    context.shuffle_task_cpus) dividing the slots. The bucket is a
+    uniform hash, so equal ranges hold equal shares of the keys without
+    sampling, a key's partition depends on its hash alone, and a sort
+    never emits more than P blocks however many enter it. Ray's sort
+    plans one partition per input block, so a small input keeps its
+    count; for P = 1, no boundaries leave the one-block input to Ray's
+    sampler, which makes one partition of it. ``ray_remote_args``
+    applies to the partition maps — the bandwidth-heavy leg."""
+    remote = ray_remote_args or {}
+    slots = max(1, int(cluster_cpus() / (remote.get("num_cpus") or 1)))
+    planned = tagged._logical_plan.dag.estimated_num_outputs()
+    p = 4 * slots if planned is None else max(1, min(planned, 4 * slots))
+    bounds = [_BUCKETS * i // p for i in range(1, p)]
 
     def _partition(batch):
         if not len(batch):
@@ -253,13 +258,11 @@ def _shuffle_buckets(tagged, fn, max_in_blocks, ray_remote_args,
             out = fn(batch.drop(columns="__bucket"))
         yield arrow_if_empty(out)
 
-    return tagged.sort("__bucket").map_batches(
-        _partition, batch_size=None, batch_format=batch_format,
-        **(ray_remote_args or {}))
+    return tagged.sort("__bucket", boundaries=bounds).map_batches(
+        _partition, batch_size=None, batch_format=batch_format, **remote)
 
 
-def cogroup(left_ds, right_ds, on, fn, max_in_blocks: int | None = None,
-            ray_remote_args: dict | None = None):
+def cogroup(left_ds, right_ds, on, fn, ray_remote_args: dict | None = None):
     """Co-partition two Datasets on ``on`` and call ``fn(left_df,
     right_df)`` once per non-empty sort partition. Each side is hashed
     and side-tagged per batch BEFORE the union, so no batch ever hashes
@@ -296,12 +299,11 @@ def cogroup(left_ds, right_ds, on, fn, max_in_blocks: int | None = None,
     both = (left_ds.map_batches(_tagger("l"), batch_format="pandas", **remote)
             .union(right_ds.map_batches(_tagger("r"), batch_format="pandas",
                                         **remote)))
-    return _shuffle_buckets(both, _per_partition, max_in_blocks, ray_remote_args)
+    return _shuffle_buckets(both, _per_partition, ray_remote_args)
 
 
 def bucket_join(left_ds, right_ds, on, how: str = "inner",
-                suffixes=("_l", "_r"), ray_remote_args: dict | None = None,
-                max_in_blocks: int | None = None):
+                suffixes=("_l", "_r"), ray_remote_args: dict | None = None):
     """Partitioned hash join for two large Datasets: one shuffle keyed
     on hash(key) (:func:`cogroup`), pandas merge per sort partition.
 
@@ -320,7 +322,7 @@ def bucket_join(left_ds, right_ds, on, how: str = "inner",
         return left.merge(right, on=on, how=how, suffixes=suffixes)
 
     return cogroup(left_ds, right_ds, on, _merge_bucket,
-                   max_in_blocks=max_in_blocks, ray_remote_args=ray_remote_args)
+                   ray_remote_args=ray_remote_args)
 
 
 def asof_join(left_ds, right_ds, by, on, suffixes=("_l", "_r")):
@@ -420,8 +422,7 @@ def _arrow_bucket_of(t: pa.Table, key_cols) -> pa.Array:
     return pa.array(each.to_numpy()).take(enc.indices.fill_null(len(values) - 1))
 
 
-def bucketed_map_groups(ds, key_cols, fn, max_in_blocks: int | None = None,
-                        ray_remote_args: dict | None = None,
+def bucketed_map_groups(ds, key_cols, fn, ray_remote_args: dict | None = None,
                         batch_format: str = "pandas"):
     """Keyed shuffle with COARSE partitions: rows are tagged with the
     stable hash of key_cols, the sort runs over the tags, and ``fn`` is
@@ -434,9 +435,9 @@ def bucketed_map_groups(ds, key_cols, fn, max_in_blocks: int | None = None,
     ``batch_format`` picks the format only: ``"pandas"`` hands ``fn`` a
     DataFrame, ``"pyarrow"`` a Table (rows tagged in Arrow, each
     batch's distinct keys hashed once, into the tags the pandas form
-    gives). ``max_in_blocks`` and ``ray_remote_args`` are those of
-    :func:`_shuffle_buckets` (an iterative caller such as
-    connected_components needs the coalesce)."""
+    gives). ``ray_remote_args`` is :func:`_shuffle_buckets`'; the
+    partitions are its fixed hash ranges, so which keys share a call
+    does not depend on how ``ds`` is split into blocks."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
 
     if batch_format == "pyarrow":
@@ -451,7 +452,7 @@ def bucketed_map_groups(ds, key_cols, fn, max_in_blocks: int | None = None,
             return b
 
         tagged = ds.map_batches(_tag, batch_format="pandas")
-    return _shuffle_buckets(tagged, fn, max_in_blocks, ray_remote_args, batch_format)
+    return _shuffle_buckets(tagged, fn, ray_remote_args, batch_format)
 
 
 def pre_aggregated(ds, keys, sums=(), counts=True):
@@ -600,8 +601,7 @@ def group_quantiles(ds, key, value, qs=(0.25, 0.5, 0.9)):
     return bucketed_map_groups(ds, keys, per_bucket)
 
 
-def distinct(ds, cols, ray_remote_args: dict | None = None,
-             max_in_blocks: int | None = None):
+def distinct(ds, cols, ray_remote_args: dict | None = None):
     """Exact distinct rows over cols: in-batch combiner, then ONE
     bucketed shuffle with a vectorized dedup per sort partition. (Both a
     per-key map_groups head(1) and a Ray groupby().aggregate() pay
@@ -622,8 +622,7 @@ def distinct(ds, cols, ray_remote_args: dict | None = None,
 
     proj = ds.map_batches(_dedup, batch_format="pyarrow", zero_copy_batch=True)
     return bucketed_map_groups(proj, cols, _dedup,
-                               ray_remote_args=ray_remote_args,
-                               max_in_blocks=max_in_blocks, batch_format="pyarrow")
+                               ray_remote_args=ray_remote_args, batch_format="pyarrow")
 
 
 def ordered_cumsum(ds, order_col: str, value_col: str, num_ranges: int = 64,

@@ -607,7 +607,10 @@ def candidate_pairs(records_ds, hot_keys=frozenset(), max_pairs_per_block=None,
     (:func:`_owned_pairs`, one call per partition). A pair is tested at
     its smallest shared key, the way a prefix-filter similarity join
     checks a pair only at its first common prefix token, so no shuffle
-    is needed to deduplicate pairs that several blocks share.
+    is needed to deduplicate pairs that several blocks share. The
+    partitions are fixed, equal ranges of the key hash, one per records
+    block up to 4 x the cluster's CPUs (ops.relational._shuffle_buckets),
+    and each is one task, which the e2e run's scoring fuses onto.
 
     The owner test needs each record's key list. ``records_ref`` is the
     scoring broadcast (stages.score.broadcast_records of

@@ -104,24 +104,20 @@ def _fingerprint(labels_ds) -> int:
     return sum(int(r["fp"]) for r in parts) % _MOD
 
 
-def connected_components(edges_ds, nodes_ds=None, max_rounds: int = 25,
-                         max_blocks: int = 256, rows_per_block: int = 100_000):
+def connected_components(edges_ds, nodes_ds=None, max_rounds: int = 25):
     """edges (left_id, right_id) [+ optional extra nodes (record_id)]
     -> Dataset (record_id, cluster_id). Singleton nodes keep their own
     id as cluster_id. Each round = two shuffles keyed on hash(node)
     (ops.relational.bucketed_map_groups).
 
-    Two scale guards, both found by the sf1 (2.1M-page / 6.5M-edge)
+    Two scale properties, both found by the sf1 (2.1M-page / 6.5M-edge)
     proof run where CC rounds had grown to ~8 min each:
-    - every per-round shuffle is bounded to an ADAPTIVE block count
-      (~rows_per_block rows each, capped at ``max_blocks``, derived
-      from the materialized edge count). Ray's sort emits one range
-      partition per input block and a round's output feeds the next
-      round's input, so block counts COMPOUND (889 -> 1776 -> 2000+)
-      — turning each sort into thousands of near-empty partitions.
-      The bound is adaptive, not fixed: a fixed 192 was measured to
-      SLOW small inputs 7x (tiny test graphs were split into 192
-      near-empty blocks per round);
+    - a round's block count is bounded. A round's output feeds the
+      next round's input, and a sort that makes one partition per
+      input block let block counts COMPOUND (889 -> 1776 -> 2000+).
+      Every shuffle here cuts the fixed hash space into at most 4 x
+      the cluster's task slots ranges (ops.relational._shuffle_buckets),
+      so each round emits at most that many blocks, however many enter;
     - label propagation runs over EDGE-ENDPOINT nodes only. Nodes
       outside any edge are singletons whose label never changes; they
       rejoin via one final min-merge shuffle instead of riding every
@@ -136,12 +132,6 @@ def connected_components(edges_ds, nodes_ds=None, max_rounds: int = 25,
              "other": pd.concat([df["right_id"], df["left_id"]], ignore_index=True)}),
         batch_format="pandas",
     ).materialize()
-    # per-round streams are O(edges + nodes) ~ O(edges_bidir) rows
-    tgt_blocks = max(8, min(max_blocks,
-                            edges_bidir.count() // rows_per_block + 1))
-    if edges_bidir.num_blocks() > tgt_blocks:
-        edges_bidir = edges_bidir.repartition(
-            tgt_blocks, shuffle=False).materialize()
 
     node_sources = edges_bidir.map_batches(
         lambda df: pd.DataFrame({"node": df["node"]}), batch_format="pandas")
@@ -179,22 +169,9 @@ def connected_components(edges_ds, nodes_ds=None, max_rounds: int = 25,
             lambda df: pd.DataFrame({"node": df["node"], "other": df["other"],
                                      "label": pd.Series([None] * len(df), dtype=object)}),
             batch_format="pandas")
-        # no in-loop repartition of the BIG streams: an AllToAll
-        # Repartition before each Sort doubles the round's peak object
-        # volume (input+output live together) — at sf1 that spilled the
-        # disk to ENOSPC. Block growth is bounded at its SOURCES
-        # instead: tagged_edges inherits the coalesced edges_bidir and
-        # tagged_labels inherits the coalesced labels below, so each
-        # sort sees ~2x tgt_blocks inputs and emits the same.
         msgs = bucketed_map_groups(tagged_labels.union(tagged_edges), "node",
                                    _deliver_bucket)
         labels = bucketed_map_groups(msgs, "node", _min_bucket).materialize()
-        if labels.num_blocks() > tgt_blocks:
-            # labels is the SMALL per-node table (one row per edge
-            # endpoint) — coalescing it is cheap and stops the
-            # one-sort-partition-per-input-block feedback loop
-            labels = labels.repartition(
-                tgt_blocks, shuffle=False).materialize()
         fp = _fingerprint(labels)
         if fp == prev_fp:
             converged = True
@@ -215,7 +192,7 @@ def connected_components(edges_ds, nodes_ds=None, max_rounds: int = 25,
         # sf1 measured ~17 rounds x ~30 s)
         logging.getLogger(__name__).info(
             "connected_components: converged after %d rounds "
-            "(%d blocks/round target)", rounds_run, tgt_blocks)
+            "(%d label partitions)", rounds_run, labels.num_blocks())
 
     if nodes_ds is not None:
         # singletons rejoin HERE, once: a node with edges already holds

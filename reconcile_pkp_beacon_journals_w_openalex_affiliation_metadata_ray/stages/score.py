@@ -449,8 +449,9 @@ def score_pairs_shuffle(pairs_ds, attrs_ds):
     hash joins (ops.relational.bucket_join — each side ships only its
     OWN columns into the exchange, each sort partition merged in one
     call) and scored statelessly. Produces EXACTLY the same scored rows
-    as the broadcast path (asserted in tests). The joins' parallelism
-    follows their input blocks. ``attrs_ds`` is materialized by every
+    as the broadcast path (asserted in tests). Each join makes
+    ops.relational._shuffle_buckets' fixed hash-range partitions of
+    its two inputs' blocks. ``attrs_ds`` is materialized by every
     caller, so both joins read the same blocks. Its key lists, when
     packed, are dropped first: scoring does not read them."""
     from ..ops.relational import bucket_join

@@ -105,7 +105,8 @@ def test_cogroup_sides_keep_declared_dtypes(rds):
 @pytest.mark.parametrize("batch_format", ["pandas", "pyarrow"])
 def test_shuffle_calls_once_per_sort_partition(rds, batch_format):
     """bucketed_map_groups calls ``fn`` at most once per sort partition
-    (Ray's sort makes one per input block), never with 0 rows, with
+    (a small input gets no more partitions than it has blocks, however
+    many CPUs the session has), never with 0 rows, with
     several keys per call, and with every row of a key in one call, in
     both batch formats; a 0-row input block changes none of it."""
     import pyarrow as pa
@@ -130,12 +131,16 @@ def test_shuffle_calls_once_per_sort_partition(rds, batch_format):
 
 
 def test_no_bucket_count_option():
-    """No function in the package takes a ``num_buckets`` argument and
-    ``adaptive_num_buckets`` is gone: the keyed shuffles hash into one
-    fixed bucket space and their parallelism follows the input blocks."""
+    """No function in the package takes a bucket-count or block-count
+    argument (``num_buckets``, ``max_in_blocks``, ``max_blocks``,
+    ``rows_per_block``), and ``adaptive_num_buckets`` and
+    ``_shuffle_blocks`` are gone: the keyed shuffles hash into one fixed
+    bucket space and pick their own partition count."""
     import ast
     import os
 
+    banned_args = {"num_buckets", "max_in_blocks", "max_blocks", "rows_per_block"}
+    banned_names = {"adaptive_num_buckets", "_shuffle_blocks"}
     pkg = os.path.dirname(os.path.dirname(relational.__file__))
     found = []
     for root, _, files in os.walk(pkg):
@@ -149,11 +154,68 @@ def test_no_bucket_count_option():
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     a = node.args
                     names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
-                    if "num_buckets" in names or node.name == "adaptive_num_buckets":
+                    if names & banned_args or node.name in banned_names:
                         found.append(f"{path}:{node.lineno}:{node.name}")
-                elif isinstance(node, ast.Name) and node.id == "adaptive_num_buckets":
+                elif isinstance(node, ast.Name) and node.id in banned_names:
                     found.append(f"{path}:{node.lineno}")
     assert not found, found
+
+
+def test_keyed_shuffles_never_repartition():
+    """Neither ops.relational nor connected_components repartitions:
+    the sort behind every keyed shuffle bounds its own output blocks,
+    so no coalesce runs before a shuffle or between CC rounds."""
+    import ast
+    import inspect
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.stages import (
+        cluster,
+    )
+
+    for src in (inspect.getsource(relational),
+                inspect.getsource(cluster.connected_components)):
+        calls = [n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Attribute) and n.func.attr == "repartition"]
+        assert not calls, [ast.unparse(c) for c in calls]
+
+
+def test_one_block_input_is_one_partition(rds):
+    """A 1-block input gets one sort partition (P = 1 leaves the sort
+    to Ray's sampler with no boundaries), so ``fn`` runs once."""
+    df = pd.DataFrame({"k": [f"k{i}" for i in range(500)], "v": np.arange(500)})
+    ds = rds.from_pandas(df)
+    assert ds.materialize().num_blocks() == 1
+    calls = relational.bucketed_map_groups(
+        ds, "k", lambda part: pd.DataFrame({"n": [len(part)]})).materialize()
+    assert calls.num_blocks() == 1
+    assert calls.to_pandas()["n"].tolist() == [500]
+
+
+def test_partition_membership_is_a_function_of_the_key(rds):
+    """The keys a partition call sees depend on their hashes only: the
+    same 120k distinct keys laid out as 20 blocks and as 40 blocks give
+    the same calls (P = min(blocks, 4 x 4 slots) = 16 for both in the
+    4-CPU test session), each holding an equal share of the rows."""
+    import pyarrow as pa
+
+    n = 120_000
+    df = pd.DataFrame({"k": np.arange(n, dtype=np.int64) * 7919})
+
+    def fn(part):
+        return pa.table({"n": [part.num_rows], "keys": [part["k"].to_numpy().tobytes()]})
+
+    def calls(blocks):
+        ds = rds.from_pandas(df).repartition(blocks).materialize()
+        assert ds.num_blocks() == blocks
+        got = relational.bucketed_map_groups(ds, "k", fn, batch_format="pyarrow").to_pandas()
+        return {frozenset(np.frombuffer(b, np.int64).tolist()) for b in got["keys"]}, got["n"]
+
+    sets20, n20 = calls(20)
+    sets40, n40 = calls(40)
+    assert len(sets20) == 16 and sets20 == sets40
+    assert sum(len(s) for s in sets20) == n
+    assert n20.sum() == n and n20.max() / n20.min() <= 1.1
+    assert sorted(n20) == sorted(n40)
 
 
 def test_chained_left_bucket_join_matches_pandas(rds):
@@ -190,7 +252,7 @@ def test_relational_has_one_shuffle_and_one_side_tag():
             path = os.path.join(root, name)
             with open(path) as fh:
                 src = fh.read()
-            shuffles.extend([path] * src.count('sort("__bucket")'))
+            shuffles.extend([path] * src.count('sort("__bucket"'))
             assert 'groupby("__bucket")' not in src, path
             tree = ast.parse(src)
             allowed = set()

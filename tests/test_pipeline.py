@@ -9,6 +9,7 @@
 
 import os
 
+import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
@@ -357,6 +358,35 @@ def test_connected_components_large_batches(ray_session):
     got_ds = cluster_mod.connected_components(edges_ds, nodes_ds=nodes_ds)
     got = {r["record_id"]: r["cluster_id"] for r in got_ds.take_all()}
     assert got == oracle
+
+
+def test_connected_components_blocks_stay_bounded(ray_session, monkeypatch):
+    """A 40-block edge input that needs many rounds: every round's
+    labels have at most 4 x the session's CPUs blocks (the shuffles'
+    partition bound), with no coalescing, and the labels equal
+    union-find's."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from reconcile_pkp_beacon_journals_w_openalex_affiliation_metadata_ray.sources.io import (
+        cluster_cpus,
+    )
+
+    nodes = [f"n{i:04d}" for i in range(400)]
+    edges = list(zip(nodes, nodes[1:]))  # one long chain
+    edges_ds = rd.from_arrow([
+        pa.table({"left_id": [e[0] for e in part], "right_id": [e[1] for e in part]})
+        for part in np.array_split(np.array(edges, dtype=object), 40)])
+    assert edges_ds.materialize().num_blocks() == 40
+
+    blocks = []
+    fingerprint = cluster_mod._fingerprint
+    monkeypatch.setattr(cluster_mod, "_fingerprint",
+                        lambda labels: blocks.append(labels.num_blocks()) or fingerprint(labels))
+    got = cluster_mod.connected_components(edges_ds).to_pandas()
+    assert len(blocks) - 1 >= 5
+    assert max(blocks) <= 4 * cluster_cpus()
+    assert dict(zip(got["record_id"], got["cluster_id"])) == cluster_mod.union_find(edges)
 
 
 def test_connected_components_long_chain_converges(ray_session):
